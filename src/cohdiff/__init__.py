@@ -29,9 +29,7 @@ from .web_core import (
     atom_to_text,
     degree,
     mset,
-    mset_sum,
     rel_compose,
-    rel_equal_on,
     rel_from_text,
     rel_to_text,
 )
@@ -67,7 +65,6 @@ from .exponential import (
     dig,
     kleisli_compose,
     promotion,
-    structural,
     weak,
 )
 from .summability import (
@@ -76,8 +73,6 @@ from .summability import (
     msum,
     nary_summable,
     sfun_morphism,
-    sum,
-    sum_structural,
     summable,
     witness,
 )
@@ -89,7 +84,6 @@ from .differential import (
     dtilde,
     fun_apply,
     local_derivative,
-    partial_derivative,
 )
 from .lawcheck import (
     CheckResult,

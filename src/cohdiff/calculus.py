@@ -51,12 +51,6 @@ def dtype(t: Ty) -> Ty:
     return Arrow(t.src, dtype(t.tgt))
 
 
-def dtype_n(t: Ty, n: int) -> Ty:
-    for _ in range(n):
-        t = dtype(t)
-    return t
-
-
 def strip_d(t: Ty, d: int) -> Ty | None:
     """Invert D at depth d: the type A with D^{d+1}A = t, as D^d A.
 

@@ -15,8 +15,8 @@ from . import calculus as cal
 from .denot import SemEnv, interp_closed
 from .differential import dhat
 from .lawcheck import REGISTRY, run_all
-from .spaces import parse_space, parse_space_expr
-from .web_core import Budget, Rel, atom_from_text, atom_to_text, rel_to_text
+from .spaces import Bang, is_morphism, parse_space, parse_space_expr
+from .web_core import Budget, Rel, atom_to_text, rel_from_text, rel_to_text
 
 ALL_KINDS = ("coh", "nucs", "rel")
 
@@ -147,15 +147,17 @@ def eval_cmd(file, kind, budget, nmax):
 
 
 def _load_rel_file(path):
-    """A .rel file: `space` lines, `source`/`target` lines, then pairs."""
+    """A .rel file: `space` lines, `source`/`target` lines, then pairs.
+
+    Rejects, as a usage error, a malformed pair line and pairs that are
+    not a morphism !source → target.
+    """
     env = {}
     source = target = None
     pair_lines = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
             if line.startswith("space "):
                 sp = parse_space(line)
                 env[sp.name] = sp
@@ -165,14 +167,17 @@ def _load_rel_file(path):
                 target = parse_space_expr(line[len("target "):], env)
             else:
                 pair_lines.append(line)
+                continue
+            pair_lines.append("")  # keeps rel_from_text's line numbers those of the file
     if source is None or target is None:
         raise click.UsageError(f"{path}: needs `source` and `target` lines")
-    pairs = set()
-    for line in pair_lines:
-        sep = "↦" if "↦" in line else "->"
-        lhs, rhs = line.split(sep, 1)
-        pairs.add((atom_from_text(lhs.strip()), atom_from_text(rhs.strip())))
-    return source, target, Rel(frozenset(pairs), "s", "")
+    try:
+        s = rel_from_text("\n".join(pair_lines))
+    except ValueError as e:
+        raise click.UsageError(f"{path}: {e}")
+    if not is_morphism(Bang(source), target, s):
+        raise click.UsageError(f"{path}: the pairs are not a morphism !source → target")
+    return source, target, s
 
 
 @main.command()

@@ -16,20 +16,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .maps import PointMap, pm_compose, pm_memo, pm_sfun
-from .spaces import Bang, SFun, Space, contains, is_morphism
-from .web_core import (
-    MSet,
-    Multiset,
-    Pair,
-    Rel,
-    STAR,
-    Tag,
-    mset,
-)
+from .exponential import m2
+from .maps import PointMap, current_margin, pm_compose, pm_id, pm_memo, pm_tensor
+from .spaces import Bang, SFun, Space, contains, ispace
+from .web_core import MSet, Multiset, Rel, STAR, Tag, rel_compose
 
 
-def dbar(kind: str, max_degree: int = 6) -> Rel:
+def dbar(kind: str, max_degree: int) -> Rel:
     """The coalgebra map ∂̄ : I → !I.
 
     (0, *) goes to every power of the value point; (1, *) goes to every
@@ -43,6 +36,12 @@ def dbar(kind: str, max_degree: int = 6) -> Rel:
     for k in range(max_degree):
         pairs.add((u, MSet(Multiset.from_counts([(z, k), (u, 1)]))))
     return Rel(frozenset(pairs), "dbar", "")
+
+
+def dbar_pm(kind: str) -> PointMap:
+    """∂̄ as a point map, its image cut at the materialization margin."""
+    I = ispace(kind)
+    return pm_memo(PointMap(I, Bang(I), lambda x: dbar(kind, current_margin()).image(x), "dbar"))
 
 
 @lru_cache(maxsize=None)
@@ -76,15 +75,9 @@ def dpartial(E: Space) -> PointMap:
 
 def dtilde(E: Space) -> PointMap:
     """∂̃ = m2 ∘ (id ⊗ ∂̄) : !E ⊗ I → !(E ⊗ I)."""
-    from .exponential import m2
-    from .maps import pm_from_rel, pm_id, pm_tensor
-    from .spaces import Tensor, ispace
-
-    I = ispace(E.kind)
-    db = pm_from_rel(I, Bang(I), dbar(E.kind), "dbar")
     return pm_compose(
-        m2(E, I),
-        pm_tensor(pm_id(Bang(E)), db),
+        m2(E, ispace(E.kind)),
+        pm_tensor(pm_id(Bang(E)), dbar_pm(E.kind)),
         "dtilde",
     )
 
@@ -97,12 +90,7 @@ def dpartial_via_dbar(E: Space) -> PointMap:
     functions paired against ∂̄'s decompositions of a dual-numbers
     point, evaluating each pairing.
     """
-    kind = E.kind
-
-    # dbar as: input tag i ↦ multiset of component tags
-    decomp: dict = {0: set(), 1: set()}
-    for t, m in dbar(kind).pairs:
-        decomp[t.index].add(tuple(sorted(x.index for x in m.ms)))
+    db = dbar_pm(E.kind)
 
     def fn(m):
         # m : multiset over Web SE ≅ Web (I ⊸ E); an element (j, a) is
@@ -110,9 +98,9 @@ def dpartial_via_dbar(E: Space) -> PointMap:
         # of equal size, and ev only fires when the I components match,
         # i.e. when m's tag multiset equals the dbar decomposition; the
         # evaluated image is then the multiset of the a's.
-        tags = tuple(sorted(a.index for a in m.ms))
+        shape = MSet(Multiset.of([Tag(a.index, STAR) for a in m.ms]))
         for i in (0, 1):
-            if tags in decomp[i]:
+            if shape in db.fn(Tag(i, STAR)):
                 out = MSet(Multiset.of([a.inner for a in m.ms]))
                 if contains(Bang(E), out):
                     yield Tag(i, out)
@@ -125,53 +113,7 @@ def dhat(E: Space, F: Space, s: Rel, budget) -> Rel:
     from .summability import sfun_morphism
 
     d = dpartial(E).materialize(budget, margin=budget.max_degree + 2)
-    return _compose_rel(sfun_morphism(Bang(E), F, s), d)
-
-
-def _compose_rel(t: Rel, s: Rel) -> Rel:
-    from .web_core import rel_compose
-
-    return rel_compose(s, t)
-
-
-def partial_derivative(E0: Space, E1: Space, F: Space, s: Rel, which: int, budget) -> Rel:
-    """Partial derivative of s : !(E0 & E1) → F in one coordinate.
-
-    D̂s composed (in the Kleisli category) with the summability
-    strength that injects an increment in coordinate ``which`` and a
-    plain value in the other.
-    """
-    from .exponential import kleisli_compose
-    from .spaces import With, enumerate_web
-    from .web_core import Budget
-
-    X = With(E0, E1)
-    ds = dhat(X, F, s, budget)
-
-    # strength: !S(coordinate-wise) → S(X) as a Kleisli map
-    # [ (0, Tag k a) ] ↦ (0, Tag k a)   for the passive coordinate k
-    # [ Tag w (i, b) ] viewed at coordinate w=which ↦ (i, Tag w b)
-    other = 1 - which
-    pairs = set()
-    inner = Budget(budget.max_degree, budget.max_atoms)
-    for a in enumerate_web(X, inner):
-        if a.index == other:
-            pairs.add((mset([Tag(a.index, a.inner)]), Tag(0, a)))
-    src_i = E0 if which == 0 else E1
-    for b in enumerate_web(src_i, inner):
-        for i in (0, 1):
-            pairs.add((mset([Tag(which, Tag(i, b))]), Tag(i, Tag(which, b))))
-    # the domain here is !(X with an S at coordinate `which`)
-    str_rel = Rel(frozenset(pairs), "Sdfstr", "")
-    return kleisli_compose(ds, str_rel, _strength_src(E0, E1, which))
-
-
-def _strength_src(E0: Space, E1: Space, which: int):
-    from .spaces import With
-
-    if which == 0:
-        return With(SFun(E0), E1)
-    return With(E0, SFun(E1))
+    return rel_compose(d, sfun_morphism(Bang(E), F, s))
 
 
 def local_derivative(s: Rel, x) -> Rel:

@@ -8,8 +8,10 @@ come out right.
 
 from __future__ import annotations
 
-from .maps import PointMap, pm_bang, pm_compose, pm_from_rel, pm_memo, _splits, _sub_multisets
-from .spaces import Bang, Space, Tensor, contains, top
+from functools import lru_cache
+
+from .maps import PointMap, current_margin, pm_bang, pm_compose, pm_from_rel, pm_memo, _sub_multisets
+from .spaces import Bang, Space, Tensor, With, contains, one, top
 from .web_core import MSet, Multiset, Pair, Rel, STAR, Tag, mset
 
 
@@ -23,47 +25,37 @@ def der(E: Space) -> PointMap:
     return PointMap(Bang(E), E, fn, "der")
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
-def _mpartitions(m: Multiset, max_parts: int | None = None) -> tuple:
-    """Unordered partitions of m into nonempty submultisets."""
+def _mpartitions(m: Multiset, max_parts: int) -> tuple:
+    """Unordered partitions of m into at most max_parts nonempty submultisets."""
     if len(m) == 0:
         return ((),)
-    if max_parts is not None and max_parts <= 0:
+    if max_parts <= 0:
         return ()
     out = []
     first = m.support[0]
     one_first = Multiset.of([first])
     for part in _sub_multisets(m - one_first):
         head = part + one_first
-        rest_cap = None if max_parts is None else max_parts - 1
-        for rest in _mpartitions(m - head, rest_cap):
+        for rest in _mpartitions(m - head, max_parts - 1):
             out.append((head,) + rest)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def dig(E: Space, empties_limit: int = 6) -> PointMap:
+def dig(E: Space) -> PointMap:
     """Digging !E → !!E: all decompositions m = m1 + ... + mn.
 
-    Empty parts are allowed; their number is capped so the image stays
-    finite (more empties only add degree past any budget used in
-    practice).
+    Empty parts are allowed, so the image is infinite; it is cut where
+    the decomposition's degree would pass the materialization margin.
     """
 
     def fn(m):
-        from .maps import current_margin
-        from .web_core import degree
-
         margin = current_margin()
-        max_parts = None if margin is None else margin - len(m.ms)
         seen = set()
-        for split in _mpartitions(m.ms, max_parts):
+        for split in _mpartitions(m.ms, margin - len(m.ms)):
             base = len(split) + len(m.ms)
-            cap = empties_limit if margin is None else max(0, margin - base)
-            for e in range(cap + 1):
+            for e in range(max(0, margin - base) + 1):
                 out = mset([MSet(p) for p in split] + [MSet(Multiset())] * e)
                 if out not in seen:
                     seen.add(out)
@@ -79,16 +71,7 @@ def weak(E: Space) -> PointMap:
         if len(m.ms) == 0:
             yield STAR
 
-    return PointMap(Bang(E), _ONE_TARGETS.setdefault(E.kind, _one(E.kind)), fn, "weak")
-
-
-def _one(kind):
-    from .spaces import one
-
-    return one(kind)
-
-
-_ONE_TARGETS: dict = {}
+    return PointMap(Bang(E), one(E.kind), fn, "weak")
 
 
 @lru_cache(maxsize=None)
@@ -108,20 +91,19 @@ def seely0(kind: str) -> PointMap:
     def fn(a):
         yield MSet(Multiset.of([]))
 
-    return PointMap(_one(kind), Bang(top(kind)), fn, "seely0")
+    return PointMap(one(kind), Bang(top(kind)), fn, "seely0")
 
 
 def seely0_inv(kind: str) -> PointMap:
     def fn(m):
         yield STAR
 
-    return PointMap(Bang(top(kind)), _one(kind), fn, "seely0_inv")
+    return PointMap(Bang(top(kind)), one(kind), fn, "seely0_inv")
 
 
 @lru_cache(maxsize=None)
 def seely2(E: Space, F: Space) -> PointMap:
     """!E ⊗ !F → !(E & F), (m, p) ↦ 0·m + 1·p."""
-    from .spaces import With
 
     def fn(a):
         m, p = a.left.ms, a.right.ms
@@ -135,8 +117,6 @@ def seely2(E: Space, F: Space) -> PointMap:
 
 @lru_cache(maxsize=None)
 def seely2_inv(E: Space, F: Space) -> PointMap:
-    from .spaces import With
-
     def fn(m):
         left, right = [], []
         for x, k in m.ms.entries:
@@ -146,18 +126,14 @@ def seely2_inv(E: Space, F: Space) -> PointMap:
     return pm_memo(PointMap(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), fn, "seely2_inv"))
 
 
-def m0(kind: str, parts_limit: int = 6) -> PointMap:
-    """Nullary monoidality 1 → !1, * ↦ k·[*] for every k ≥ 0."""
+def m0(kind: str) -> PointMap:
+    """Nullary monoidality 1 → !1, * ↦ k·[*] for every k ≥ 0, cut at the margin."""
 
     def fn(a):
-        from .maps import current_margin
-
-        margin = current_margin()
-        cap = parts_limit if margin is None else max(parts_limit, margin)
-        for k in range(0, cap + 1):
+        for k in range(current_margin() + 1):
             yield MSet(Multiset.from_counts([(STAR, k)] if k else []))
 
-    return PointMap(_one(kind), Bang(_one(kind)), fn, "m0")
+    return PointMap(one(kind), Bang(one(kind)), fn, "m0")
 
 
 @lru_cache(maxsize=None)
@@ -191,37 +167,6 @@ def _distinct_pairings(xs, ys):
         used.add(y)
         for tail in _distinct_pairings(rest, ys[:i] + ys[i + 1 :]):
             yield ((x, y),) + tail
-
-
-_STRUCTURAL = {
-    "der": der,
-    "dig": dig,
-    "weak": weak,
-    "contr": contr,
-}
-
-
-def structural(name: str, *args) -> PointMap:
-    """Dispatch on a structural-map name.
-
-    der/dig/weak/contr take a space; seely0/seely0_inv/m0 take a kind;
-    seely2/seely2_inv/m2 take two spaces.
-    """
-    table = {
-        "der": der,
-        "dig": dig,
-        "weak": weak,
-        "contr": contr,
-        "seely0": seely0,
-        "seely0_inv": seely0_inv,
-        "seely2": seely2,
-        "seely2_inv": seely2_inv,
-        "m0": m0,
-        "m2": m2,
-    }
-    if name not in table:
-        raise KeyError(f"unknown structural map {name!r}")
-    return table[name](*args)
 
 
 def bang_morphism(E: Space, F: Space, s: Rel, budget) -> Rel:
@@ -259,5 +204,4 @@ def kleisli_compose(t: Rel, s: Rel, E: Space) -> Rel:
 def promotion(s: Rel, E: Space, F: Space, budget) -> Rel:
     """!s ∘ dig for s: !E → F, materialized within the budget."""
     sm = pm_from_rel(Bang(E), F, s, "s")
-    prom = pm_compose(pm_bang(sm), dig(E), "prom")
-    return prom.materialize(budget, margin=2 * budget.max_degree + 2)
+    return pm_compose(pm_bang(sm), dig(E), "prom").materialize(budget)

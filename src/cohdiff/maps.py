@@ -16,18 +16,19 @@ import contextvars
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .web_core import Atom, Budget, MSet, Multiset, Pair, Rel, Tag, within_budget
-from .spaces import PlusSp, SFun, Space, Tensor, With, contains, enumerate_web
+from .web_core import Atom, Budget, MSet, Multiset, Pair, Rel, Tag, degree, within_budget
+from .spaces import Bang, SFun, Space, Tensor, With, contains, enumerate_web
 
 
-# While a composite map is being materialized, intermediate atoms with
-# degree above this margin are pruned: a degree window of D on both
-# endpoints never needs intermediates past 2D + 2 for the maps built
-# here, and without the bound decomposition maps (dig, m0) explode.
-_MARGIN: contextvars.ContextVar = contextvars.ContextVar("pointmap_margin", default=None)
+# The one truncation bound on point maps.  ``materialize`` sets it; inside
+# a composite, intermediate atoms above it are pruned, and maps whose image
+# is infinite (dig's empty parts, m0's powers of *, ∂̄'s powers of the
+# value point) cut their image at it.  It has no value outside
+# ``materialize``: point maps are only evaluated there.
+_MARGIN: contextvars.ContextVar = contextvars.ContextVar("pointmap_margin")
 
 
-def current_margin():
+def current_margin() -> int:
     return _MARGIN.get()
 
 
@@ -38,14 +39,13 @@ class PointMap:
     fn: Callable[[Atom], Iterable[Atom]]
     label: str = ""
 
-    def __call__(self, a: Atom):
-        return self.fn(a)
-
     def materialize(self, budget: Budget, margin: int | None = None) -> Rel:
         """Pairs (a, b) with both sides within the degree budget.
 
         ``margin`` bounds the degree of intermediate atoms inside
-        composites; it defaults to 2 * max_degree + 2.
+        composites and of the infinite images; it defaults to
+        2 * max_degree + 2, which a degree window of D on both endpoints
+        never needs to exceed for the maps built here.
         """
         if margin is None:
             margin = 2 * budget.max_degree + 2
@@ -85,10 +85,6 @@ def pm_id(E: Space, label: str = "id") -> PointMap:
     return PointMap(E, E, lambda a: (a,), label)
 
 
-def pm_zero(E: Space, F: Space) -> PointMap:
-    return PointMap(E, F, lambda a: (), "0")
-
-
 def pm_from_rel(E: Space, F: Space, rel: Rel, label: str = "") -> PointMap:
     """Wrap an extensional relation as a point map."""
     index: dict = {}
@@ -98,24 +94,13 @@ def pm_from_rel(E: Space, F: Space, rel: Rel, label: str = "") -> PointMap:
 
 
 def pm_compose(g: PointMap, f: PointMap, label: str = "") -> PointMap:
-    """g after f.
-
-    Images of g on intermediate atoms are cached per margin: many
-    source atoms funnel through the same intermediates, and maps like
-    dig recompute expensive decompositions on every call.
-    """
-    cache: dict = {}
+    """g after f, skipping intermediate atoms above the margin."""
 
     def fn(a):
         margin = _MARGIN.get()
         for b in f.fn(a):
-            if margin is None or within_budget(b, margin):
-                key = (b, margin)
-                out = cache.get(key)
-                if out is None:
-                    out = tuple(g.fn(b))
-                    cache[key] = out
-                yield from out
+            if within_budget(b, margin):
+                yield from g.fn(b)
 
     return PointMap(f.src, g.tgt, fn, label or f"{g.label}∘{f.label}")
 
@@ -141,26 +126,6 @@ def pm_pair(f: PointMap, g: PointMap, label: str = "") -> PointMap:
     return PointMap(f.src, With(f.tgt, g.tgt), fn, label or f"⟨{f.label},{g.label}⟩")
 
 
-def pm_with(f: PointMap, g: PointMap, label: str = "") -> PointMap:
-    """f & g acting componentwise on a & product."""
-
-    def fn(a):
-        h = f if a.index == 0 else g
-        for b in h.fn(a.inner):
-            yield Tag(a.index, b)
-
-    return PointMap(With(f.src, g.src), With(f.tgt, g.tgt), fn, label or f"{f.label}&{g.label}")
-
-
-def pm_plus(f: PointMap, g: PointMap, label: str = "") -> PointMap:
-    def fn(a):
-        h = f if a.index == 0 else g
-        for b in h.fn(a.inner):
-            yield Tag(a.index, b)
-
-    return PointMap(PlusSp(f.src, g.src), PlusSp(f.tgt, g.tgt), fn, label or f"{f.label}⊕{g.label}")
-
-
 def pm_sfun(f: PointMap, label: str = "") -> PointMap:
     """S f: act under the summability tag."""
 
@@ -169,29 +134,6 @@ def pm_sfun(f: PointMap, label: str = "") -> PointMap:
             yield Tag(a.index, b)
 
     return PointMap(SFun(f.src), SFun(f.tgt), fn, label or f"S{f.label}")
-
-
-def pm_union(f: PointMap, g: PointMap, label: str = "") -> PointMap:
-    """Pointwise union (the sum of morphisms, when it exists)."""
-    def fn(a):
-        yield from f.fn(a)
-        yield from g.fn(a)
-
-    return PointMap(f.src, f.tgt, fn, label or f"{f.label}+{g.label}")
-
-
-def _splits(m: Multiset, n: int):
-    """All ways to write m as an ordered sum of n multisets."""
-    if n == 0:
-        if len(m) == 0:
-            yield ()
-        return
-    if n == 1:
-        yield (m,)
-        return
-    for first in _sub_multisets(m):
-        for rest in _splits(m - first, n - 1):
-            yield (first,) + rest
 
 
 def _sub_multisets(m: Multiset):
@@ -215,9 +157,6 @@ def pm_bang(f: PointMap, label: str = "") -> PointMap:
     accumulated degree of the output, which keeps products of
     decomposition maps (dig, m0) finite and fast.
     """
-    from .spaces import Bang
-    from .web_core import degree
-
     tgt = Bang(f.tgt)
     img_cache: dict = {}
 
@@ -238,14 +177,14 @@ def pm_bang(f: PointMap, label: str = "") -> PointMap:
         dedup = set()
 
         def rec(i, acc, deg):
-            if margin is not None and deg > margin:
+            if deg > margin:
                 return
             if i == len(items):
                 dedup.add(MSet(Multiset.of(acc)))
                 return
             for b in images[i]:
                 d2 = deg + degree(b)
-                if margin is not None and d2 > margin:
+                if d2 > margin:
                     break
                 acc.append(b)
                 rec(i + 1, acc, d2)

@@ -191,11 +191,6 @@ def ispace(kind: str) -> With:
     return With(one(kind), one(kind))
 
 
-def bool_space(kind: str) -> PlusSp:
-    """Bool = 1 ⊕ 1: two strictly incoherent points."""
-    return PlusSp(one(kind), one(kind))
-
-
 def dual(E: Space) -> Space:
     """Linear negation: web unchanged, strict relations swapped."""
     if isinstance(E, DualSp):

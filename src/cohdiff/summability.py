@@ -9,7 +9,7 @@ sum is plain union.  The canonical presentation identifies S with
 
 from __future__ import annotations
 
-from .maps import PointMap, pm_from_rel, pm_sfun
+from .maps import PointMap
 from .spaces import (
     Limpl,
     SFun,
@@ -17,7 +17,6 @@ from .spaces import (
     Tensor,
     is_morphism,
     ispace,
-    one,
 )
 from .web_core import Pair, Rel, STAR, Tag
 
@@ -103,24 +102,6 @@ def smont(E: Space, F: Space) -> PointMap:
     return PointMap(Tensor(SFun(E), SFun(F)), SFun(Tensor(E, F)), fn, "smont")
 
 
-def sum_structural(name: str, *args) -> PointMap:
-    table = {
-        "proj0": lambda E: proj(E, 0),
-        "proj1": lambda E: proj(E, 1),
-        "sigma": sigma,
-        "inj0": lambda E: inj(E, 0),
-        "inj1": lambda E: inj(E, 1),
-        "flip": flip,
-        "theta": theta,
-        "strength": strength,
-        "strength_sym": strength_sym,
-        "smont": smont,
-    }
-    if name not in table:
-        raise KeyError(f"unknown summability map {name!r}")
-    return table[name](*args)
-
-
 def sfun_morphism(E: Space, F: Space, s: Rel) -> Rel:
     """S s : SE → SF, acting under the tag."""
     pairs = {(Tag(i, a), Tag(i, b)) for a, b in s.pairs for i in (0, 1)}
@@ -143,10 +124,6 @@ def msum(E: Space, F: Space, f0: Rel, f1: Rel) -> Rel:
     if not summable(E, F, f0, f1):
         raise NotSummable("witness is not a morphism")
     return f0 | f1
-
-
-# public alias; `msum` avoids shadowing the builtin inside this module
-sum = msum
 
 
 def nary_summable(E: Space, F: Space, fs) -> Rel | None:

@@ -18,7 +18,7 @@ of its elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -121,9 +121,6 @@ class Multiset:
         entries = tuple(
             (a, n) for a, n in sorted(counts.items(), key=lambda e: atom_key(e[0])) if n > 0
         )
-        for _, n in entries:
-            if n < 0:
-                raise ValueError("negative multiplicity")
         return Multiset(entries)
 
     def count(self, a: Atom) -> int:
@@ -174,9 +171,6 @@ class Multiset:
         return "[" + ",".join(repr(a) for a in self) + "]"
 
 
-EMPTY = Multiset()
-
-
 @_cached_hash
 @dataclass(frozen=True)
 class MSet(Atom):
@@ -192,11 +186,6 @@ STAR = Base("*")
 def mset(atoms: Iterable[Atom]) -> MSet:
     """Convenience: build a multiset atom from an iterable of atoms."""
     return MSet(Multiset.of(atoms))
-
-
-def mset_sum(m0: Multiset, m1: Multiset) -> Multiset:
-    """Pointwise count addition."""
-    return m0 + m1
 
 
 @lru_cache(maxsize=None)
@@ -266,18 +255,8 @@ class Rel:
     def of(pairs: Iterable, src_label: str = "", tgt_label: str = "") -> "Rel":
         return Rel(frozenset(tuple(p) for p in pairs), src_label, tgt_label)
 
-    @staticmethod
-    def identity(atoms: Iterable[Atom], label: str = "") -> "Rel":
-        return Rel(frozenset((a, a) for a in atoms), label, label)
-
     def image(self, a: Atom) -> frozenset:
         return frozenset(b for (x, b) in self.pairs if x == a)
-
-    def preimage(self, b: Atom) -> frozenset:
-        return frozenset(a for (a, y) in self.pairs if y == b)
-
-    def domain(self) -> frozenset:
-        return frozenset(a for a, _ in self.pairs)
 
     def codomain(self) -> frozenset:
         return frozenset(b for _, b in self.pairs)
@@ -299,9 +278,6 @@ class Rel:
         return "{" + body + "}"
 
 
-ZERO_REL = Rel()
-
-
 def rel_compose(s: Rel, t: Rel) -> Rel:
     """Relational composition: first ``s`` then ``t``."""
     by_src: dict[Atom, list] = {}
@@ -312,20 +288,6 @@ def rel_compose(s: Rel, t: Rel) -> Rel:
         for c in by_src.get(b, ()):
             out.add((a, c))
     return Rel(frozenset(out), s.src_label, t.tgt_label)
-
-
-def rel_equal_on(f: Rel, g: Rel, domain: Iterable[Atom]):
-    """Compare images over a domain.
-
-    Returns (True, None) if for every atom ``a`` of ``domain`` the image
-    sets agree, else (False, (a, f_image, g_image)) for the first
-    differing atom (in canonical atom order).
-    """
-    for a in sorted(domain, key=atom_key):
-        fa, ga = f.image(a), g.image(a)
-        if fa != ga:
-            return False, (a, fa, ga)
-    return True, None
 
 
 # ---------------------------------------------------------------------------

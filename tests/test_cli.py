@@ -3,6 +3,7 @@
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from cohdiff.cli import main
@@ -95,6 +96,25 @@ def test_derive_monomial_demo_keeps_cross_term():
     r = run("derive", demo_path("monomial.rel"))
     assert r.exit_code == 0
     assert "[0·a,1·a] ↦ 1·b" in r.output
+
+
+@pytest.mark.parametrize(
+    "pair_line, why",
+    [
+        ("[zzz] -> c", "not a morphism"),  # zzz is outside the web of E
+        ("[a,b] -> c", "not a morphism"),  # a and b are incoherent, so [a,b] is not in !E
+        ("[a] c", "line 5: expected"),  # no arrow
+    ],
+)
+def test_derive_rejects_bad_relation_files(tmp_path, pair_line, why):
+    f = tmp_path / "s.rel"
+    f.write_text(
+        "space E kind=coh atoms{a b}\nspace F kind=coh atoms{c}\n"
+        f"source E\ntarget F\n{pair_line}\n"
+    )
+    r = run("derive", str(f))
+    assert r.exit_code == 2
+    assert why in r.output
 
 
 def test_demo_taylor_contrast():

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from cohdiff.differential import dpartial
 from cohdiff.lawcheck import (
     REGISTRY,
@@ -13,7 +15,7 @@ from cohdiff.lawcheck import (
     run_check,
 )
 from cohdiff.maps import PointMap
-from cohdiff.spaces import is_morphism
+from cohdiff.spaces import With, is_morphism
 from cohdiff.web_core import Budget, Tag, degree
 
 BUD = Budget(3, 20000)
@@ -124,3 +126,34 @@ def test_single_trial_for_deterministic_checks():
     ctx = MapCtx("coh", BUD)
     res = run_check("dbar-counit", ctx, seed=0, trials=100)
     assert res.ok and res.trials == 1
+
+
+def test_freed_override_does_not_reuse_cached_verdict():
+    """A cached verdict belongs to its override object, not to its id().
+
+    The first override is freed before the mutant is made, so CPython
+    tends to give the mutant the same id.
+    """
+    ctx = MapCtx("coh", BUD, {"dpartial": lambda E: dpartial(E)})
+    assert run_check("d-with-2", ctx, seed=0, trials=3).ok
+    del ctx
+
+    def mutant(E):
+        """∂ without its increment images on & spaces."""
+        base = dpartial(E)
+        if not isinstance(E, With):
+            return base
+        return PointMap(
+            base.src, base.tgt, lambda x: (y for y in base.fn(x) if y.index == 0), "mutant"
+        )
+
+    res = run_check("d-with-2", MapCtx("coh", BUD, {"dpartial": mutant}), seed=0, trials=3)
+    assert not res.ok and res.witness
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_registry_passes_at_higher_budgets(degree):
+    """Truncation never shows up as a law failure above the default budget."""
+    res = run_all(kinds=("coh", "nucs", "rel"), seed=0, trials=1, budget=Budget(degree, 20000))
+    bad = [(r.name, r.kind, r.witness) for r in res if not r.ok]
+    assert not bad
