@@ -28,9 +28,11 @@ def main():
 
 @main.command("check-laws")
 @click.option("--model", default="all", help="coh, nucs, rel or all")
-@click.option("--trials", default=100, show_default=True)
+@click.option("--trials", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--budget", default=3, show_default=True, help="max multiset degree")
+@click.option(
+    "--budget", default=3, show_default=True, type=click.IntRange(min=0), help="max multiset degree"
+)
 @click.option("--only", default=None, help="run a single named law")
 @click.option("--summary", type=click.Path(), default=None, help="write a JSON summary here")
 def check_laws(model, trials, seed, budget, only, summary):
@@ -69,6 +71,7 @@ def check_laws(model, trials, seed, budget, only, summary):
                     "kind": r.kind,
                     "ok": r.ok,
                     "trials": r.trials,
+                    "instances": r.instances,
                     "witness": r.witness,
                 }
                 for r in results
@@ -102,7 +105,7 @@ def typecheck(file):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--fuel", default=1000, show_default=True)
+@click.option("--fuel", default=1000, show_default=True, type=click.IntRange(min=1))
 @click.option("--trace", is_flag=True, help="print every intermediate term")
 def reduce(file, fuel, trace):
     """Normalize the term in FILE (.cdl) and print the normal form."""
@@ -128,8 +131,11 @@ def reduce(file, fuel, trace):
 @main.command("eval")
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--kind", default="coh", show_default=True, help="coh, nucs or rel")
-@click.option("--budget", default=3, show_default=True)
-@click.option("--nmax", default=3, show_default=True, help="largest literal in the nat web")
+@click.option("--budget", default=3, show_default=True, type=click.IntRange(min=0))
+@click.option(
+    "--nmax", default=3, show_default=True, type=click.IntRange(min=0),
+    help="largest literal in the nat web",
+)
 def eval_cmd(file, kind, budget, nmax):
     """Print the truncated denotation of the closed term in FILE."""
     if kind not in ALL_KINDS:
@@ -149,8 +155,8 @@ def eval_cmd(file, kind, budget, nmax):
 def _load_rel_file(path):
     """A .rel file: `space` lines, `source`/`target` lines, then pairs.
 
-    Rejects, as a usage error, a malformed pair line and pairs that are
-    not a morphism !source → target.
+    Rejects, as a usage error, a malformed line and pairs that are not a
+    morphism !source → target.
     """
     env = {}
     source = target = None
@@ -158,16 +164,19 @@ def _load_rel_file(path):
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
-            if line.startswith("space "):
-                sp = parse_space(line)
-                env[sp.name] = sp
-            elif line.startswith("source "):
-                source = parse_space_expr(line[len("source "):], env)
-            elif line.startswith("target "):
-                target = parse_space_expr(line[len("target "):], env)
-            else:
-                pair_lines.append(line)
-                continue
+            try:
+                if line.startswith("space "):
+                    sp = parse_space(line)
+                    env[sp.name] = sp
+                elif line.startswith("source "):
+                    source = parse_space_expr(line[len("source "):], env)
+                elif line.startswith("target "):
+                    target = parse_space_expr(line[len("target "):], env)
+                else:
+                    pair_lines.append(line)
+                    continue
+            except ValueError as e:
+                raise click.UsageError(f"{path}: {e}")
             pair_lines.append("")  # keeps rel_from_text's line numbers those of the file
     if source is None or target is None:
         raise click.UsageError(f"{path}: needs `source` and `target` lines")
@@ -182,7 +191,7 @@ def _load_rel_file(path):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--budget", default=3, show_default=True)
+@click.option("--budget", default=3, show_default=True, type=click.IntRange(min=0))
 def derive(file, budget):
     """Differentiate the Kleisli morphism in FILE (.rel): print D̂s."""
     E, F, s = _load_rel_file(file)

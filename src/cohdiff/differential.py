@@ -112,7 +112,7 @@ def dhat(E: Space, F: Space, s: Rel, budget) -> Rel:
     """D̂s = (S s) ∘ ∂ for a Kleisli morphism s : !E → F."""
     from .summability import sfun_morphism
 
-    d = dpartial(E).materialize(budget, margin=budget.max_degree + 2)
+    d = dpartial(E).materialize(budget)
     return rel_compose(d, sfun_morphism(Bang(E), F, s))
 
 

@@ -4,9 +4,13 @@ Every law is a pair of composite maps built from the closed-form
 structural morphisms; a check materializes both sides on randomly
 generated finite spaces and compares the graphs restricted to a degree
 budget (both sides are filtered to the same window, so the comparison
-is exact on that window).  The map constructors are fetched through a
-MapCtx so tests can swap in a deliberately broken map and watch the
-right law fail.
+is exact on that window).
+
+Most laws quantify over spaces only: their checks take the spaces as
+arguments, and ``run_check`` memoizes each verdict in the MapCtx, so a
+space tuple that repeats across trials is checked once.  ∂ is fetched
+through the MapCtx so tests can swap in a deliberately broken map and
+watch the right law fail.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import random
 import string
 from dataclasses import dataclass, field
 
-from .differential import dbar_pm, dpartial, dtilde
+from .differential import dbar_pm, dpartial, dpartial_via_dbar, dtilde
 from .exponential import (
     contr,
     der,
@@ -127,36 +131,21 @@ def gen_summable_pair(rng: random.Random, E: Space, F: Space, budget: Budget):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapCtx:
-    """A model kind and budget; ``overrides["dpartial"]`` swaps in another ∂."""
+    """A model kind and budget; ``overrides["dpartial"]`` swaps in another ∂.
+
+    ``verdicts`` maps (law, spaces) to (ok, witness): a verdict holds only
+    for this kind, budget and override set.
+    """
 
     kind: str
     budget: Budget = Budget(3, 20000)
     overrides: dict = field(default_factory=dict)
+    verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dpartial(self, E: Space) -> PointMap:
         return self.overrides.get("dpartial", dpartial)(E)
-
-
-_DIAGRAM_CACHE: dict = {}
-
-
-def _cached(ctx, key, thunk):
-    """Memoize a check outcome that is a pure function of its spaces.
-
-    Random small spaces repeat constantly across trials, so diagram
-    checks that involve only structural maps can reuse earlier verdicts.
-    The override objects themselves participate in the key, so mutated
-    maps never share entries; holding them also keeps their ids from
-    being reused by later overrides.
-    """
-    k = (ctx.kind, ctx.budget, tuple(sorted(ctx.overrides.items())), key)
-    hit = _DIAGRAM_CACHE.get(k)
-    if hit is None:
-        hit = thunk()
-        _DIAGRAM_CACHE[k] = hit
-    return hit
 
 
 def run_diagram(lhs: PointMap, rhs: PointMap, budget: Budget, margin=None):
@@ -234,7 +223,8 @@ def _sym23(A, B, C, D) -> PointMap:
 
 
 # ---------------------------------------------------------------------------
-# Law checks.  Each takes (ctx, rng) and returns (ok, witness | None).
+# Law checks.  Each returns (ok, witness | None).  A law that draws only
+# spaces takes (ctx, *spaces); one that draws morphisms takes (ctx, rng).
 # ---------------------------------------------------------------------------
 
 
@@ -353,22 +343,19 @@ def chk_sum_with(ctx, rng):
     return True, None
 
 
-def chk_monad_unit_left(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_monad_unit_left(ctx, E):
     return run_diagram(
         pm_compose(theta(E), inj(SFun(E), 0)), pm_id(SFun(E)), ctx.budget
     )
 
 
-def chk_monad_unit_right(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_monad_unit_right(ctx, E):
     return run_diagram(
         pm_compose(theta(E), pm_sfun(inj(E, 0))), pm_id(SFun(E)), ctx.budget
     )
 
 
-def chk_monad_assoc(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_monad_assoc(ctx, E):
     return run_diagram(
         pm_compose(theta(E), pm_sfun(theta(E))),
         pm_compose(theta(E), theta(SFun(E))),
@@ -376,19 +363,16 @@ def chk_monad_assoc(ctx, rng):
     )
 
 
-def chk_theta_flip(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_theta_flip(ctx, E):
     return run_diagram(pm_compose(theta(E), flip(E)), theta(E), ctx.budget)
 
 
-def chk_strength_unit(ctx, rng):
-    E, F = gen_space(rng, ctx.kind), gen_space(rng, ctx.kind)
+def chk_strength_unit(ctx, E, F):
     lhs = pm_compose(strength(E, F), pm_tensor(pm_id(E), inj(F, 0)))
     return run_diagram(lhs, inj(Tensor(E, F), 0), ctx.budget)
 
 
-def chk_strength_mult(ctx, rng):
-    E, F = gen_space(rng, ctx.kind), gen_space(rng, ctx.kind)
+def chk_strength_mult(ctx, E, F):
     lhs = pm_compose(
         theta(Tensor(E, F)),
         pm_compose(pm_sfun(strength(E, F)), strength(E, SFun(F))),
@@ -397,8 +381,7 @@ def chk_strength_mult(ctx, rng):
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_strength_comm(ctx, rng):
-    E, F = gen_space(rng, ctx.kind), gen_space(rng, ctx.kind)
+def chk_strength_comm(ctx, E, F):
     route1 = pm_compose(
         theta(Tensor(E, F)),
         pm_compose(pm_sfun(strength_sym(E, F)), strength(SFun(E), F)),
@@ -413,8 +396,7 @@ def chk_strength_comm(ctx, rng):
     return run_diagram(route2, smont(E, F), ctx.budget)
 
 
-def chk_strength_flip(ctx, rng):
-    E, F = gen_space(rng, ctx.kind), gen_space(rng, ctx.kind)
+def chk_strength_flip(ctx, E, F):
     lhs = pm_compose(pm_sfun(strength_sym(E, F)), strength(SFun(E), F))
     rhs = pm_compose(
         flip(Tensor(E, F)),
@@ -423,63 +405,51 @@ def chk_strength_flip(ctx, rng):
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_smont_sym(ctx, rng):
-    E, F = gen_space(rng, ctx.kind), gen_space(rng, ctx.kind)
+def chk_smont_sym(ctx, E, F):
     lhs = pm_compose(smont(F, E), _sym(SFun(E), SFun(F)))
     rhs = pm_compose(pm_sfun(_sym(E, F)), smont(E, F))
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_bang_counit_left(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_bang_counit_left(ctx, E):
     return run_diagram(pm_compose(der(Bang(E)), dig(E)), pm_id(Bang(E)), ctx.budget)
 
 
-def chk_bang_counit_right(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_bang_counit_right(ctx, E):
     return run_diagram(pm_compose(pm_bang(der(E)), dig(E)), pm_id(Bang(E)), ctx.budget)
 
 
-def chk_bang_coassoc(ctx, rng):
-    E = gen_space(rng, ctx.kind, 3)
-    return _cached(ctx, ("bang-coassoc", E), lambda: run_diagram(
+def chk_bang_coassoc(ctx, E):
+    return run_diagram(
         pm_compose(dig(Bang(E)), dig(E)),
         pm_compose(pm_bang(dig(E)), dig(E)),
         ctx.budget,
         margin=ctx.budget.max_degree,
-    ))
+    )
 
 
-def chk_comonoid_counit(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_comonoid_counit(ctx, E):
     lhs = pm_compose(
         _lunit(Bang(E), ctx.kind), pm_tensor(weak(E), pm_id(Bang(E)))
     )
     return run_diagram(pm_compose(lhs, contr(E)), pm_id(Bang(E)), ctx.budget)
 
 
-def chk_comonoid_coassoc(ctx, rng):
-    E = gen_space(rng, ctx.kind, 3)
+def chk_comonoid_coassoc(ctx, E):
     B = Bang(E)
     lhs = pm_compose(pm_tensor(contr(E), pm_id(B)), contr(E))
     rhs = pm_compose(
         _assoc_inv(B, B, B), pm_compose(pm_tensor(pm_id(B), contr(E)), contr(E))
     )
-    return _cached(ctx, ('comonoid-coassoc', E), lambda: run_diagram(lhs, rhs, ctx.budget, margin=ctx.budget.max_degree))
+    return run_diagram(lhs, rhs, ctx.budget, margin=ctx.budget.max_degree)
 
 
-def chk_comonoid_cocomm(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_comonoid_cocomm(ctx, E):
     B = Bang(E)
     return run_diagram(pm_compose(_sym(B, B), contr(E)), contr(E), ctx.budget)
 
 
-def chk_seely_iso(ctx, rng):
-    E, F = gen_space(rng, ctx.kind, 3), gen_space(rng, ctx.kind, 3)
-    return _cached(ctx, ("seely-iso", E, F), lambda: _seely_iso(ctx, E, F))
-
-
-def _seely_iso(ctx, E, F):
+def chk_seely_iso(ctx, E, F):
     ok, w = run_diagram(
         pm_compose(seely2_inv(E, F), seely2(E, F)),
         pm_id(Tensor(Bang(E), Bang(F))),
@@ -497,8 +467,7 @@ def _seely_iso(ctx, E, F):
     )
 
 
-def chk_seely_dig_comm(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_seely_dig_comm(ctx, E):
     ok, w = run_diagram(
         pm_compose(seely2_inv(E, E), pm_bang(_diag(E))),
         contr(E),
@@ -512,8 +481,7 @@ def chk_seely_dig_comm(ctx, rng):
     )
 
 
-def chk_seelyt_mont_0(ctx, rng):
-    F = gen_space(rng, ctx.kind)
+def chk_seelyt_mont_0(ctx, F):
     kind = ctx.kind
     unit = one(kind)
     lhs = pm_compose(
@@ -527,9 +495,7 @@ def chk_seelyt_mont_0(ctx, rng):
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_seelyt_mont_2(ctx, rng):
-    X0, X1 = gen_space(rng, ctx.kind, 2), gen_space(rng, ctx.kind, 2)
-    Y = gen_space(rng, ctx.kind, 2)
+def chk_seelyt_mont_2(ctx, X0, X1, Y):
     B0, B1, BY = Bang(X0), Bang(X1), Bang(Y)
     lhs = pm_compose(
         seely2(Tensor(X0, Y), Tensor(X1, Y)),
@@ -550,49 +516,44 @@ def chk_seelyt_mont_2(ctx, rng):
             m2(With(X0, X1), Y), pm_tensor(seely2(X0, X1), pm_id(BY))
         ),
     )
-    return _cached(ctx, ('seelyt-mont-2', X0, X1, Y), lambda: run_diagram(lhs, rhs, ctx.budget, margin=ctx.budget.max_degree))
+    return run_diagram(lhs, rhs, ctx.budget, margin=ctx.budget.max_degree)
 
 
 # -- differential laws -------------------------------------------------------
 
 
-def chk_d_local(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_d_local(ctx, E):
     lhs = pm_compose(proj(Bang(E), 0), ctx.dpartial(E))
     return run_diagram(lhs, pm_bang(proj(E, 0)), ctx.budget)
 
 
-def chk_d_lin_unit(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_d_lin_unit(ctx, E):
     lhs = pm_compose(ctx.dpartial(E), pm_bang(inj(E, 0)))
     return run_diagram(lhs, inj(Bang(E), 0), ctx.budget)
 
 
-def chk_d_lin_mult(ctx, rng):
-    E = gen_space(rng, ctx.kind, 3)
+def chk_d_lin_mult(ctx, E):
     lhs = pm_compose(
         theta(Bang(E)), pm_compose(pm_sfun(ctx.dpartial(E)), ctx.dpartial(SFun(E)))
     )
     rhs = pm_compose(ctx.dpartial(E), pm_bang(theta(E)))
-    return _cached(ctx, ('d-lin-mult', E), lambda: run_diagram(lhs, rhs, ctx.budget))
+    return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_d_chain_der(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_d_chain_der(ctx, E):
     lhs = pm_compose(pm_sfun(der(E)), ctx.dpartial(E))
     return run_diagram(lhs, der(SFun(E)), ctx.budget)
 
 
-def chk_d_chain_dig(ctx, rng):
-    E = gen_space(rng, ctx.kind, 3)
+def chk_d_chain_dig(ctx, E):
     lhs = pm_compose(pm_sfun(dig(E)), ctx.dpartial(E))
     rhs = pm_compose(
         ctx.dpartial(Bang(E)), pm_compose(pm_bang(ctx.dpartial(E)), dig(SFun(E)))
     )
-    return _cached(ctx, ('d-chain-dig', E), lambda: run_diagram(lhs, rhs, ctx.budget))
+    return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_d_with_0(ctx, rng):
+def chk_d_with_0(ctx):
     kind = ctx.kind
     T = top(kind)
     lhs = pm_compose(ctx.dpartial(T), seely0(kind))
@@ -600,8 +561,7 @@ def chk_d_with_0(ctx, rng):
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_d_with_2(ctx, rng):
-    X0, X1 = gen_space(rng, ctx.kind, 2), gen_space(rng, ctx.kind, 2)
+def chk_d_with_2(ctx, X0, X1):
     W = With(X0, X1)
     split = pm_pair(pm_sfun(_pw(X0, X1, 0)), pm_sfun(_pw(X0, X1, 1)))
     lhs = pm_compose(
@@ -614,28 +574,25 @@ def chk_d_with_2(ctx, rng):
             ),
         ),
     )
-    return _cached(ctx, ('d-with-2', X0, X1), lambda: run_diagram(lhs, ctx.dpartial(W), ctx.budget))
+    return run_diagram(lhs, ctx.dpartial(W), ctx.budget)
 
 
-def chk_leibniz_weak(ctx, rng):
-    E = gen_space(rng, ctx.kind)
+def chk_leibniz_weak(ctx, E):
     lhs = pm_compose(pm_sfun(weak(E)), ctx.dpartial(E))
     rhs = pm_compose(inj(one(ctx.kind), 0), weak(SFun(E)))
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_leibniz_contr(ctx, rng):
-    E = gen_space(rng, ctx.kind, 3)
+def chk_leibniz_contr(ctx, E):
     lhs = pm_compose(pm_sfun(contr(E)), ctx.dpartial(E))
     rhs = pm_compose(
         smont(Bang(E), Bang(E)),
         pm_compose(pm_tensor(ctx.dpartial(E), ctx.dpartial(E)), contr(SFun(E))),
     )
-    return _cached(ctx, ('leibniz-contr', E), lambda: run_diagram(lhs, rhs, ctx.budget))
+    return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_d_schwarz(ctx, rng):
-    E = gen_space(rng, ctx.kind, 3)
+def chk_d_schwarz(ctx, E):
     lhs = pm_compose(
         flip(Bang(E)), pm_compose(pm_sfun(ctx.dpartial(E)), ctx.dpartial(SFun(E)))
     )
@@ -643,32 +600,29 @@ def chk_d_schwarz(ctx, rng):
         pm_sfun(ctx.dpartial(E)),
         pm_compose(ctx.dpartial(SFun(E)), pm_bang(flip(E))),
     )
-    return _cached(ctx, ('d-schwarz', E), lambda: run_diagram(lhs, rhs, ctx.budget))
+    return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_d_consistency(ctx, rng):
-    from .differential import dpartial_via_dbar
-
-    E = gen_space(rng, ctx.kind)
+def chk_d_consistency(ctx, E):
     return run_diagram(ctx.dpartial(E), dpartial_via_dbar(E), ctx.budget)
 
 
 # -- dbar laws ----------------------------------------------------------------
 
 
-def chk_dbar_counit(ctx, rng):
+def chk_dbar_counit(ctx):
     I = ispace(ctx.kind)
     return run_diagram(pm_compose(der(I), dbar_pm(ctx.kind)), pm_id(I), ctx.budget)
 
 
-def chk_dbar_coassoc(ctx, rng):
+def chk_dbar_coassoc(ctx):
     I, db = ispace(ctx.kind), dbar_pm(ctx.kind)
     lhs = pm_compose(dig(I), db)
     rhs = pm_compose(pm_bang(db), db)
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_dbar_local(ctx, rng):
+def chk_dbar_local(ctx):
     kind = ctx.kind
     I = ispace(kind)
     w0pm = pm_from_rel(one(kind), I, w0(kind), "w0")
@@ -677,7 +631,7 @@ def chk_dbar_local(ctx, rng):
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_dbar_lin_proj(ctx, rng):
+def chk_dbar_lin_proj(ctx):
     kind = ctx.kind
     I = ispace(kind)
     pr = pm_from_rel(I, one(kind), pr0(kind), "pr0")
@@ -686,7 +640,7 @@ def chk_dbar_lin_proj(ctx, rng):
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_dbar_lin_L(ctx, rng):
+def chk_dbar_lin_L(ctx):
     kind = ctx.kind
     I, db = ispace(kind), dbar_pm(kind)
     Lp = pm_from_rel(I, Tensor(I, I), L_map(kind), "L")
@@ -695,7 +649,7 @@ def chk_dbar_lin_L(ctx, rng):
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_dbar_comonoid_mor(ctx, rng):
+def chk_dbar_comonoid_mor(ctx):
     kind = ctx.kind
     I, db = ispace(kind), dbar_pm(kind)
     pr = pm_from_rel(I, one(kind), pr0(kind), "pr0")
@@ -708,7 +662,7 @@ def chk_dbar_comonoid_mor(ctx, rng):
     return run_diagram(lhs, rhs, ctx.budget)
 
 
-def chk_i_comonoid(ctx, rng):
+def chk_i_comonoid(ctx):
     kind = ctx.kind
     I = ispace(kind)
     pr = pm_from_rel(I, one(kind), pr0(kind), "pr0")
@@ -725,8 +679,7 @@ def chk_i_comonoid(ctx, rng):
     return run_diagram(pm_compose(_sym(I, I), Lp), Lp, ctx.budget)
 
 
-def chk_sdiffst_mon_tens(ctx, rng):
-    X0, X1 = gen_space(rng, ctx.kind, 2), gen_space(rng, ctx.kind, 2)
+def chk_sdiffst_mon_tens(ctx, X0, X1):
     kind = ctx.kind
     I = ispace(kind)
     B0, B1 = Bang(X0), Bang(X1)
@@ -738,7 +691,7 @@ def chk_sdiffst_mon_tens(ctx, rng):
         pm_bang(_assoc(X0, X1, I)),
         pm_compose(dtilde(Tensor(X0, X1)), pm_tensor(m2(X0, X1), pm_id(I))),
     )
-    return _cached(ctx, ('sdiffst-mon-tens', X0, X1), lambda: run_diagram(lhs, rhs, ctx.budget))
+    return run_diagram(lhs, rhs, ctx.budget)
 
 
 def chk_sfun_iso(ctx, rng):
@@ -765,66 +718,56 @@ def chk_sfun_iso(ctx, rng):
     )
 
 
+# law name -> (check, web cap of each space it draws).  Caps None mark the
+# laws that also draw morphisms: their checks take the generator and run
+# uncached.  A law that draws nothing, caps (), is checked in one trial.
 REGISTRY = {
-    "joint-monicity": chk_joint_monicity,
-    "sum-zero": chk_sum_zero,
-    "sum-com": chk_sum_com,
-    "sum-wit": chk_sum_wit,
-    "sum-assoc": chk_sum_assoc,
-    "sum-tensor": chk_sum_tensor,
-    "sum-with": chk_sum_with,
-    "monad-unit-left": chk_monad_unit_left,
-    "monad-unit-right": chk_monad_unit_right,
-    "monad-assoc": chk_monad_assoc,
-    "theta-flip": chk_theta_flip,
-    "strength-unit": chk_strength_unit,
-    "strength-mult": chk_strength_mult,
-    "strength-comm": chk_strength_comm,
-    "strength-flip": chk_strength_flip,
-    "smont-sym": chk_smont_sym,
-    "bang-counit-left": chk_bang_counit_left,
-    "bang-counit-right": chk_bang_counit_right,
-    "bang-coassoc": chk_bang_coassoc,
-    "comonoid-counit": chk_comonoid_counit,
-    "comonoid-coassoc": chk_comonoid_coassoc,
-    "comonoid-cocomm": chk_comonoid_cocomm,
-    "seely-iso": chk_seely_iso,
-    "seely-dig-comm": chk_seely_dig_comm,
-    "seelyt-mont-0": chk_seelyt_mont_0,
-    "seelyt-mont-2": chk_seelyt_mont_2,
-    "d-local": chk_d_local,
-    "d-lin-unit": chk_d_lin_unit,
-    "d-lin-mult": chk_d_lin_mult,
-    "d-chain-der": chk_d_chain_der,
-    "d-chain-dig": chk_d_chain_dig,
-    "d-with-0": chk_d_with_0,
-    "d-with-2": chk_d_with_2,
-    "leibniz-weak": chk_leibniz_weak,
-    "leibniz-contr": chk_leibniz_contr,
-    "d-schwarz": chk_d_schwarz,
-    "d-consistency": chk_d_consistency,
-    "dbar-counit": chk_dbar_counit,
-    "dbar-coassoc": chk_dbar_coassoc,
-    "dbar-local": chk_dbar_local,
-    "dbar-lin-proj": chk_dbar_lin_proj,
-    "dbar-lin-L": chk_dbar_lin_L,
-    "dbar-comonoid-mor": chk_dbar_comonoid_mor,
-    "i-comonoid": chk_i_comonoid,
-    "sdiffst-mon-tens": chk_sdiffst_mon_tens,
-    "sfun-iso": chk_sfun_iso,
-}
-
-# checks whose statement does not involve randomness beyond the space;
-# a single trial per seed is as strong as many
-_DETERMINISTIC = {
-    "d-with-0",
-    "dbar-counit",
-    "dbar-coassoc",
-    "dbar-local",
-    "dbar-lin-proj",
-    "dbar-lin-L",
-    "dbar-comonoid-mor",
-    "i-comonoid",
+    "joint-monicity": (chk_joint_monicity, None),
+    "sum-zero": (chk_sum_zero, None),
+    "sum-com": (chk_sum_com, None),
+    "sum-wit": (chk_sum_wit, None),
+    "sum-assoc": (chk_sum_assoc, None),
+    "sum-tensor": (chk_sum_tensor, None),
+    "sum-with": (chk_sum_with, None),
+    "monad-unit-left": (chk_monad_unit_left, (4,)),
+    "monad-unit-right": (chk_monad_unit_right, (4,)),
+    "monad-assoc": (chk_monad_assoc, (4,)),
+    "theta-flip": (chk_theta_flip, (4,)),
+    "strength-unit": (chk_strength_unit, (4, 4)),
+    "strength-mult": (chk_strength_mult, (4, 4)),
+    "strength-comm": (chk_strength_comm, (4, 4)),
+    "strength-flip": (chk_strength_flip, (4, 4)),
+    "smont-sym": (chk_smont_sym, (4, 4)),
+    "bang-counit-left": (chk_bang_counit_left, (4,)),
+    "bang-counit-right": (chk_bang_counit_right, (4,)),
+    "bang-coassoc": (chk_bang_coassoc, (3,)),
+    "comonoid-counit": (chk_comonoid_counit, (4,)),
+    "comonoid-coassoc": (chk_comonoid_coassoc, (3,)),
+    "comonoid-cocomm": (chk_comonoid_cocomm, (4,)),
+    "seely-iso": (chk_seely_iso, (3, 3)),
+    "seely-dig-comm": (chk_seely_dig_comm, (4,)),
+    "seelyt-mont-0": (chk_seelyt_mont_0, (4,)),
+    "seelyt-mont-2": (chk_seelyt_mont_2, (2, 2, 2)),
+    "d-local": (chk_d_local, (4,)),
+    "d-lin-unit": (chk_d_lin_unit, (4,)),
+    "d-lin-mult": (chk_d_lin_mult, (3,)),
+    "d-chain-der": (chk_d_chain_der, (4,)),
+    "d-chain-dig": (chk_d_chain_dig, (3,)),
+    "d-with-0": (chk_d_with_0, ()),
+    "d-with-2": (chk_d_with_2, (2, 2)),
+    "leibniz-weak": (chk_leibniz_weak, (4,)),
+    "leibniz-contr": (chk_leibniz_contr, (3,)),
+    "d-schwarz": (chk_d_schwarz, (3,)),
+    "d-consistency": (chk_d_consistency, (4,)),
+    "dbar-counit": (chk_dbar_counit, ()),
+    "dbar-coassoc": (chk_dbar_coassoc, ()),
+    "dbar-local": (chk_dbar_local, ()),
+    "dbar-lin-proj": (chk_dbar_lin_proj, ()),
+    "dbar-lin-L": (chk_dbar_lin_L, ()),
+    "dbar-comonoid-mor": (chk_dbar_comonoid_mor, ()),
+    "i-comonoid": (chk_i_comonoid, ()),
+    "sdiffst-mon-tens": (chk_sdiffst_mon_tens, (2, 2)),
+    "sfun-iso": (chk_sfun_iso, None),
 }
 
 
@@ -834,18 +777,33 @@ class CheckResult:
     kind: str
     ok: bool
     trials: int
+    instances: int
     witness: str | None = None
 
 
 def run_check(name: str, ctx: MapCtx, seed: int, trials: int) -> CheckResult:
-    fn = REGISTRY[name]
+    """Check one law on up to ``trials`` draws; stop at the first failure.
+
+    ``instances`` counts the distinct space tuples checked, or the trials
+    run for a law that draws morphisms.
+    """
+    fn, caps = REGISTRY[name]
     rng = random.Random(f"{seed}:{name}:{ctx.kind}")
-    n = 1 if name in _DETERMINISTIC else trials
+    n = 1 if caps == () else trials
+    seen = set()
     for t in range(n):
-        ok, wit = fn(ctx, rng)
+        if caps is None:  # morphisms drawn: every trial is a new instance
+            seen.add(t)
+            ok, wit = fn(ctx, rng)
+        else:
+            spaces = tuple(gen_space(rng, ctx.kind, cap) for cap in caps)
+            seen.add(spaces)
+            if (name, spaces) not in ctx.verdicts:
+                ctx.verdicts[name, spaces] = fn(ctx, *spaces)
+            ok, wit = ctx.verdicts[name, spaces]
         if not ok:
-            return CheckResult(name, ctx.kind, False, t + 1, wit)
-    return CheckResult(name, ctx.kind, True, n, None)
+            return CheckResult(name, ctx.kind, False, t + 1, len(seen), wit)
+    return CheckResult(name, ctx.kind, True, n, len(seen))
 
 
 def run_all(

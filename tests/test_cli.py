@@ -52,6 +52,7 @@ def test_check_laws_writes_summary(tmp_path):
     data = json.loads(out.read_text())
     assert data["results"][0]["name"] == "d-local"
     assert data["results"][0]["ok"] is True
+    assert 1 <= data["results"][0]["instances"] <= 2
 
 
 def test_typecheck_demo():
@@ -99,22 +100,43 @@ def test_derive_monomial_demo_keeps_cross_term():
 
 
 @pytest.mark.parametrize(
-    "pair_line, why",
+    "line, why",
     [
         ("[zzz] -> c", "not a morphism"),  # zzz is outside the web of E
         ("[a,b] -> c", "not a morphism"),  # a and b are incoherent, so [a,b] is not in !E
         ("[a] c", "line 5: expected"),  # no arrow
+        ("space G kind=wat atoms{a}", "bad or missing kind"),
+        ("source Q", "unknown space 'Q'"),
+        ("space G kind=coh atoms{a c} scoh{(a,c}", "expected ')'"),
     ],
 )
-def test_derive_rejects_bad_relation_files(tmp_path, pair_line, why):
+def test_derive_rejects_bad_relation_files(tmp_path, line, why):
     f = tmp_path / "s.rel"
     f.write_text(
         "space E kind=coh atoms{a b}\nspace F kind=coh atoms{c}\n"
-        f"source E\ntarget F\n{pair_line}\n"
+        f"source E\ntarget F\n{line}\n"
     )
     r = run("derive", str(f))
     assert r.exit_code == 2
-    assert why in r.output
+    assert f"{f}: " in r.output and why in r.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check-laws", "--only", "d-local", "--model", "coh", "--trials", "0"),
+        ("check-laws", "--only", "d-local", "--model", "coh", "--budget", "-1"),
+        ("eval", demo_path("beta.cdl"), "--budget", "-1"),
+        ("eval", demo_path("beta.cdl"), "--nmax", "-1"),
+        ("derive", demo_path("linear.rel"), "--budget", "-1"),
+        ("reduce", demo_path("beta.cdl"), "--fuel", "0"),
+    ],
+    ids=lambda args: f"{args[0]} {args[-2]}={args[-1]}",
+)
+def test_out_of_range_counts_are_usage_errors(args):
+    """No vacuous pass, no traceback, no false "no normal form"."""
+    r = run(*args)
+    assert r.exit_code == 2, r.output
 
 
 def test_demo_taylor_contrast():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cohdiff import lawcheck
 from cohdiff.differential import dpartial
 from cohdiff.lawcheck import (
     REGISTRY,
@@ -13,6 +14,7 @@ from cohdiff.lawcheck import (
     gen_summable_pair,
     run_all,
     run_check,
+    run_diagram,
 )
 from cohdiff.maps import PointMap
 from cohdiff.spaces import With, is_morphism
@@ -122,14 +124,54 @@ def test_mutated_dpartial_still_passes_unrelated_law():
     assert res.ok
 
 
-def test_single_trial_for_deterministic_checks():
-    ctx = MapCtx("coh", BUD)
-    res = run_check("dbar-counit", ctx, seed=0, trials=100)
-    assert res.ok and res.trials == 1
+@pytest.mark.parametrize("name", [n for n, (_, caps) in REGISTRY.items() if caps == ()])
+def test_single_trial_for_deterministic_checks(name):
+    """A law that draws nothing is one instance, so one trial checks it."""
+    res = run_check(name, MapCtx("coh", BUD), seed=0, trials=100)
+    assert res.ok and res.trials == 1 and res.instances == 1
+
+
+def test_check_runs_once_per_distinct_instance(monkeypatch):
+    fn, caps = REGISTRY["bang-counit-left"]
+    calls = []
+
+    def counted(ctx, *spaces):
+        calls.append(spaces)
+        return fn(ctx, *spaces)
+
+    monkeypatch.setitem(REGISTRY, "bang-counit-left", (counted, caps))
+    res = run_check("bang-counit-left", MapCtx("rel", BUD), seed=7, trials=100)
+    assert res.ok and res.trials == 100
+    assert len(calls) == len(set(calls)) == res.instances
+
+
+def test_instances_count_distinct_space_draws():
+    rng = random.Random("7:bang-counit-left:rel")
+    distinct = {gen_space(rng, "rel") for _ in range(100)}
+    res = run_check("bang-counit-left", MapCtx("rel", BUD), seed=7, trials=100)
+    assert res.instances == len(distinct) < 100
+
+
+@pytest.mark.parametrize("kind", ["coh", "nucs", "rel"])
+@pytest.mark.parametrize("name", ["bang-coassoc", "comonoid-coassoc", "seely-dig-comm", "seelyt-mont-2"])
+def test_tightened_margins_are_exact(monkeypatch, name, kind):
+    """Each side a law materializes at a tightened margin equals that side at the default margin."""
+    tightened = []
+
+    def checked(lhs, rhs, budget, margin=None):
+        if margin is not None:
+            tightened.append(margin)
+            for side in (lhs, rhs):
+                assert side.materialize(budget, margin=margin).pairs == side.materialize(budget).pairs
+        return run_diagram(lhs, rhs, budget, margin)
+
+    monkeypatch.setattr(lawcheck, "run_diagram", checked)
+    res = run_check(name, MapCtx(kind, BUD), seed=0, trials=5)
+    assert res.ok and tightened
 
 
 def test_freed_override_does_not_reuse_cached_verdict():
-    """A cached verdict belongs to its override object, not to its id().
+    """A cached verdict belongs to its MapCtx, not to an override's id().
 
     The first override is freed before the mutant is made, so CPython
     tends to give the mutant the same id.
