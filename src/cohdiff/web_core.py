@@ -10,6 +10,19 @@ differential) is phrased in terms of three value types:
 * ``Rel`` -- a finite set of atom pairs, the universal notion of
   morphism; composition is relational and the zero morphism is ``∅``.
 
+Atoms and multisets are hash-consed (Filliâtre & Conchon, "Type-Safe
+Modular Hash-Consing", 2006).  A constructor looks up its class and its
+arguments, whose atoms are interned already, in one table and returns
+the object it finds there; it builds a new object only on a miss.  Two
+structurally equal values are therefore one object: ``==`` is identity
+and ``hash`` is ``object.__hash__``.  The table holds its values
+weakly, so an atom leaves it as soon as nothing else refers to it.  Its
+keys hold the children themselves, never their ``id()``, so an address
+freed by one atom cannot be mistaken for another.  (The ``lru_cache``s
+on ``atom_key``, ``degree`` and ``within_budget`` do keep every atom
+they have seen alive.)  Interned values are immutable: setting or
+deleting an attribute raises.
+
 Webs of ``!E`` are infinite, so enumeration is controlled by a
 ``Budget``.  The degree of an atom counts multiset entries through
 nesting: a multiset contributes its number of entries plus the degrees
@@ -18,65 +31,100 @@ of its elements.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+# (class, *arguments) -> the one live object built from them.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_lookup = _TABLE.get
 
-class Atom:
-    """Base class for web elements. Structural equality is identity."""
+
+def _make(cls, key, *values):
+    """Build the object that ``key`` names (a table miss) and intern it."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    _TABLE[key] = obj
+    return obj
+
+
+def _require_atom(x):
+    if not isinstance(x, Atom):
+        raise TypeError(f"not an atom: {x!r}")
+
+
+class _Interned:
+    """An immutable hash-consed value: equality is identity."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Atom(_Interned):
+    """Base class for web elements. Structural equality is identity.
+
+    Every ``Base``, ``Tag``, ``Pair`` and ``MSet`` is interned when it is
+    built, so two atoms with the same structure are the same object, and
+    it stays in the table only while something else refers to it.  On a
+    table miss the constructors raise ``TypeError`` for a ``Tag`` or
+    ``Pair`` child that is not an atom, an ``MSet`` child that is not a
+    ``Multiset`` and a ``Base`` symbol that is not a ``str``.
+    """
 
     __slots__ = ()
 
 
-def _cached_hash(cls):
-    """Memoize the generated dataclass hash on the instance.
-
-    Atoms nest deeply and get hashed constantly (multiset
-    canonicalization, relation sets); recomputing the structural hash
-    each time dominates profiles.
-    """
-    base = cls.__hash__
-
-    def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = base(self)
-            object.__setattr__(self, "_h", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_cached_hash
-@dataclass(frozen=True)
 class Base(Atom):
-    sym: str
+    __slots__ = ("sym",)
+
+    def __new__(cls, sym: str):
+        key = (cls, sym)
+        a = _lookup(key)
+        if a is None:
+            if not isinstance(sym, str):
+                raise TypeError(f"base symbol must be a str, not {sym!r}")
+            a = _make(cls, key, sym)
+        return a
 
     def __repr__(self):
         return self.sym
 
 
-@_cached_hash
-@dataclass(frozen=True)
 class Tag(Atom):
-    index: int
-    inner: Atom
+    __slots__ = ("index", "inner")
 
-    def __post_init__(self):
-        if self.index not in (0, 1):
-            raise ValueError("tag index must be 0 or 1")
+    def __new__(cls, index: int, inner: Atom):
+        key = (cls, index, inner)
+        a = _lookup(key)
+        if a is None:
+            if index not in (0, 1):
+                raise ValueError("tag index must be 0 or 1")
+            _require_atom(inner)
+            a = _make(cls, key, index, inner)
+        return a
 
     def __repr__(self):
         return f"{self.index}·{self.inner!r}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
 class Pair(Atom):
-    left: Atom
-    right: Atom
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Atom, right: Atom):
+        key = (cls, left, right)
+        a = _lookup(key)
+        if a is None:
+            _require_atom(left)
+            _require_atom(right)
+            a = _make(cls, key, left, right)
+        return a
 
     def __repr__(self):
         return f"({self.left!r},{self.right!r})"
@@ -96,12 +144,21 @@ def atom_key(a: Atom):
     raise TypeError(f"not an atom: {a!r}")
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Multiset:
-    """Canonical finite multiset of atoms: sorted (atom, count) entries."""
+class Multiset(_Interned):
+    """Canonical finite multiset of atoms: sorted (atom, count) entries.
 
-    entries: tuple = ()
+    Interned like the atoms.  ``support`` (the distinct atoms, in entry
+    order) and the length are computed once, when the multiset is built.
+    """
+
+    __slots__ = ("entries", "support", "_len")
+
+    def __new__(cls, entries: tuple = ()):
+        key = (cls, entries)
+        m = _lookup(key)
+        if m is None:
+            m = _make(cls, key, entries, tuple(a for a, _ in entries), sum(n for _, n in entries))
+        return m
 
     @staticmethod
     def of(atoms: Iterable[Atom]) -> "Multiset":
@@ -125,24 +182,12 @@ class Multiset:
 
     def count(self, a: Atom) -> int:
         for x, n in self.entries:
-            if x == a:
+            if x is a:
                 return n
         return 0
 
-    @property
-    def support(self) -> tuple:
-        s = self.__dict__.get("_support")
-        if s is None:
-            s = tuple(a for a, _ in self.entries)
-            object.__setattr__(self, "_support", s)
-        return s
-
     def __len__(self) -> int:
-        n = self.__dict__.get("_len")
-        if n is None:
-            n = sum(k for _, k in self.entries)
-            object.__setattr__(self, "_len", n)
-        return n
+        return self._len
 
     def __iter__(self) -> Iterator[Atom]:
         for a, n in self.entries:
@@ -171,10 +216,17 @@ class Multiset:
         return "[" + ",".join(repr(a) for a in self) + "]"
 
 
-@_cached_hash
-@dataclass(frozen=True)
 class MSet(Atom):
-    ms: Multiset
+    __slots__ = ("ms",)
+
+    def __new__(cls, ms: Multiset):
+        key = (cls, ms)
+        a = _lookup(key)
+        if a is None:
+            if not isinstance(ms, Multiset):
+                raise TypeError(f"not a multiset: {ms!r}")
+            a = _make(cls, key, ms)
+        return a
 
     def __repr__(self):
         return repr(self.ms)

@@ -10,6 +10,7 @@ from cohdiff.cli import main
 
 HERE = os.path.dirname(__file__)
 DEMOS = os.path.join(HERE, os.pardir, "demos")
+GOLDEN = os.path.join(HERE, "golden")
 
 
 def run(*args):
@@ -30,6 +31,15 @@ def test_check_laws_single_law():
 def test_check_laws_reports_are_byte_identical_per_seed():
     args = ("check-laws", "--only", "sum-com", "--trials", "3", "--seed", "9")
     assert run(*args).output == run(*args).output
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_check_laws_matches_golden_output(seed):
+    """The full registry report is pinned byte for byte (all models, 100 trials, budget 3)."""
+    r = CliRunner().invoke(main, ["check-laws", "--seed", str(seed)])
+    assert r.exit_code == 0, r.output
+    with open(os.path.join(GOLDEN, f"check-laws-seed{seed}.txt"), "rb") as fh:
+        assert r.stdout_bytes == fh.read()
 
 
 def test_check_laws_unknown_law_is_usage_error():
@@ -126,6 +136,7 @@ def test_derive_rejects_bad_relation_files(tmp_path, line, why):
     [
         ("check-laws", "--only", "d-local", "--model", "coh", "--trials", "0"),
         ("check-laws", "--only", "d-local", "--model", "coh", "--budget", "-1"),
+        ("check-laws", "--only", "d-chain-der", "--model", "coh", "--budget", "0"),
         ("eval", demo_path("beta.cdl"), "--budget", "-1"),
         ("eval", demo_path("beta.cdl"), "--nmax", "-1"),
         ("derive", demo_path("linear.rel"), "--budget", "-1"),

@@ -199,3 +199,24 @@ def test_registry_passes_at_higher_budgets(degree):
     res = run_all(kinds=("coh", "nucs", "rel"), seed=0, trials=1, budget=Budget(degree, 20000))
     bad = [(r.name, r.kind, r.witness) for r in res if not r.ok]
     assert not bad
+
+
+def test_every_diagram_law_sees_atoms_at_budget_1(monkeypatch):
+    """At the smallest budget the CLI accepts, no diagram law compares two empty relations."""
+    budget = Budget(1, 20000)
+    sizes = []
+
+    def recorded(lhs, rhs, budget, margin=None):
+        sizes.append(max(len(side.materialize(budget, margin=margin).pairs) for side in (lhs, rhs)))
+        return run_diagram(lhs, rhs, budget, margin)
+
+    monkeypatch.setattr(lawcheck, "run_diagram", recorded)
+    vacuous = []
+    for kind in ("coh", "nucs", "rel"):
+        ctx = MapCtx(kind, budget)
+        for name in REGISTRY:
+            sizes.clear()
+            assert run_check(name, ctx, seed=0, trials=3).ok
+            if sizes and not any(sizes):
+                vacuous.append((name, kind))
+    assert not vacuous

@@ -1,10 +1,15 @@
 """Multisets, atoms and raw relations."""
 
+import gc
+import weakref
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
+from cohdiff import web_core
 from cohdiff.web_core import (
+    STAR,
     Base,
     Budget,
     MSet,
@@ -13,6 +18,7 @@ from cohdiff.web_core import (
     Rel,
     Tag,
     atom_from_text,
+    atom_key,
     atom_to_text,
     degree,
     mset,
@@ -61,7 +67,79 @@ atoms = st.deferred(
 
 @given(atoms)
 def test_atom_text_round_trip(x):
-    assert atom_from_text(atom_to_text(x)) == x
+    assert atom_from_text(atom_to_text(x)) is x
+
+
+def test_equal_atoms_are_one_object():
+    assert Base("a") is Base("a")
+    assert Pair(Tag(0, a), mset([b])) is Pair(Tag(0, a), mset([b]))
+    assert Multiset.of([a, b]) is Multiset.of([b, a])
+    assert Pair(a, b) is not Pair(b, a)
+
+
+@given(st.lists(atoms, max_size=5).flatmap(lambda xs: st.tuples(st.just(xs), st.permutations(xs))))
+def test_mset_of_any_permutation_is_one_object(xs_ys):
+    xs, ys = xs_ys
+    assert mset(xs) is mset(ys)
+
+
+@pytest.mark.parametrize(
+    "value, attr",
+    [(a, "sym"), (Tag(0, a), "inner"), (Pair(a, b), "left"), (mset([a]), "ms"), (Multiset.of([a]), "entries")],
+    ids=repr,
+)
+def test_interned_values_are_immutable(value, attr):
+    with pytest.raises(AttributeError):
+        setattr(value, attr, b)
+    with pytest.raises(AttributeError):
+        delattr(value, attr)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "__dict__")
+
+
+def test_dropped_atoms_leave_the_table():
+    """The table holds its atoms weakly, so it never outgrows the live atoms.
+
+    ``atom_key``'s lru_cache keeps the atoms it has keyed alive, so it
+    is cleared before each count.
+    """
+
+    def build():
+        x = Base("built-here")
+        m = mset([x, Pair(x, STAR), x])
+        return [weakref.ref(v) for v in (x, Tag(1, x), Pair(x, STAR), m, m.ms)]
+
+    atom_key.cache_clear()
+    gc.collect()
+    before = len(web_core._TABLE)
+    refs = build()
+    atom_key.cache_clear()
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(web_core._TABLE) == before
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Pair("a", STAR),
+        lambda: Pair(STAR, 3),
+        lambda: Tag(0, 3),
+        lambda: Base(3),
+        lambda: MSet(a),
+        lambda: mset(["a"]),
+    ],
+    ids=["pair-left", "pair-right", "tag", "base", "mset-atom", "mset-of"],
+)
+def test_non_atoms_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_tag_index_is_0_or_1():
+    with pytest.raises(ValueError):
+        Tag(2, a)
 
 
 @given(st.lists(atoms, max_size=4))
