@@ -102,7 +102,6 @@ from .calculus import (
     TypeError_,
     alpha_eq,
     dlet,
-    linear_step,
     normalize,
     parse,
     step,

@@ -9,12 +9,22 @@ Sums are typed by two schemas (pi0^d M + pi1^d M, and
 pi1^d M0 + pi0^d M1 when M0 + M1 is typeable one level up) plus
 closure under inverting one linear-commutation step; anything else —
 like x + y for distinct variables — is rejected.
+
+Terms are walked through one table, ``_SUBTERMS``: the subterm fields
+of each constructor, in the order reduction visits them; every other
+field is data.  ``free_vars``, ``subst``, ``alpha_eq`` and ``step``
+read it, ``_rebuild`` applies a constructor to new subterms, and only
+Lam, the one binder, is treated apart.
+
+``fresh`` names a binder from the term alone: the base name if it is
+free, else the base name with the smallest free suffix ``_0``, ``_1``,
+and so on.  A normal form thus depends only on its term, never on what
+was reduced before it in the process.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +174,26 @@ class Fix(Term):
     body: Term
 
 
-_UNARY = (Proj, Inj, SigmaT, CTerm)
+# The subterm fields of each constructor, in the order reduction visits
+# them.  They come after the data fields in every constructor, so a
+# constructor takes its new subterms positionally (see ``_rebuild``).
+_SUBTERMS = {
+    Var: (), Num: (), Succ: (), Zero: (),
+    Lam: ("body",), DTerm: ("body",), Fix: ("body",),
+    Proj: ("body",), Inj: ("body",), SigmaT: ("body",), CTerm: ("body",),
+    App: ("fun", "arg"),
+    Plus: ("left", "right"),
+    If0: ("cond", "then", "other"),
+}
+
+# The data fields of each constructor: all fields that are not subterms.
+_DATA = {
+    cls: tuple(f.name for f in fields(cls) if f.name not in kids)
+    for cls, kids in _SUBTERMS.items()
+}
+
+# The tag operators: projections, injections, tag merge and tag swap.
+_TAGS = (Proj, Inj, SigmaT, CTerm)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +210,12 @@ def ty_to_text(t: Ty) -> str:
     return f"{lhs} => {ty_to_text(t.tgt)}"
 
 
+_OPNAMES = {Proj: "pi", Inj: "iota", SigmaT: "sigma", CTerm: "c"}
+
+
 def _opname(m: Term) -> str:
-    if isinstance(m, Proj):
-        return f"pi{m.index}" + (f"^{m.depth}" if m.depth else "")
-    if isinstance(m, Inj):
-        return f"iota{m.index}" + (f"^{m.depth}" if m.depth else "")
-    if isinstance(m, SigmaT):
-        return "sigma" + (f"^{m.depth}" if m.depth else "")
-    return "c" + (f"^{m.depth}" if m.depth else "")
+    index = m.index if isinstance(m, (Proj, Inj)) else ""
+    return f"{_OPNAMES[type(m)]}{index}" + (f"^{m.depth}" if m.depth else "")
 
 
 def to_text(m: Term) -> str:
@@ -207,7 +234,7 @@ def to_text(m: Term) -> str:
     if isinstance(m, App):
         f = to_text(m.fun) if isinstance(m.fun, (App, Var, Num, Succ)) else f"({to_text(m.fun)})"
         return f"{f} {_atomic(m.arg)}"
-    if isinstance(m, _UNARY):
+    if isinstance(m, _TAGS):
         return f"{_opname(m)} {_atomic(m.body)}"
     if isinstance(m, DTerm):
         return f"D {_atomic(m.body)}"
@@ -387,48 +414,48 @@ def parse_type(text: str) -> Ty:
 # ---------------------------------------------------------------------------
 
 
+def _kids(m: Term) -> tuple:
+    """The subterms of m, in table order."""
+    return tuple(getattr(m, f) for f in _SUBTERMS[type(m)])
+
+
+def _rebuild(m: Term, *kids: Term, depth: int | None = None) -> Term:
+    """m's constructor on m's data and new subterms, given in table order.
+
+    A tag operator takes ``depth`` as its new depth when one is given.
+    """
+    cls = type(m)
+    if cls is Lam:
+        return Lam(m.var, m.ty, *kids)
+    if cls in _TAGS:
+        d = m.depth if depth is None else depth
+        return cls(m.index, d, *kids) if cls is Proj or cls is Inj else cls(d, *kids)
+    return cls(*kids)
+
+
+def _same_data(m: Term, n: Term) -> bool:
+    """m and n, of one constructor, agree on their data fields."""
+    for f in _DATA[type(m)]:
+        if getattr(m, f) != getattr(n, f):
+            return False
+    return True
+
+
 def free_vars(m: Term) -> frozenset:
     if isinstance(m, Var):
         return frozenset({m.name})
-    if isinstance(m, Lam):
-        return free_vars(m.body) - {m.var}
-    if isinstance(m, App):
-        return free_vars(m.fun) | free_vars(m.arg)
-    if isinstance(m, Plus):
-        return free_vars(m.left) | free_vars(m.right)
-    if isinstance(m, If0):
-        return free_vars(m.cond) | free_vars(m.then) | free_vars(m.other)
-    if isinstance(m, (_UNARY + (DTerm, Fix))):
-        return free_vars(m.body)
-    return frozenset()
-
-
-_FRESH = itertools.count()
+    out = frozenset().union(*map(free_vars, _kids(m)))
+    return out - {m.var} if isinstance(m, Lam) else out
 
 
 def fresh(base: str, avoid) -> str:
+    """base if it is not in avoid, else base_k for the smallest k >= 0 that is not."""
     if base not in avoid:
         return base
-    while True:
-        cand = f"{base}_{next(_FRESH)}"
-        if cand not in avoid:
-            return cand
-
-
-def _rebuild(m: Term, body: Term) -> Term:
-    if isinstance(m, Proj):
-        return Proj(m.index, m.depth, body)
-    if isinstance(m, Inj):
-        return Inj(m.index, m.depth, body)
-    if isinstance(m, SigmaT):
-        return SigmaT(m.depth, body)
-    if isinstance(m, CTerm):
-        return CTerm(m.depth, body)
-    if isinstance(m, DTerm):
-        return DTerm(body)
-    if isinstance(m, Fix):
-        return Fix(body)
-    raise TypeError
+    k = 0
+    while f"{base}_{k}" in avoid:
+        k += 1
+    return f"{base}_{k}"
 
 
 def subst(m: Term, name: str, val: Term) -> Term:
@@ -442,17 +469,8 @@ def subst(m: Term, name: str, val: Term) -> Term:
             body = subst(m.body, m.var, Var(nv))
             return Lam(nv, m.ty, subst(body, name, val))
         return Lam(m.var, m.ty, subst(m.body, name, val))
-    if isinstance(m, App):
-        return App(subst(m.fun, name, val), subst(m.arg, name, val))
-    if isinstance(m, Plus):
-        return Plus(subst(m.left, name, val), subst(m.right, name, val))
-    if isinstance(m, If0):
-        return If0(
-            subst(m.cond, name, val), subst(m.then, name, val), subst(m.other, name, val)
-        )
-    if isinstance(m, (_UNARY + (DTerm, Fix))):
-        return _rebuild(m, subst(m.body, name, val))
-    return m
+    kids = _kids(m)
+    return _rebuild(m, *[subst(k, name, val) for k in kids]) if kids else m
 
 
 def alpha_eq(m: Term, n: Term, env: tuple = ()) -> bool:
@@ -464,24 +482,12 @@ def alpha_eq(m: Term, n: Term, env: tuple = ()) -> bool:
                 return m.name == a and n.name == b
         return m.name == n.name
     if isinstance(m, Lam):
-        return m.ty == n.ty and alpha_eq(m.body, n.body, env + ((m.var, n.var),))
-    if isinstance(m, App):
-        return alpha_eq(m.fun, n.fun, env) and alpha_eq(m.arg, n.arg, env)
-    if isinstance(m, Plus):
-        return alpha_eq(m.left, n.left, env) and alpha_eq(m.right, n.right, env)
-    if isinstance(m, If0):
-        return (
-            alpha_eq(m.cond, n.cond, env)
-            and alpha_eq(m.then, n.then, env)
-            and alpha_eq(m.other, n.other, env)
-        )
-    if isinstance(m, (Proj, Inj)):
-        return m.index == n.index and m.depth == n.depth and alpha_eq(m.body, n.body, env)
-    if isinstance(m, (SigmaT, CTerm)):
-        return m.depth == n.depth and alpha_eq(m.body, n.body, env)
-    if isinstance(m, (DTerm, Fix)):
-        return alpha_eq(m.body, n.body, env)
-    return m == n
+        if m.ty != n.ty:
+            return False
+        env += ((m.var, n.var),)
+    elif not _same_data(m, n):
+        return False
+    return all(alpha_eq(a, b, env) for a, b in zip(_kids(m), _kids(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +496,16 @@ def alpha_eq(m: Term, n: Term, env: tuple = ()) -> bool:
 
 
 class TypeError_(TypeError):
-    pass
+    """A typing error, raised as a format string and its arguments.
+
+    Terms among the arguments are rendered with ``to_text`` only when the
+    error is printed: sum typing raises and catches many of these errors
+    while it looks for a type, and most are never printed.
+    """
+
+    def __str__(self):
+        msg, *args = self.args
+        return msg.format(*(to_text(a) if isinstance(a, Term) else a for a in args))
 
 
 def typecheck(m: Term, env: dict | None = None) -> Ty:
@@ -501,7 +516,7 @@ def typecheck(m: Term, env: dict | None = None) -> Ty:
 def _ty(m: Term, env: dict) -> Ty:
     if isinstance(m, Var):
         if m.name not in env:
-            raise TypeError_(f"unbound variable {m.name}")
+            raise TypeError_("unbound variable {}", m.name)
         return env[m.name]
     if isinstance(m, Num):
         return Nat(0)
@@ -517,62 +532,55 @@ def _ty(m: Term, env: dict) -> Ty:
     if isinstance(m, App):
         f = _ty(m.fun, env)
         if not isinstance(f, Arrow):
-            raise TypeError_(f"applying a non-function: {to_text(m.fun)} : {f!r}")
+            raise TypeError_("applying a non-function: {} : {!r}", m.fun, f)
         a = _ty(m.arg, env)
         if a != f.src:
-            raise TypeError_(f"argument type {a!r} does not match {f.src!r}")
+            raise TypeError_("argument type {!r} does not match {!r}", a, f.src)
         return f.tgt
     if isinstance(m, DTerm):
         f = _ty(m.body, env)
         if not isinstance(f, Arrow):
-            raise TypeError_(f"D of a non-function type {f!r}")
+            raise TypeError_("D of a non-function type {!r}", f)
         return Arrow(dtype(f.src), dtype(f.tgt))
     if isinstance(m, Proj):
         t = _ty(m.body, env)
         out = strip_d(t, m.depth)
         if out is None:
-            raise TypeError_(f"pi{m.index}^{m.depth} needs depth >= {m.depth + 1}, got {t!r}")
+            raise TypeError_("pi{}^{} needs depth >= {}, got {!r}", m.index, m.depth, m.depth + 1, t)
         return out
     if isinstance(m, Inj):
         t = _ty(m.body, env)
         if nat_depth(t) < m.depth:
-            raise TypeError_(f"iota{m.index}^{m.depth} needs depth >= {m.depth}, got {t!r}")
-        return _bump(t, m.depth)
+            raise TypeError_("iota{}^{} needs depth >= {}, got {!r}", m.index, m.depth, m.depth, t)
+        return dtype(t)
     if isinstance(m, SigmaT):
         t = _ty(m.body, env)
         out = strip_d(t, m.depth + 1)
         if out is None or strip_d(t, m.depth) is None:
-            raise TypeError_(f"sigma^{m.depth} needs depth >= {m.depth + 2}, got {t!r}")
+            raise TypeError_("sigma^{} needs depth >= {}, got {!r}", m.depth, m.depth + 2, t)
         return out
     if isinstance(m, CTerm):
         t = _ty(m.body, env)
         if nat_depth(t) < m.depth + 2:
-            raise TypeError_(f"c^{m.depth} needs depth >= {m.depth + 2}, got {t!r}")
+            raise TypeError_("c^{} needs depth >= {}, got {!r}", m.depth, m.depth + 2, t)
         return t
     if isinstance(m, Fix):
         f = _ty(m.body, env)
         if not isinstance(f, Arrow) or f.src != f.tgt:
-            raise TypeError_(f"fix needs A => A, got {f!r}")
+            raise TypeError_("fix needs A => A, got {!r}", f)
         return f.src
     if isinstance(m, If0):
         c = _ty(m.cond, env)
         if c != Nat(0):
-            raise TypeError_(f"if0 condition must be nat, got {c!r}")
+            raise TypeError_("if0 condition must be nat, got {!r}", c)
         t1 = _ty(m.then, env)
         t2 = _ty(m.other, env)
         if t1 != t2:
-            raise TypeError_(f"if0 branches disagree: {t1!r} vs {t2!r}")
+            raise TypeError_("if0 branches disagree: {!r} vs {!r}", t1, t2)
         return t1
     if isinstance(m, Plus):
         return _ty_plus(m, env)
-    raise TypeError_(f"not a term: {m!r}")
-
-
-def _bump(t: Ty, d: int) -> Ty:
-    """Insert one D at depth d (codomain leaf depth grows by one)."""
-    if isinstance(t, Arrow):
-        return Arrow(t.src, _bump(t.tgt, d))
-    return Nat(t.depth + 1)
+    raise TypeError_("not a term: {!r}", m)
 
 
 def _ty_plus(m: Plus, env: dict) -> Ty:
@@ -595,18 +603,18 @@ def _ty_plus(m: Plus, env: dict) -> Ty:
                 else:
                     parts.append(p)
     except (FuelExhausted, RecursionError):
-        raise TypeError_(f"sum not typeable: {to_text(m)}")
+        raise TypeError_("sum not typeable: {}", m)
     if not parts:
         known = {t for t in zero_tys if t is not None}
         if len(known) == 1:
             return known.pop()
-        raise TypeError_(f"sum of zeros needs one annotation: {to_text(m)}")
+        raise TypeError_("sum of zeros needs one annotation: {}", m)
     t = _parts_type(parts, env)
     if t is None:
-        raise TypeError_(f"sum not typeable: {to_text(m)}")
+        raise TypeError_("sum not typeable: {}", m)
     for zt in zero_tys:
         if zt is not None and zt != t:
-            raise TypeError_(f"0 annotated {zt!r} summed with {t!r}")
+            raise TypeError_("0 annotated {!r} summed with {!r}", zt, t)
     return t
 
 
@@ -639,16 +647,12 @@ def _plus_direct(l: Term, r: Term, env: dict) -> Ty | None:
             if out is not None:
                 return out
     # zero absorption (reducts like 0 + pi0 pi1 M arise during rewriting)
-    if isinstance(l, Zero):
-        t = _ty(r, env)
-        if l.ty is not None and l.ty != t:
-            raise TypeError_(f"0 annotated {l.ty!r} summed with {t!r}")
-        return t
-    if isinstance(r, Zero):
-        t = _ty(l, env)
-        if r.ty is not None and r.ty != t:
-            raise TypeError_(f"0 annotated {r.ty!r} summed with {t!r}")
-        return t
+    for z, other in ((l, r), (r, l)):
+        if isinstance(z, Zero):
+            t = _ty(other, env)
+            if z.ty is not None and z.ty != t:
+                raise TypeError_("0 annotated {!r} summed with {!r}", z.ty, t)
+            return t
     # invert one linear commutation: factor a common head
     inv = _factor_head(l, r)
     if inv is not None:
@@ -701,9 +705,7 @@ def _parts_type(parts: list, env: dict) -> Ty | None:
                 Proj(0, d, SigmaT(d, z)),
                 Proj(1, d, SigmaT(d, z)),
             ]
-            t = _parts_type(folded + remaining, env) if remaining else _plus_direct(
-                folded[0], folded[1], env
-            )
+            t = _parts_type(folded + remaining, env)
             if t is not None:
                 return t
     # factor any pair sharing a head and retry
@@ -720,25 +722,18 @@ def _parts_type(parts: list, env: dict) -> Ty | None:
 
 def _factor_head(l: Term, r: Term) -> Term | None:
     """Find P with P linearly rewriting to l + r in one step."""
-    if type(l) is not type(r):
+    cls = type(l)
+    if cls is not type(r):
         return None
-    if isinstance(l, Lam) and l.ty == r.ty:
-        rb = r.body if r.var == l.var else subst(r.body, r.var, Var(l.var))
-        if r.var != l.var and l.var in free_vars(r.body):
+    if cls is Lam:
+        if l.ty != r.ty or (r.var != l.var and l.var in free_vars(r.body)):
             return None
+        rb = r.body if r.var == l.var else subst(r.body, r.var, Var(l.var))
         return Lam(l.var, l.ty, Plus(l.body, rb))
-    if isinstance(l, App) and alpha_eq(l.arg, r.arg):
-        return App(Plus(l.fun, r.fun), l.arg)
-    if isinstance(l, Proj) and (l.index, l.depth) == (r.index, r.depth):
-        return Proj(l.index, l.depth, Plus(l.body, r.body))
-    if isinstance(l, Inj) and (l.index, l.depth) == (r.index, r.depth):
-        return Inj(l.index, l.depth, Plus(l.body, r.body))
-    if isinstance(l, SigmaT) and l.depth == r.depth:
-        return SigmaT(l.depth, Plus(l.body, r.body))
-    if isinstance(l, CTerm) and l.depth == r.depth:
-        return CTerm(l.depth, Plus(l.body, r.body))
-    if isinstance(l, DTerm):
-        return DTerm(Plus(l.body, r.body))
+    if cls is App:
+        return App(Plus(l.fun, r.fun), l.arg) if alpha_eq(l.arg, r.arg) else None
+    if (cls is DTerm or cls in _TAGS) and _same_data(l, r):
+        return _rebuild(l, Plus(l.body, r.body))
     return None
 
 
@@ -758,11 +753,9 @@ def dlet(x: str, n: Term, m: Term, env: dict | None = None) -> Term:
     only consulted by the fix clause, which needs the recursion type.
     """
     env = env or {}
-    if isinstance(m, Var):
-        if m.name == x:
-            return n
-        return Inj(0, 0, m)
-    if isinstance(m, (Num, Succ)):
+    if isinstance(m, Var) and m.name == x:
+        return n
+    if isinstance(m, (Var, Num, Succ)):
         return Inj(0, 0, m)
     if isinstance(m, Zero):
         return Zero(dtype(m.ty)) if m.ty is not None else Zero(None)
@@ -779,14 +772,9 @@ def dlet(x: str, n: Term, m: Term, env: dict | None = None) -> Term:
         return SigmaT(0, App(DTerm(dlet(x, n, m.fun, env)), dlet(x, n, m.arg, env)))
     if isinstance(m, DTerm):
         return CTerm(0, DTerm(dlet(x, n, m.body, env)))
-    if isinstance(m, Proj):
-        return Proj(m.index, m.depth + 1, dlet(x, n, m.body, env))
-    if isinstance(m, Inj):
-        return Inj(m.index, m.depth + 1, dlet(x, n, m.body, env))
-    if isinstance(m, SigmaT):
-        return SigmaT(m.depth + 1, dlet(x, n, m.body, env))
-    if isinstance(m, CTerm):
-        return CTerm(m.depth + 1, dlet(x, n, m.body, env))
+    if isinstance(m, _TAGS):
+        # a tag operator acts one layer deeper on the split
+        return _rebuild(m, dlet(x, n, m.body, env), depth=m.depth + 1)
     if isinstance(m, Plus):
         return Plus(dlet(x, n, m.left, env), dlet(x, n, m.right, env))
     if isinstance(m, Fix):
@@ -823,21 +811,16 @@ def _dist_head(m: Term, env: dict) -> Term | None:
     so sums commute out of (and zeros annihilate) abstraction, the
     function side of application, the tag operators, and D.
     """
-    if isinstance(m, Lam):
-        if isinstance(m.body, Plus):
-            return Plus(Lam(m.var, m.ty, m.body.left), Lam(m.var, m.ty, m.body.right))
-        if isinstance(m.body, Zero):
-            return _zero_of(m, env)
     if isinstance(m, App):
-        if isinstance(m.fun, Plus):
-            return Plus(App(m.fun.left, m.arg), App(m.fun.right, m.arg))
-        if isinstance(m.fun, Zero):
-            return _zero_of(m, env)
-    if isinstance(m, _UNARY + (DTerm,)):
-        if isinstance(m.body, Plus):
-            return Plus(_rebuild(m, m.body.left), _rebuild(m, m.body.right))
-        if isinstance(m.body, Zero):
-            return _zero_of(m, env)
+        head, rest = m.fun, (m.arg,)
+    elif isinstance(m, (Lam, DTerm, Proj, Inj, SigmaT, CTerm)):
+        head, rest = m.body, ()
+    else:
+        return None
+    if isinstance(head, Plus):
+        return Plus(_rebuild(m, head.left, *rest), _rebuild(m, head.right, *rest))
+    if isinstance(head, Zero):
+        return _zero_of(m, env)
     return None
 
 
@@ -851,8 +834,6 @@ def _head_step(m: Term, env: dict) -> Term | None:
             return subst(m.fun.body, m.fun.var, m.arg)
         if isinstance(m.fun, Succ) and isinstance(m.arg, Num):
             return Num(m.arg.value + 1)
-        if isinstance(m.fun, Plus):
-            return Plus(App(m.fun.left, m.arg), App(m.fun.right, m.arg))
     if isinstance(m, DTerm) and isinstance(m.body, Lam):
         lam = m.body
         y = fresh("y", free_vars(lam.body) | {lam.var})
@@ -861,94 +842,46 @@ def _head_step(m: Term, env: dict) -> Term | None:
         return m.then if m.cond.value == 0 else m.other
     if isinstance(m, Fix):
         return App(m.body, m)
-    if isinstance(m, Proj):
+    if isinstance(m, _TAGS):
+        # a tag operator commutes into abstraction and the function side
+        # of application, and past a strictly deeper tag operator
         b = m.body
         if isinstance(b, Lam):
-            return Lam(b.var, b.ty, Proj(m.index, m.depth, b.body))
+            return Lam(b.var, b.ty, _rebuild(m, b.body))
         if isinstance(b, App):
-            return App(Proj(m.index, m.depth, b.fun), b.arg)
-        if isinstance(b, Inj) and b.depth == m.depth:
+            return App(_rebuild(m, b.fun), b.arg)
+        if isinstance(m, Proj) and isinstance(b, Inj) and b.depth == m.depth:
             return b.body if b.index == m.index else _zero_of(m, env)
-        if isinstance(b, SigmaT) and b.depth == m.depth:
+        if isinstance(m, Proj) and isinstance(b, SigmaT) and b.depth == m.depth:
             if m.index == 0:
                 return Proj(0, m.depth, Proj(0, m.depth, b.body))
             return Plus(
                 Proj(1, m.depth, Proj(0, m.depth, b.body)),
                 Proj(0, m.depth, Proj(1, m.depth, b.body)),
             )
-        c = _commute(m.index, m.depth, "pi", b)
-        if c is not None:
-            return c
-    if isinstance(m, SigmaT):
-        b = m.body
-        if isinstance(b, Lam):
-            return Lam(b.var, b.ty, SigmaT(m.depth, b.body))
-        if isinstance(b, App):
-            return App(SigmaT(m.depth, b.fun), b.arg)
-        c = _commute(None, m.depth, "sigma", b)
-        if c is not None:
-            return c
-    if isinstance(m, CTerm):
-        b = m.body
-        if isinstance(b, Lam):
-            return Lam(b.var, b.ty, CTerm(m.depth, b.body))
-        if isinstance(b, App):
-            return App(CTerm(m.depth, b.fun), b.arg)
-        c = _commute(None, m.depth, "c", b)
-        if c is not None:
-            return c
-    if isinstance(m, Inj):
-        b = m.body
-        if isinstance(b, Lam):
-            return Lam(b.var, b.ty, Inj(m.index, m.depth, b.body))
-        if isinstance(b, App):
-            return App(Inj(m.index, m.depth, b.fun), b.arg)
-        c = _commute(m.index, m.depth, "iota", b)
-        if c is not None:
-            return c
+        return _commute(m, b)
     return None
 
 
-def _op_depth(b: Term) -> int | None:
-    if isinstance(b, (Proj, Inj, SigmaT, CTerm)):
-        return b.depth
-    return None
+# Per tag operator, (gap, shift): it commutes past a tag operator at depth
+# >= its own + gap, and shifts that operator's depth by shift.
+_COMMUTE = {Proj: (1, -1), Inj: (1, 1), SigmaT: (2, -1), CTerm: (2, 0)}
 
 
-def _rebuild_depth(b: Term, depth: int, body: Term) -> Term:
-    if isinstance(b, Proj):
-        return Proj(b.index, depth, body)
-    if isinstance(b, Inj):
-        return Inj(b.index, depth, body)
-    if isinstance(b, SigmaT):
-        return SigmaT(depth, body)
-    return CTerm(depth, body)
-
-
-def _commute(index: int | None, d: int, kind: str, b: Term) -> Term | None:
-    """Push a tag operator past a strictly deeper one.
+def _commute(m: Term, b: Term) -> Term | None:
+    """Push the tag operator m past its body b, a strictly deeper one.
 
     The operators are whiskerings of natural transformations, so one at
     depth d commutes with any other acting strictly below the layers it
     touches, adjusting the deeper depth by the number of layers the
     outer one adds or removes.
     """
-    dprime = _op_depth(b)
-    if dprime is None:
+    if not isinstance(b, _TAGS):
         return None
-    if kind == "pi":
-        if dprime >= d + 1:
-            return _rebuild_depth(b, dprime - 1, Proj(index, d, b.body))
-    elif kind == "sigma":
-        if dprime >= d + 2:
-            return _rebuild_depth(b, dprime - 1, SigmaT(d, b.body))
-    elif kind == "c":
-        if dprime >= d + 2:
-            return _rebuild_depth(b, dprime, CTerm(d, b.body))
-    elif kind == "iota":
-        if dprime >= d + 1:
-            return _rebuild_depth(b, dprime + 1, Inj(index, d, b.body))
-    return None
+    gap, shift = _COMMUTE[type(m)]
+    if b.depth < m.depth + gap:
+        return None
+    return _rebuild(b, _rebuild(m, b.body), depth=b.depth + shift)
 
 
 def step(m: Term, env: dict | None = None) -> Term | None:
@@ -963,83 +896,13 @@ def step(m: Term, env: dict | None = None) -> Term | None:
     if isinstance(m, Lam):
         b = step(m.body, {**env, m.var: m.ty})
         return None if b is None else Lam(m.var, m.ty, b)
-    if isinstance(m, App):
-        f = step(m.fun, env)
-        if f is not None:
-            return App(f, m.arg)
-        a = step(m.arg, env)
-        return None if a is None else App(m.fun, a)
-    if isinstance(m, Plus):
-        l = step(m.left, env)
-        if l is not None:
-            return Plus(l, m.right)
-        r = step(m.right, env)
-        return None if r is None else Plus(m.left, r)
-    if isinstance(m, If0):
-        c = step(m.cond, env)
-        if c is not None:
-            return If0(c, m.then, m.other)
-        t = step(m.then, env)
-        if t is not None:
-            return If0(m.cond, t, m.other)
-        o = step(m.other, env)
-        return None if o is None else If0(m.cond, m.then, o)
-    if isinstance(m, (_UNARY + (DTerm, Fix))):
-        b = step(m.body, env)
-        return None if b is None else _rebuild(m, b)
-    return None
-
-
-def linear_step(m: Term, env: dict | None = None) -> Term | None:
-    """One step of the linear commutation relation (no beta, no fix).
-
-    Includes distribution of the linear operators over sums; typing of
-    sums is closed under inverting exactly these steps.
-    """
-    env = env or {}
-    h = _linear_head(m, env)
-    if h is not None:
-        return h
-    if isinstance(m, Lam):
-        b = linear_step(m.body, env)
-        return None if b is None else Lam(m.var, m.ty, b)
-    if isinstance(m, App):
-        f = linear_step(m.fun, env)
-        if f is not None:
-            return App(f, m.arg)
-        a = linear_step(m.arg, env)
-        return None if a is None else App(m.fun, a)
-    if isinstance(m, Plus):
-        l = linear_step(m.left, env)
-        if l is not None:
-            return Plus(l, m.right)
-        r = linear_step(m.right, env)
-        return None if r is None else Plus(m.left, r)
-    if isinstance(m, (_UNARY + (DTerm, Fix))):
-        b = linear_step(m.body, env)
-        return None if b is None else _rebuild(m, b)
-    return None
-
-
-def _linear_head(m: Term, env: dict | None = None) -> Term | None:
-    # sum distributions and zero collapse (the invertible heads used by
-    # sum typing)
-    d = _dist_head(m, env or {})
-    if d is not None:
-        return d
-    # tag-operator commutations are linear as well
-    if isinstance(m, Proj):
-        h = _head_step(m, {})
-        if h is not None:
-            return h
-    if isinstance(m, (SigmaT, CTerm, Inj)):
-        dp = _op_depth(m.body)
-        if dp is not None:
-            if isinstance(m, SigmaT):
-                return _commute(None, m.depth, "sigma", m.body)
-            if isinstance(m, CTerm):
-                return _commute(None, m.depth, "c", m.body)
-            return _commute(m.index, m.depth, "iota", m.body)
+    # otherwise step the leftmost subterm that can step
+    for i, name in enumerate(_SUBTERMS[type(m)]):
+        s = step(getattr(m, name), env)
+        if s is not None:
+            kids = list(_kids(m))
+            kids[i] = s
+            return _rebuild(m, *kids)
     return None
 
 

@@ -86,10 +86,14 @@ def check_laws(model, trials, seed, budget, only, summary):
 
 
 def _load_term(path):
+    """The term in a .cdl file; a parse error is a usage error naming the file."""
     with open(path) as fh:
         text = fh.read()
     src = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    return cal.parse(src)
+    try:
+        return cal.parse(src)
+    except cal.ParseError as e:
+        raise click.UsageError(f"{path}: {e}")
 
 
 @main.command()

@@ -44,12 +44,6 @@ def gen_type(rng: random.Random, depth: int = 2) -> Ty:
     return Arrow(gen_type(rng, depth - 1), gen_type(rng, depth - 1))
 
 
-def _bump_leaf(t: Ty, by: int = 1) -> Ty:
-    if isinstance(t, Arrow):
-        return Arrow(t.src, _bump_leaf(t.tgt, by))
-    return Nat(t.depth + by)
-
-
 def _leaf(rng: random.Random, ty: Ty, env: dict) -> Term:
     """A small term of the given type, without recursion."""
     opts = [n for n, t in env.items() if t == ty]
@@ -96,11 +90,11 @@ def gen_term(rng: random.Random, ty: Ty, env: dict | None = None, fuel: int = 4)
         return Plus(m, Zero(ty)) if rng.random() < 0.5 else Plus(Zero(ty), m)
     if mv == "proj":
         k = rng.randint(0, d)
-        body = gen_term(rng, _bump_leaf(ty), env, fuel)
+        body = gen_term(rng, dtype(ty), env, fuel)
         return Proj(rng.randint(0, 1), k, body)
     if mv == "proj_pair":
         k = rng.randint(0, d)
-        body = gen_term(rng, _bump_leaf(ty), env, fuel)
+        body = gen_term(rng, dtype(ty), env, fuel)
         return Plus(Proj(0, k, body), Proj(1, k, body))
     if mv == "succ":
         return App(Succ(), gen_term(rng, Nat(0), env, fuel))

@@ -2,9 +2,9 @@
 
 Two independent routes to the same map are kept side by side:
 
-* ``dpartial`` — the closed form of ∂ : !SE → S!E, which in the
-  uniform (COH) kind restricts the increment to atoms outside the
-  support of the value part, and in NUCS/REL does not;
+* ``dpartial`` — the closed form of ∂ : !SE → S!E, the same in every
+  kind: in the uniform (COH) kind the web of !SE already keeps the
+  increment off the atoms of the value part;
 * ``dpartial_via_dbar`` — derived from the coalgebra structure
   ``dbar : I → !I`` by currying !ev ∘ m2 ∘ (id ⊗ dbar) through the web
   isomorphism Web SE ≅ {0,1} × Web E ≅ Web (I ⊸ E).
@@ -49,10 +49,10 @@ def dpartial(E: Space) -> PointMap:
     """∂ : !SE → S!E, the closed form.
 
     (m0 tagged 0, (0, m0)) for every multiset m0 of value atoms, and
-    (m0 + one increment atom a, (1, m0 + a)) where in the uniform kind
-    a must not already occur in m0.
+    (m0 + one increment atom a, (1, m0 + a)).  In the uniform kind a
+    never also occurs in m0: 0·a and 1·a are strictly incoherent in SE,
+    so no web atom of !SE holds both.
     """
-    kind = E.kind
 
     def fn(m):
         tags = [a.index for a in m.ms]
@@ -64,8 +64,6 @@ def dpartial(E: Space) -> PointMap:
                 yield Tag(0, out)
         elif n_inc == 1:
             (a,) = [x.inner for x in m.ms if x.index == 1]
-            if kind == "coh" and values.count(a) > 0:
-                return
             out = MSet(values + Multiset.of([a]))
             if contains(Bang(E), out):
                 yield Tag(1, out)

@@ -57,10 +57,6 @@ class Verdict(enum.Enum):
         return self is Verdict.NEU
 
 
-class MalformedAtom(ValueError):
-    """An atom does not have the shape of the space's web."""
-
-
 class Space:
     """Base class; concrete spaces are the dataclasses below."""
 
@@ -230,16 +226,8 @@ def contains(E: Space, a: Atom) -> bool:
     raise TypeError(f"not a space: {E!r}")
 
 
-def _check_atom(E: Space, a: Atom):
-    if not contains(E, a):
-        raise MalformedAtom(f"{a!r} is not in the web of {E!r}")
-
-
-def coherent(E: Space, a: Atom, b: Atom, check: bool = False) -> Verdict:
+def coherent(E: Space, a: Atom, b: Atom) -> Verdict:
     """Coherence verdict of two web atoms, computed structurally."""
-    if check:
-        _check_atom(E, a)
-        _check_atom(E, b)
     if E.kind == REL:
         return Verdict.SCOH
     return _verdict(E, a, b)

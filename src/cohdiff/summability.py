@@ -156,15 +156,6 @@ def w0(kind: str) -> Rel:
     return Rel(frozenset({(STAR, Tag(0, STAR))}), "w0", "")
 
 
-def w1(kind: str) -> Rel:
-    return Rel(frozenset({(STAR, Tag(1, STAR))}), "w1", "")
-
-
-def delta_I(kind: str) -> Rel:
-    """1 → I hitting both components (the "generic element")."""
-    return Rel(frozenset({(STAR, Tag(0, STAR)), (STAR, Tag(1, STAR))}), "delta", "")
-
-
 def pr0(kind: str) -> Rel:
     """I → 1 projecting the value component."""
     return Rel(frozenset({(Tag(0, STAR), STAR)}), "pr0", "")

@@ -180,12 +180,6 @@ class Multiset(_Interned):
         )
         return Multiset(entries)
 
-    def count(self, a: Atom) -> int:
-        for x, n in self.entries:
-            if x is a:
-                return n
-        return 0
-
     def __len__(self) -> int:
         return self._len
 
@@ -208,9 +202,6 @@ class Multiset(_Interned):
                 raise ValueError("multiset subtraction went negative")
             counts[a] = m
         return Multiset.from_counts(counts)
-
-    def __le__(self, other: "Multiset") -> bool:
-        return all(other.count(a) >= n for a, n in self.entries)
 
     def __repr__(self):
         return "[" + ",".join(repr(a) for a in self) + "]"

@@ -1,5 +1,7 @@
 """Typing, reduction and syntax of the differential λ-calculus."""
 
+import os
+
 import pytest
 
 import cohdiff.calculus as cal
@@ -9,15 +11,19 @@ from cohdiff.calculus import (
     ParseError,
     TypeError_,
     alpha_eq,
-    linear_step,
     normalize,
     parse,
     parse_type,
     step,
     to_text,
+    ty_to_text,
     typecheck,
 )
 from cohdiff.corpus import SHOWCASE, make_corpus
+from cohdiff.denot import SemEnv, interp_closed
+from cohdiff.web_core import Budget, atom_to_text
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def ty(s):
@@ -161,10 +167,10 @@ def test_sum_reduces_by_components():
 def test_linear_step_collapses_zero_function():
     # application is linear in its function position: 0 M ⇝ 0
     m = parse("0[nat => nat] 1")
-    n = linear_step(m)
+    n = step(m)
     assert n == parse("0[nat]")
     # but not in its argument position
-    assert linear_step(parse("succ 0[nat]")) is None
+    assert step(parse("succ 0[nat]")) is None
 
 
 def test_step_is_deterministic():
@@ -199,3 +205,41 @@ def test_subject_reduction_on_corpus():
 def test_showcase_terms_typecheck():
     for src in SHOWCASE:
         typecheck(parse(src))
+
+
+# -- reduction has no history -----------------------------------------------
+
+
+def reduce_corpus(terms, order):
+    """index -> (normal form, its type, its COH denotation), reducing in the given order.
+
+    Each term takes at most 60 steps, as in the corpus benchmark.
+    """
+    sem = SemEnv(kind="coh", nmax=3, budget=Budget(3, 20000))
+    out = {}
+    for i in order:
+        m = terms[i][0]
+        for _ in range(60):
+            n = step(m)
+            if n is None:
+                break
+            m = n
+        den = sorted(f"{atom_to_text(a)}|{atom_to_text(b)}" for a, b in interp_closed(m, sem))
+        out[i] = (to_text(m), ty_to_text(typecheck(m)), den)
+    return out
+
+
+def test_corpus_is_history_free():
+    """Binder names depend on the term alone, not on what the process reduced before it."""
+    terms = make_corpus(seed=0, count=400)
+    forward = reduce_corpus(terms, range(len(terms)))
+    backward = reduce_corpus(terms, reversed(range(len(terms))))
+    assert [i for i in forward if forward[i] != backward[i]] == []
+
+
+def test_corpus_normal_forms_match_golden():
+    terms = make_corpus(seed=0, count=200)
+    got = reduce_corpus(terms, range(len(terms)))
+    lines = [f"{i}\t{nf}\t{ty}\n" for i, (nf, ty, _) in sorted(got.items())]
+    with open(os.path.join(GOLDEN, "corpus-nf-0-200.txt")) as fh:
+        assert lines == fh.readlines()

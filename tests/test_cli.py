@@ -78,6 +78,24 @@ def test_typecheck_reports_type_errors(tmp_path):
     assert r.exit_code == 1
 
 
+def test_typecheck_prints_the_sum_error_text(tmp_path):
+    f = tmp_path / "sum.cdl"
+    f.write_text("\\x:nat. \\y:nat. x + y\n")
+    r = run("typecheck", str(f))
+    assert r.exit_code == 1
+    assert r.stderr == "type error: sum not typeable: x + y\n"
+
+
+@pytest.mark.parametrize("command", ["typecheck", "reduce", "eval"])
+def test_parse_errors_are_usage_errors(tmp_path, command):
+    # `0[?]` is how to_text prints an unannotated zero, and it does not parse
+    f = tmp_path / "zeros.cdl"
+    f.write_text("0[?] + 0[?]\n")
+    r = run(command, str(f))
+    assert r.exit_code == 2, r.output
+    assert f"{f}: bad character '?'" in r.output
+
+
 def test_reduce_beta_demo():
     r = run("reduce", demo_path("beta.cdl"))
     assert r.exit_code == 0

@@ -64,13 +64,24 @@ def test_dpartial_single_point_four_pairs():
 
 
 def test_dpartial_uniformity_proviso():
-    """COH drops the increment at an already-used point; NUCS keeps it."""
+    """COH has no pair for an increment at an already-used point; NUCS does."""
     probe = mset([tag0(a), tag1(a)])
     out = (probe, tag1(mset([a, a])))
     Ec = BaseSpace("coh", (a,), name="E")
     En = BaseSpace("nucs", (a,), frozenset({(a, a)}), name="E")
     assert out not in dpartial(Ec).materialize(BUD).pairs
     assert out in dpartial(En).materialize(BUD).pairs
+
+
+def test_no_coh_atom_of_bang_se_holds_a_value_and_its_increment():
+    """0·a and 1·a are strictly incoherent in SE, so in COH no atom of !SE
+    holds both, and ∂ needs no uniformity case of its own."""
+    rng = random.Random(0)
+    for _ in range(20):
+        E = gen_space(rng, "coh", 4)
+        for m in enumerate_web(Bang(SFun(E)), BUD):
+            values = {t.inner for t in m.ms if t.index == 0}
+            assert not any(t.index == 1 and t.inner in values for t in m.ms), m
 
 
 def test_dpartial_agrees_with_dbar_route():
