@@ -34,7 +34,8 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class Ty:
-    pass
+    def __str__(self):
+        return ty_to_text(self)
 
 
 @dataclass(frozen=True)
@@ -532,51 +533,51 @@ def _ty(m: Term, env: dict) -> Ty:
     if isinstance(m, App):
         f = _ty(m.fun, env)
         if not isinstance(f, Arrow):
-            raise TypeError_("applying a non-function: {} : {!r}", m.fun, f)
+            raise TypeError_("applying a non-function: {} : {}", m.fun, f)
         a = _ty(m.arg, env)
         if a != f.src:
-            raise TypeError_("argument type {!r} does not match {!r}", a, f.src)
+            raise TypeError_("argument type {} does not match {}", a, f.src)
         return f.tgt
     if isinstance(m, DTerm):
         f = _ty(m.body, env)
         if not isinstance(f, Arrow):
-            raise TypeError_("D of a non-function type {!r}", f)
+            raise TypeError_("D of a non-function type {}", f)
         return Arrow(dtype(f.src), dtype(f.tgt))
     if isinstance(m, Proj):
         t = _ty(m.body, env)
         out = strip_d(t, m.depth)
         if out is None:
-            raise TypeError_("pi{}^{} needs depth >= {}, got {!r}", m.index, m.depth, m.depth + 1, t)
+            raise TypeError_("pi{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth + 1, t)
         return out
     if isinstance(m, Inj):
         t = _ty(m.body, env)
         if nat_depth(t) < m.depth:
-            raise TypeError_("iota{}^{} needs depth >= {}, got {!r}", m.index, m.depth, m.depth, t)
+            raise TypeError_("iota{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth, t)
         return dtype(t)
     if isinstance(m, SigmaT):
         t = _ty(m.body, env)
         out = strip_d(t, m.depth + 1)
         if out is None or strip_d(t, m.depth) is None:
-            raise TypeError_("sigma^{} needs depth >= {}, got {!r}", m.depth, m.depth + 2, t)
+            raise TypeError_("sigma^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
         return out
     if isinstance(m, CTerm):
         t = _ty(m.body, env)
         if nat_depth(t) < m.depth + 2:
-            raise TypeError_("c^{} needs depth >= {}, got {!r}", m.depth, m.depth + 2, t)
+            raise TypeError_("c^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
         return t
     if isinstance(m, Fix):
         f = _ty(m.body, env)
         if not isinstance(f, Arrow) or f.src != f.tgt:
-            raise TypeError_("fix needs A => A, got {!r}", f)
+            raise TypeError_("fix needs A => A, got {}", f)
         return f.src
     if isinstance(m, If0):
         c = _ty(m.cond, env)
         if c != Nat(0):
-            raise TypeError_("if0 condition must be nat, got {!r}", c)
+            raise TypeError_("if0 condition must be nat, got {}", c)
         t1 = _ty(m.then, env)
         t2 = _ty(m.other, env)
         if t1 != t2:
-            raise TypeError_("if0 branches disagree: {!r} vs {!r}", t1, t2)
+            raise TypeError_("if0 branches disagree: {} vs {}", t1, t2)
         return t1
     if isinstance(m, Plus):
         return _ty_plus(m, env)
@@ -614,7 +615,7 @@ def _ty_plus(m: Plus, env: dict) -> Ty:
         raise TypeError_("sum not typeable: {}", m)
     for zt in zero_tys:
         if zt is not None and zt != t:
-            raise TypeError_("0 annotated {!r} summed with {!r}", zt, t)
+            raise TypeError_("0 annotated {} summed with {}", zt, t)
     return t
 
 
@@ -651,7 +652,7 @@ def _plus_direct(l: Term, r: Term, env: dict) -> Ty | None:
         if isinstance(z, Zero):
             t = _ty(other, env)
             if z.ty is not None and z.ty != t:
-                raise TypeError_("0 annotated {!r} summed with {!r}", z.ty, t)
+                raise TypeError_("0 annotated {} summed with {}", z.ty, t)
             return t
     # invert one linear commutation: factor a common head
     inv = _factor_head(l, r)

@@ -15,8 +15,8 @@ from . import calculus as cal
 from .denot import SemEnv, interp_closed
 from .differential import dhat
 from .lawcheck import REGISTRY, run_all
-from .spaces import Bang, is_morphism, parse_space, parse_space_expr
-from .web_core import Budget, Rel, atom_to_text, rel_from_text, rel_to_text
+from .spaces import Bang, BaseSpace, is_morphism, parse_space, parse_space_expr
+from .web_core import Base, Budget, MSet, Multiset, Rel, atom_to_text, rel_from_text, rel_to_text
 
 ALL_KINDS = ("coh", "nucs", "rel")
 
@@ -211,8 +211,6 @@ def derive(file, budget):
 @click.argument("what", type=click.Choice(["taylor"]))
 def demo(what):
     """Showcase runs; `taylor` contrasts uniform and non-uniform derivatives."""
-    from .web_core import Base, MSet, Multiset
-
     a, b = Base("a"), Base("b")
     budget = Budget(3, 20000)
     s2 = Rel(frozenset({(MSet(Multiset.of([a, a])), b)}), "s'", "")
@@ -221,8 +219,6 @@ def demo(what):
         ("coh", "uniform: the derivative at degree 1 vanishes"),
         ("nucs", "non-uniform: the cross term survives"),
     ):
-        from .spaces import BaseSpace
-
         E = BaseSpace(kind, (a,), name="E")
         F = BaseSpace(kind, (b,), name="F")
         out = dhat(E, F, s2, budget)

@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import calculus as cal
-from .spaces import Bang, Limpl, SFun, Space, BaseSpace, Tensor, With, contains, enumerate_web, top
-from .web_core import Atom, Base, Budget, MSet, Multiset, Pair, Rel, Tag, mset, within_budget
+from .spaces import Bang, Limpl, SFun, Space, BaseSpace, With, contains, enumerate_web, top
+from .web_core import Atom, Base, Budget, MSet, Multiset, Pair, Tag, mset, within_budget
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,7 @@ def soundness_check(m: cal.Term, n: cal.Term, sem: SemEnv | None = None):
     except cal.TypeError_ as e:
         return False, f"typing failed: {e}"
     if tm != tn:
-        return False, f"types differ: {tm!r} vs {tn!r}"
+        return False, f"types differ: {tm} vs {tn}"
     dm = interp_closed(m, sem)
     dn = interp_closed(n, sem)
     if dm == dn:

@@ -17,8 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exponential import m2
-from .maps import PointMap, current_margin, pm_compose, pm_id, pm_memo, pm_tensor
+from .maps import BOUND, PointMap, pm_compose, pm_id, pm_memo, pm_tensor
 from .spaces import Bang, SFun, Space, contains, ispace
+from .summability import sfun_morphism
 from .web_core import MSet, Multiset, Rel, STAR, Tag, rel_compose
 
 
@@ -39,9 +40,9 @@ def dbar(kind: str, max_degree: int) -> Rel:
 
 
 def dbar_pm(kind: str) -> PointMap:
-    """∂̄ as a point map, its image cut at the materialization margin."""
+    """∂̄ as a point map, its image cut at the bound it runs under."""
     I = ispace(kind)
-    return pm_memo(PointMap(I, Bang(I), lambda x: dbar(kind, current_margin()).image(x), "dbar"))
+    return pm_memo(PointMap(I, Bang(I), lambda x: dbar(kind, BOUND.get()).image(x), "dbar"))
 
 
 @lru_cache(maxsize=None)
@@ -108,8 +109,6 @@ def dpartial_via_dbar(E: Space) -> PointMap:
 
 def dhat(E: Space, F: Space, s: Rel, budget) -> Rel:
     """D̂s = (S s) ∘ ∂ for a Kleisli morphism s : !E → F."""
-    from .summability import sfun_morphism
-
     d = dpartial(E).materialize(budget)
     return rel_compose(d, sfun_morphism(Bang(E), F, s))
 

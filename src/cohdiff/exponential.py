@@ -10,19 +10,20 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .maps import PointMap, current_margin, pm_bang, pm_compose, pm_from_rel, pm_memo, _sub_multisets
-from .spaces import Bang, Space, Tensor, With, contains, one, top
-from .web_core import MSet, Multiset, Pair, Rel, STAR, Tag, mset
+from .maps import BOUND, PointMap, pm_bang, pm_compose, pm_from_rel, pm_memo, _sub_multisets
+from .spaces import Bang, Space, Tensor, With, contains, mset_width, one, top
+from .web_core import MSet, Multiset, Pair, Rel, STAR, Tag, degree, mset
 
 
 def der(E: Space) -> PointMap:
-    """Dereliction !E → E, ([a], a)."""
+    """Dereliction !E → E, ([a], a); for a within degree b, [a] is within 1 + mset_width(E)·b."""
 
     def fn(m):
         if len(m.ms) == 1:
             yield m.ms.entries[0][0]
 
-    return PointMap(Bang(E), E, fn, "der")
+    k = mset_width(E)
+    return PointMap(Bang(E), E, fn, "der", lambda b: 1 + k * b)
 
 
 @lru_cache(maxsize=None)
@@ -47,15 +48,15 @@ def dig(E: Space) -> PointMap:
     """Digging !E → !!E: all decompositions m = m1 + ... + mn.
 
     Empty parts are allowed, so the image is infinite; it is cut where
-    the decomposition's degree would pass the materialization margin.
+    the decomposition's degree would pass the bound dig runs under.
     """
 
     def fn(m):
-        margin = current_margin()
+        bound = BOUND.get()
         seen = set()
-        for split in _mpartitions(m.ms, margin - len(m.ms)):
-            base = len(split) + len(m.ms)
-            for e in range(max(0, margin - base) + 1):
+        for split in _mpartitions(m.ms, bound - degree(m)):
+            base = len(split) + degree(m)
+            for e in range(max(0, bound - base) + 1):
                 out = mset([MSet(p) for p in split] + [MSet(Multiset())] * e)
                 if out not in seen:
                     seen.add(out)
@@ -76,13 +77,13 @@ def weak(E: Space) -> PointMap:
 
 @lru_cache(maxsize=None)
 def contr(E: Space) -> PointMap:
-    """Contraction !E → !E ⊗ !E: all two-part decompositions."""
+    """Contraction !E → !E ⊗ !E: all two-part decompositions, each half bounded apart."""
 
     def fn(m):
         for m1 in _sub_multisets(m.ms):
             yield Pair(MSet(m1), MSet(m.ms - m1))
 
-    return pm_memo(PointMap(Bang(E), Tensor(Bang(E), Bang(E)), fn, "contr"))
+    return pm_memo(PointMap(Bang(E), Tensor(Bang(E), Bang(E)), fn, "contr", lambda b: 2 * b))
 
 
 def seely0(kind: str) -> PointMap:
@@ -123,14 +124,15 @@ def seely2_inv(E: Space, F: Space) -> PointMap:
             (left if x.index == 0 else right).append((x.inner, k))
         yield Pair(MSet(Multiset.from_counts(left)), MSet(Multiset.from_counts(right)))
 
-    return pm_memo(PointMap(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), fn, "seely2_inv"))
+    pre = lambda b: 2 * b  # as contr's: the two halves of an output are bounded apart
+    return pm_memo(PointMap(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), fn, "seely2_inv", pre))
 
 
 def m0(kind: str) -> PointMap:
-    """Nullary monoidality 1 → !1, * ↦ k·[*] for every k ≥ 0, cut at the margin."""
+    """Nullary monoidality 1 → !1, * ↦ k·[*] for every k ≥ 0, cut at its bound."""
 
     def fn(a):
-        for k in range(current_margin() + 1):
+        for k in range(BOUND.get() + 1):
             yield MSet(Multiset.from_counts([(STAR, k)] if k else []))
 
     return PointMap(one(kind), Bang(one(kind)), fn, "m0")

@@ -148,21 +148,10 @@ class MapCtx:
         return self.overrides.get("dpartial", dpartial)(E)
 
 
-def run_diagram(lhs: PointMap, rhs: PointMap, budget: Budget, margin=None):
-    """Compare two composite maps on the degree window of the budget.
-
-    ``margin`` tightens the intermediate-degree bound, a large speedup
-    for dig chains.  Passing the budget's own degree is exact when no
-    intermediate atom outside the window can lead to a final atom inside
-    it.  That holds for the four laws that pass it (bang-coassoc,
-    comonoid-coassoc, seely-dig-comm, seelyt-mont-2) by an argument the
-    code does not check: in their composites, the maps that can lower a
-    degree (contr, seely2_inv) only see atoms inside the window, and a
-    map that can take an atom out of it (dig, seely2) is followed only
-    by maps that keep or raise degree (dig, !dig, m2, !inner).
-    """
-    a = lhs.materialize(budget, margin=margin)
-    b = rhs.materialize(budget, margin=margin)
+def run_diagram(lhs: PointMap, rhs: PointMap, budget: Budget):
+    """Compare two composite maps on the degree window of the budget."""
+    a = lhs.materialize(budget)
+    b = rhs.materialize(budget)
     if a.pairs == b.pairs:
         return True, None
     diff = sorted(a.pairs ^ b.pairs, key=repr)[0]
@@ -424,7 +413,6 @@ def chk_bang_coassoc(ctx, E):
         pm_compose(dig(Bang(E)), dig(E)),
         pm_compose(pm_bang(dig(E)), dig(E)),
         ctx.budget,
-        margin=ctx.budget.max_degree,
     )
 
 
@@ -441,7 +429,7 @@ def chk_comonoid_coassoc(ctx, E):
     rhs = pm_compose(
         _assoc_inv(B, B, B), pm_compose(pm_tensor(pm_id(B), contr(E)), contr(E))
     )
-    return run_diagram(lhs, rhs, ctx.budget, margin=ctx.budget.max_degree)
+    return run_diagram(lhs, rhs, ctx.budget)
 
 
 def chk_comonoid_cocomm(ctx, E):
@@ -472,7 +460,6 @@ def chk_seely_dig_comm(ctx, E):
         pm_compose(seely2_inv(E, E), pm_bang(_diag(E))),
         contr(E),
         ctx.budget,
-        margin=ctx.budget.max_degree,
     )
     if not ok:
         return False, f"contr != seely2_inv . !<id,id>: {w}"
@@ -516,7 +503,7 @@ def chk_seelyt_mont_2(ctx, X0, X1, Y):
             m2(With(X0, X1), Y), pm_tensor(seely2(X0, X1), pm_id(BY))
         ),
     )
-    return run_diagram(lhs, rhs, ctx.budget, margin=ctx.budget.max_degree)
+    return run_diagram(lhs, rhs, ctx.budget)
 
 
 # -- differential laws -------------------------------------------------------

@@ -15,13 +15,11 @@ incoherent = strictly incoherent or neutral.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .web_core import (
     Atom,
-    Base,
     Budget,
     BudgetExceeded,
     MSet,
@@ -192,6 +190,19 @@ def dual(E: Space) -> Space:
     if isinstance(E, DualSp):
         return E.inner
     return DualSp(E)
+
+
+def mset_width(E: Space) -> int:
+    """Multisets side by side in an atom of E: within degree d, its degree is ≤ mset_width(E)·d."""
+    if isinstance(E, BaseSpace):
+        return 0
+    if isinstance(E, Bang):
+        return 1
+    if isinstance(E, (Tensor, Limpl)):
+        return mset_width(E.left) + mset_width(E.right)
+    if isinstance(E, (With, PlusSp)):
+        return max(mset_width(E.left), mset_width(E.right))
+    return mset_width(E.inner)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ import pytest
 
 import cohdiff.calculus as cal
 from cohdiff.calculus import (
-    Arrow,
-    Nat,
     ParseError,
     TypeError_,
     alpha_eq,

@@ -86,6 +86,14 @@ def test_typecheck_prints_the_sum_error_text(tmp_path):
     assert r.stderr == "type error: sum not typeable: x + y\n"
 
 
+def test_typecheck_prints_types_in_the_input_syntax(tmp_path):
+    f = tmp_path / "mismatch.cdl"
+    f.write_text("(\\x:nat. x) (iota0 1)\n")
+    r = run("typecheck", str(f))
+    assert r.exit_code == 1
+    assert r.stderr == "type error: argument type D nat does not match nat\n"
+
+
 @pytest.mark.parametrize("command", ["typecheck", "reduce", "eval"])
 def test_parse_errors_are_usage_errors(tmp_path, command):
     # `0[?]` is how to_text prints an unannotated zero, and it does not parse

@@ -1,7 +1,5 @@
 """The denotational oracle: interpreting terms as webs of points."""
 
-import pytest
-
 import cohdiff.calculus as cal
 from cohdiff.calculus import normalize, parse, step
 from cohdiff.corpus import SHOWCASE, make_corpus

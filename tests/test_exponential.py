@@ -1,6 +1,5 @@
 """The exponential comonad: der, dig, weak, contr, Seely, promotion."""
 
-import itertools
 from collections import Counter
 
 from cohdiff.exponential import (
@@ -16,8 +15,8 @@ from cohdiff.exponential import (
     weak,
 )
 from cohdiff.maps import pm_bang, pm_compose, pm_from_rel, pm_id
-from cohdiff.spaces import Bang, BaseSpace, Tensor, With, enumerate_web
-from cohdiff.web_core import Base, Budget, Pair, Rel, Tag, mset
+from cohdiff.spaces import Bang, BaseSpace, Tensor
+from cohdiff.web_core import Base, Budget, Pair, Rel, mset
 
 a, b, c = Base("a"), Base("b"), Base("c")
 BUD = Budget(3, 20000)

@@ -1,10 +1,11 @@
 """The randomized law registry: coverage, determinism, mutation sanity."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from cohdiff import lawcheck
+from cohdiff import differential, lawcheck, maps
 from cohdiff.differential import dpartial
 from cohdiff.lawcheck import (
     REGISTRY,
@@ -16,9 +17,10 @@ from cohdiff.lawcheck import (
     run_check,
     run_diagram,
 )
-from cohdiff.maps import PointMap
-from cohdiff.spaces import With, is_morphism
-from cohdiff.web_core import Budget, Tag, degree
+from cohdiff.exponential import der, dig, m2
+from cohdiff.maps import PointMap, pm_bang, pm_compose, pm_id, pm_tensor
+from cohdiff.spaces import Bang, BaseSpace, Tensor, With, enumerate_web, is_morphism
+from cohdiff.web_core import Base, Budget, Tag, within_budget
 
 BUD = Budget(3, 20000)
 
@@ -152,22 +154,110 @@ def test_instances_count_distinct_space_draws():
     assert res.instances == len(distinct) < 100
 
 
+def _uniform_compose(g, f, label=""):
+    """g after f with one bound for every map: the oracle ignores ``pre``."""
+
+    def fn(a):
+        bound = maps.BOUND.get()
+        for b in f.fn(a):
+            if within_budget(b, bound):
+                yield from g.fn(b)
+
+    return PointMap(f.src, g.tgt, fn, label)
+
+
+def _graph_under(pm, budget, bound):
+    """pm's pairs on the budget's window, pm run under ``bound``."""
+    token = maps.BOUND.set(bound)
+    try:
+        return frozenset(
+            (a, b)
+            for a in enumerate_web(pm.src, budget)
+            for b in pm.fn(a)
+            if within_budget(b, budget.max_degree)
+        )
+    finally:
+        maps.BOUND.reset(token)
+
+
+def _law_sides(monkeypatch, name, kind, budget, trials, compose):
+    """Every side the law hands run_diagram, its composites built by ``compose``."""
+    sides = []
+
+    def record(lhs, rhs, budget):
+        sides.extend((lhs, rhs))
+        return True, None
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lawcheck, "run_diagram", record)
+        mp.setattr(lawcheck, "pm_compose", compose)
+        mp.setattr(differential, "pm_compose", compose)
+        run_check(name, MapCtx(kind, budget), seed=0, trials=trials)
+    return sides
+
+
+def _inexact_sides(monkeypatch, name, kind, budget, trials):
+    """Sides whose graph at their derived bounds differs from the graph of the
+    same side with every map run under the generous bound 3D+2."""
+    derived = _law_sides(monkeypatch, name, kind, budget, trials, pm_compose)
+    oracle = _law_sides(monkeypatch, name, kind, budget, trials, _uniform_compose)
+    assert derived and len(derived) == len(oracle)
+    generous = 3 * budget.max_degree + 2
+    return [
+        (i, side.label)
+        for i, (side, ref) in enumerate(zip(derived, oracle))
+        if side.materialize(budget).pairs != _graph_under(ref, budget, generous)
+    ]
+
+
+# laws that compare morphisms directly and never call run_diagram
+_NO_DIAGRAM = {"joint-monicity", "sum-zero", "sum-com", "sum-wit", "sum-assoc", "sum-tensor", "sum-with"}
+DIAGRAM_LAWS = [n for n in REGISTRY if n not in _NO_DIAGRAM]
+
+
 @pytest.mark.parametrize("kind", ["coh", "nucs", "rel"])
-@pytest.mark.parametrize("name", ["bang-coassoc", "comonoid-coassoc", "seely-dig-comm", "seelyt-mont-2"])
+@pytest.mark.parametrize("name", DIAGRAM_LAWS)
 def test_tightened_margins_are_exact(monkeypatch, name, kind):
-    """Each side a law materializes at a tightened margin equals that side at the default margin."""
-    tightened = []
+    """Every side a law compares is exact at the bounds its maps derive."""
+    for degree, trials in ((3, 3), (4, 1)):
+        assert not _inexact_sides(monkeypatch, name, kind, Budget(degree, 20000), trials)
 
-    def checked(lhs, rhs, budget, margin=None):
-        if margin is not None:
-            tightened.append(margin)
-            for side in (lhs, rhs):
-                assert side.materialize(budget, margin=margin).pairs == side.materialize(budget).pairs
-        return run_diagram(lhs, rhs, budget, margin)
 
-    monkeypatch.setattr(lawcheck, "run_diagram", checked)
-    res = run_check(name, MapCtx(kind, BUD), seed=0, trials=5)
-    assert res.ok and tightened
+@pytest.mark.parametrize("name", ["der", "contr", "seely2_inv"])
+def test_undeclared_degree_drop_fails_the_oracle(monkeypatch, name):
+    """A map that lowers degree but keeps the identity ``pre`` loses pairs."""
+    real = getattr(lawcheck, name)
+    monkeypatch.setattr(lawcheck, name, lambda *spaces: replace(real(*spaces), pre=lambda b: b))
+    assert any(_inexact_sides(monkeypatch, law, "coh", BUD, 3) for law in DIAGRAM_LAWS)
+
+
+def _pair_web_composites(compose, kind):
+    """Composites over pair webs, where within_budget bounds each component."""
+    X = BaseSpace(kind, (Base("a"),), name="X")
+    E = Tensor(Bang(X), Bang(X))
+    four = Tensor(E, E)
+    return {
+        "der.dig": compose(der(Bang(E)), dig(E)),
+        "!der.dig": compose(pm_bang(der(E)), dig(E)),
+        # an intermediate [((x1,x2),(x3,x4))] holds up to 4D-3 > 2D+2 at D = 3
+        "der.m2.(m2⊗m2)": compose(
+            der(four), compose(m2(E, E), pm_tensor(m2(Bang(X), Bang(X)), m2(Bang(X), Bang(X))))
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["coh", "nucs", "rel"])
+def test_derived_bounds_are_exact_on_pair_webs(kind):
+    """The declared bounds hold on webs of pairs, which the registry never draws."""
+    derived = _pair_web_composites(pm_compose, kind)
+    oracle = _pair_web_composites(_uniform_compose, kind)
+    for key, pm in derived.items():
+        assert pm.materialize(BUD).pairs == _graph_under(oracle[key], BUD, 3 * 3 + 2), key
+    for key in ("der.dig", "!der.dig"):  # the two counit laws of the comonad
+        assert derived[key].materialize(BUD).pairs == pm_id(derived[key].src).materialize(BUD).pairs
+    # one bound of 2D+2 for every map, the old default, misses pairs here
+    wide = oracle["der.m2.(m2⊗m2)"]
+    assert _graph_under(wide, BUD, 2 * 3 + 2) < _graph_under(wide, BUD, 3 * 3 + 2)
 
 
 def test_freed_override_does_not_reuse_cached_verdict():
@@ -206,9 +296,9 @@ def test_every_diagram_law_sees_atoms_at_budget_1(monkeypatch):
     budget = Budget(1, 20000)
     sizes = []
 
-    def recorded(lhs, rhs, budget, margin=None):
-        sizes.append(max(len(side.materialize(budget, margin=margin).pairs) for side in (lhs, rhs)))
-        return run_diagram(lhs, rhs, budget, margin)
+    def recorded(lhs, rhs, budget):
+        sizes.append(max(len(side.materialize(budget).pairs) for side in (lhs, rhs)))
+        return run_diagram(lhs, rhs, budget)
 
     monkeypatch.setattr(lawcheck, "run_diagram", recorded)
     vacuous = []

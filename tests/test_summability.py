@@ -2,9 +2,6 @@
 
 import itertools
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
 from cohdiff.maps import pm_compose
 from cohdiff.spaces import (
     BaseSpace,
