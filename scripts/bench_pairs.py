@@ -7,9 +7,12 @@ its runs are read from ``perfbench/results/runs.jsonl``.  Only runs of
 the source of the last untraced run there count (``source_sha256``).
 The k-th such run of a workload and seed on one side is paired with the
 k-th on the other, so run the two sides alternately.  For every workload
-and end-to-end metric of ``BENCHMARK.json``, the output holds both
+seed and end-to-end metric of ``BENCHMARK.json``, the output holds both
 sides' raw values, medians and quartiles, the relative change of the
-median, and how many pairs each side won.
+median, how many pairs each side won, and whether the gain rule holds:
+the change wins at least 9 of every 10 pairs (ties count for neither
+side) and its median is better than the parent's by more than the
+parent's interquartile range.  Workloads are keyed ``name/seed<seed>``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ def compare(parent: list, change: list, metric: dict) -> dict:
     for x, y in zip(a, b):
         won["tie" if x == y else "change" if sign * (y - x) < 0 else "parent"] += 1
     pa, ch = summary(a), summary(b)
+    gain = sign * (pa["median"] - ch["median"])
     return {
         "better": metric["better"],
         "bound": metric["bound"],
@@ -56,6 +60,7 @@ def compare(parent: list, change: list, metric: dict) -> dict:
         "change": ch,
         "median_change": (ch["median"] - pa["median"]) / pa["median"],
         "pairs_won": won,
+        "gain_holds": 10 * won["change"] >= 9 * len(a) and gain > pa["q3"] - pa["q1"],
     }
 
 
@@ -73,7 +78,8 @@ def main(argv=None) -> int:
     for name, seed in sorted(parent.keys() & change.keys()):
         p, c = parent[name, seed], change[name, seed]
         n = min(len(p), len(c))
-        workloads[name] = {
+        workloads[f"{name}/seed{seed}"] = {
+            "workload": name,
             "seed": seed,
             "pairs": n,
             "correct": {"parent": all(r["correct"] for r in p[:n]), "change": all(r["correct"] for r in c[:n])},
@@ -91,7 +97,7 @@ def main(argv=None) -> int:
         for m, v in w["metrics"].items():
             print(
                 f"{name} {m}: median {v['parent']['median']:.4g} -> {v['change']['median']:.4g}"
-                f" ({v['median_change']:+.1%}), pairs won {v['pairs_won']}"
+                f" ({v['median_change']:+.1%}), pairs won {v['pairs_won']}, gain holds: {v['gain_holds']}"
             )
     return 0
 

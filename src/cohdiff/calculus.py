@@ -20,6 +20,14 @@ Lam, the one binder, is treated apart.
 free, else the base name with the smallest free suffix ``_0``, ``_1``,
 and so on.  A normal form thus depends only on its term, never on what
 was reduced before it in the process.
+
+``typecheck`` memoizes the costly part of sum typing.  A sum that the
+syntactic rules do not type is typed through the normal forms of its
+summands, and one call keeps a table from (sum, environment) to the
+type or the TypeError_ that gave, so its nested attempts type each such
+sum once.  The table is made on entry and dropped on return; nothing
+outlives the call.  Everything else is typed afresh, which costs less
+than hashing it.
 """
 
 from __future__ import annotations
@@ -34,25 +42,23 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class Ty:
+    """A type; ``str`` and ``repr`` both print it in the input syntax."""
+
     def __str__(self):
         return ty_to_text(self)
 
+    __repr__ = __str__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Nat(Ty):
     depth: int = 0
 
-    def __repr__(self):
-        return "nat" if self.depth == 0 else f"D^{self.depth} nat"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Arrow(Ty):
     src: Ty
     tgt: Ty
-
-    def __repr__(self):
-        return f"({self.src!r} => {self.tgt!r})"
 
 
 def dtype(t: Ty) -> Ty:
@@ -510,11 +516,28 @@ class TypeError_(TypeError):
 
 
 def typecheck(m: Term, env: dict | None = None) -> Ty:
-    env = env or {}
-    return _ty(m, env)
+    """m's type under env (free variables to types); raises TypeError_.
+
+    The call types each sum through normal forms at most once per
+    environment, in a ``_Memo`` that lives for this call only.
+    """
+    return _ty(m, env or {}, _Memo())
 
 
-def _ty(m: Term, env: dict) -> Ty:
+class _Memo(dict):
+    """One ``typecheck`` call's table: (sum, frozenset of env items) -> type or TypeError_.
+
+    It holds the outcomes of ``_ty_normal_sum``.  Terms and types compare
+    structurally, so an entry serves every equal sum met under an equal
+    environment.  ``unstable`` counts the failures met so far that
+    depend on stack depth (a RecursionError while normalizing); an
+    outcome whose evaluation met one is not stored.
+    """
+
+    unstable = 0
+
+
+def _ty(m: Term, env: dict, memo: _Memo) -> Ty:
     if isinstance(m, Var):
         if m.name not in env:
             raise TypeError_("unbound variable {}", m.name)
@@ -528,64 +551,64 @@ def _ty(m: Term, env: dict) -> Ty:
             raise TypeError_("unannotated 0")
         return m.ty
     if isinstance(m, Lam):
-        body = _ty(m.body, {**env, m.var: m.ty})
+        body = _ty(m.body, {**env, m.var: m.ty}, memo)
         return Arrow(m.ty, body)
     if isinstance(m, App):
-        f = _ty(m.fun, env)
+        f = _ty(m.fun, env, memo)
         if not isinstance(f, Arrow):
             raise TypeError_("applying a non-function: {} : {}", m.fun, f)
-        a = _ty(m.arg, env)
+        a = _ty(m.arg, env, memo)
         if a != f.src:
             raise TypeError_("argument type {} does not match {}", a, f.src)
         return f.tgt
     if isinstance(m, DTerm):
-        f = _ty(m.body, env)
+        f = _ty(m.body, env, memo)
         if not isinstance(f, Arrow):
             raise TypeError_("D of a non-function type {}", f)
         return Arrow(dtype(f.src), dtype(f.tgt))
     if isinstance(m, Proj):
-        t = _ty(m.body, env)
+        t = _ty(m.body, env, memo)
         out = strip_d(t, m.depth)
         if out is None:
             raise TypeError_("pi{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth + 1, t)
         return out
     if isinstance(m, Inj):
-        t = _ty(m.body, env)
+        t = _ty(m.body, env, memo)
         if nat_depth(t) < m.depth:
             raise TypeError_("iota{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth, t)
         return dtype(t)
     if isinstance(m, SigmaT):
-        t = _ty(m.body, env)
+        t = _ty(m.body, env, memo)
         out = strip_d(t, m.depth + 1)
         if out is None or strip_d(t, m.depth) is None:
             raise TypeError_("sigma^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
         return out
     if isinstance(m, CTerm):
-        t = _ty(m.body, env)
+        t = _ty(m.body, env, memo)
         if nat_depth(t) < m.depth + 2:
             raise TypeError_("c^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
         return t
     if isinstance(m, Fix):
-        f = _ty(m.body, env)
+        f = _ty(m.body, env, memo)
         if not isinstance(f, Arrow) or f.src != f.tgt:
             raise TypeError_("fix needs A => A, got {}", f)
         return f.src
     if isinstance(m, If0):
-        c = _ty(m.cond, env)
+        c = _ty(m.cond, env, memo)
         if c != Nat(0):
             raise TypeError_("if0 condition must be nat, got {}", c)
-        t1 = _ty(m.then, env)
-        t2 = _ty(m.other, env)
+        t1 = _ty(m.then, env, memo)
+        t2 = _ty(m.other, env, memo)
         if t1 != t2:
             raise TypeError_("if0 branches disagree: {} vs {}", t1, t2)
         return t1
     if isinstance(m, Plus):
-        return _ty_plus(m, env)
+        return _ty_plus(m, env, memo)
     raise TypeError_("not a term: {!r}", m)
 
 
-def _ty_plus(m: Plus, env: dict) -> Ty:
-    t = _plus_direct(m.left, m.right, env)
+def _ty_plus(m: Plus, env: dict, memo: _Memo) -> Ty:
+    t = _plus_direct(m.left, m.right, env, memo)
     if t is not None:
         return t
     # Typing of sums is closed under reduction, so a sum produced
@@ -593,7 +616,28 @@ def _ty_plus(m: Plus, env: dict) -> Ty:
     # form under the standard strategy and re-matching the schemas on
     # the results.  Reducing inside one summand of a schema-typed sum
     # then never loses the type: both sides still meet at the common
-    # normal form.
+    # normal form.  That search is the costly part of sum typing, and the
+    # nested attempts of one typecheck call meet the same sums again, so
+    # memo keeps its outcome per (sum, env), failures included.  A
+    # failure by stack depth is not kept: it may not recur at another
+    # depth.
+    key = (m, frozenset(env.items()))
+    hit = memo.get(key)
+    if hit is None:
+        mark = memo.unstable
+        try:
+            hit = _ty_normal_sum(m, env, memo)
+        except TypeError_ as e:
+            hit = TypeError_(*e.args)  # a copy: e's traceback holds frames
+        if memo.unstable == mark:
+            memo[key] = hit
+    if isinstance(hit, TypeError_):
+        raise TypeError_(*hit.args)
+    return hit
+
+
+def _ty_normal_sum(m: Plus, env: dict, memo: _Memo) -> Ty:
+    """Type the sum m from the normal forms of its summands."""
     parts: list[Term] = []
     zero_tys: list[Ty | None] = []
     try:
@@ -603,14 +647,17 @@ def _ty_plus(m: Plus, env: dict) -> Ty:
                     zero_tys.append(p.ty)
                 else:
                     parts.append(p)
-    except (FuelExhausted, RecursionError):
+    except FuelExhausted:
+        raise TypeError_("sum not typeable: {}", m)
+    except RecursionError:
+        memo.unstable += 1
         raise TypeError_("sum not typeable: {}", m)
     if not parts:
         known = {t for t in zero_tys if t is not None}
         if len(known) == 1:
             return known.pop()
         raise TypeError_("sum of zeros needs one annotation: {}", m)
-    t = _parts_type(parts, env)
+    t = _parts_type(parts, env, memo)
     if t is None:
         raise TypeError_("sum not typeable: {}", m)
     for zt in zero_tys:
@@ -619,7 +666,7 @@ def _ty_plus(m: Plus, env: dict) -> Ty:
     return t
 
 
-def _plus_direct(l: Term, r: Term, env: dict) -> Ty | None:
+def _plus_direct(l: Term, r: Term, env: dict, memo: _Memo) -> Ty | None:
     """The displayed sum rules, matched syntactically on l + r."""
     # schema: pi0^d M + pi1^d M
     if (
@@ -630,7 +677,7 @@ def _plus_direct(l: Term, r: Term, env: dict) -> Ty | None:
         and l.depth == r.depth
         and alpha_eq(l.body, r.body)
     ):
-        return _ty(l, env)
+        return _ty(l, env, memo)
     # schema: pi1^d M0 + pi0^d M1 where M0 + M1 is typeable
     if (
         isinstance(l, Proj)
@@ -640,7 +687,7 @@ def _plus_direct(l: Term, r: Term, env: dict) -> Ty | None:
         and l.depth == r.depth
     ):
         try:
-            t = _ty(Plus(l.body, r.body), env)
+            t = _ty(Plus(l.body, r.body), env, memo)
         except TypeError_:
             t = None
         if t is not None:
@@ -650,7 +697,7 @@ def _plus_direct(l: Term, r: Term, env: dict) -> Ty | None:
     # zero absorption (reducts like 0 + pi0 pi1 M arise during rewriting)
     for z, other in ((l, r), (r, l)):
         if isinstance(z, Zero):
-            t = _ty(other, env)
+            t = _ty(other, env, memo)
             if z.ty is not None and z.ty != t:
                 raise TypeError_("0 annotated {} summed with {}", z.ty, t)
             return t
@@ -658,7 +705,7 @@ def _plus_direct(l: Term, r: Term, env: dict) -> Ty | None:
     inv = _factor_head(l, r)
     if inv is not None:
         try:
-            return _ty(inv, env)
+            return _ty(inv, env, memo)
         except TypeError_:
             return None
     return None
@@ -670,15 +717,15 @@ def _summands(m: Term) -> list:
     return [m]
 
 
-def _parts_type(parts: list, env: dict) -> Ty | None:
+def _parts_type(parts: list, env: dict, memo: _Memo) -> Ty | None:
     """Type a flattened family of (normal) summands, or None."""
     if len(parts) == 1:
         try:
-            return _ty(parts[0], env)
+            return _ty(parts[0], env, memo)
         except TypeError_:
             return None
     if len(parts) == 2:
-        return _plus_direct(parts[0], parts[1], env)
+        return _plus_direct(parts[0], parts[1], env, memo)
     # the pi1/sigma rule unfolds pi_i(sigma M) sums into three summands;
     # recognize the unfold and fold it back
     for i, p in enumerate(parts):
@@ -706,7 +753,7 @@ def _parts_type(parts: list, env: dict) -> Ty | None:
                 Proj(0, d, SigmaT(d, z)),
                 Proj(1, d, SigmaT(d, z)),
             ]
-            t = _parts_type(folded + remaining, env)
+            t = _parts_type(folded + remaining, env, memo)
             if t is not None:
                 return t
     # factor any pair sharing a head and retry
@@ -715,7 +762,7 @@ def _parts_type(parts: list, env: dict) -> Ty | None:
             inv = _factor_head(parts[i], parts[j])
             if inv is not None:
                 rest = [q for k, q in enumerate(parts) if k not in (i, j)]
-                t = _parts_type([inv] + rest, env)
+                t = _parts_type([inv] + rest, env, memo)
                 if t is not None:
                     return t
     return None
@@ -780,7 +827,7 @@ def dlet(x: str, n: Term, m: Term, env: dict | None = None) -> Term:
         return Plus(dlet(x, n, m.left, env), dlet(x, n, m.right, env))
     if isinstance(m, Fix):
         try:
-            b = _ty(Fix(m.body), env)
+            b = typecheck(Fix(m.body), env)
         except TypeError_ as e:
             raise DletUndefined(f"cannot type fix body for dlet: {e}") from e
         y = fresh("y", free_vars(m.body) | free_vars(n) | {x})
@@ -800,7 +847,7 @@ def dlet(x: str, n: Term, m: Term, env: dict | None = None) -> Term:
 def _zero_of(m: Term, env: dict) -> Zero:
     """A zero annotated with m's type when it can be computed."""
     try:
-        return Zero(_ty(m, env))
+        return Zero(typecheck(m, env))
     except TypeError_:
         return Zero(None)
 

@@ -154,6 +154,14 @@ def eval_cmd(file, kind, budget, nmax):
         sys.exit(1)
     sem = SemEnv(kind=kind, nmax=nmax, budget=Budget(budget, 20000))
     den = interp_closed(m, sem)
+    if not den:
+        # an empty denotation is also what truncation leaves of a numeral
+        # above nmax or of an atom above the budget
+        click.echo(
+            f"note: empty denotation at --nmax {nmax} --budget {budget}; "
+            "it may be truncated, so raise them to see more",
+            err=True,
+        )
     for line in sorted(atom_to_text(b) for _, b in den):
         click.echo(line)
 

@@ -1,11 +1,15 @@
 """Typing, reduction and syntax of the differential λ-calculus."""
 
+import gc
 import os
+import weakref
 
 import pytest
 
 import cohdiff.calculus as cal
 from cohdiff.calculus import (
+    FuelExhausted,
+    Nat,
     ParseError,
     TypeError_,
     alpha_eq,
@@ -203,6 +207,116 @@ def test_subject_reduction_on_corpus():
 def test_showcase_terms_typecheck():
     for src in SHOWCASE:
         typecheck(parse(src))
+
+
+# -- sum typing is memoized per typecheck call ------------------------------
+
+
+def reducts(m, steps=60):
+    """The terms m reduces to within the corpus benchmark's 60 steps."""
+    out = []
+    for _ in range(steps):
+        m = step(m)
+        if m is None:
+            break
+        out.append(m)
+    return out
+
+
+def outcome(m):
+    """typecheck's type for m, or the text of its type error."""
+    try:
+        return typecheck(m)
+    except TypeError_ as e:
+        return str(e)
+
+
+def test_memo_types_each_sum_once_per_call(monkeypatch):
+    """Corpus term 1530's reducts: without the memo, typing them applies 372,078
+    typing rules and normalizes 371,580 summands."""
+    m, t = make_corpus(seed=0, count=1600)[1530]
+    rs = reducts(m)
+    counts = {"_ty": 0, "normalize": 0}
+    for name in counts:
+        def counting(*args, name=name, fn=getattr(cal, name), **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cal, name, counting)
+    for r in rs:
+        assert typecheck(r) == t, to_text(r)
+    assert len(rs) == 30
+    assert counts["_ty"] <= 10_000
+    assert counts["normalize"] <= 2_000
+
+
+class Forgetful(cal._Memo):
+    """A memo that stores nothing: typing without memoization."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_memo_agrees_with_unmemoized_typing(monkeypatch):
+    """Oracle: the memo changes no type and no error text on corpus reducts."""
+    terms = [r for m, _ in make_corpus(seed=0, count=400) for r in [m, *reducts(m)]]
+    memoized = [outcome(r) for r in terms]
+    monkeypatch.setattr(cal, "_Memo", Forgetful)
+    assert [outcome(r) for r in terms] == memoized
+    assert len(terms) > 2000
+
+
+def test_no_memo_outlives_its_call(monkeypatch):
+    m, t = make_corpus(seed=0, count=1600)[1530]
+    made = []
+
+    class Recorded(cal._Memo):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(cal, "_Memo", Recorded)
+    assert typecheck(m) == t
+    with pytest.raises(TypeError_):
+        typecheck(parse("\\x:nat. \\y:nat. x + y"))
+    gc.collect()
+    assert len(made) >= 2
+    assert [r() for r in made if r() is not None] == []
+
+
+def test_memo_keys_on_the_environment():
+    # the sum s, typed through normal forms, is met under x : D D nat, then under x : D nat
+    s = "pi0 ((\\y:D nat. y) x) + pi1 x"
+    assert has_type(f"(\\f:D nat => nat. \\x:D D nat. {s}) (\\x:D nat. {s})", "D D nat => D nat")
+
+
+@pytest.mark.parametrize("error, stored", [(RecursionError, False), (FuelExhausted, True)])
+def test_only_depth_independent_failures_are_stored(monkeypatch, error, stored):
+    """A sum whose typing fails by stack depth is typed afresh when met again in the same call."""
+    s = "pi0 (iota0 1) + pi1 ((\\x:D nat. x) (iota0 1))"  # typed by normalizing its summands
+    m = parse(f"succ ({s})")
+    memo = cal._Memo()
+
+    def failing(*args, **kwargs):
+        raise error
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cal, "normalize", failing)
+        with pytest.raises(TypeError_, match="sum not typeable"):
+            cal._ty(m, {}, memo)
+    if stored:
+        with pytest.raises(TypeError_, match="sum not typeable"):
+            cal._ty(m, {}, memo)
+    else:
+        assert cal._ty(m, {}, memo) == Nat(0)
+    assert typecheck(parse(s)) == Nat(0)
+
+
+def test_types_print_in_the_input_syntax():
+    for src in ["nat", "D D nat", "(nat => D nat) => nat", "nat => nat => D nat"]:
+        t = ty(src)
+        assert repr(t) == str(t) == src
+        assert parse_type(repr(t)) == t
 
 
 # -- reduction has no history -----------------------------------------------

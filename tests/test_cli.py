@@ -121,6 +121,18 @@ def test_eval_numeral():
     r = run("eval", demo_path("beta.cdl"), "--kind", "rel")
     assert r.exit_code == 0
     assert r.output.strip() == "3"
+    assert r.stderr == ""
+
+
+def test_eval_notes_an_empty_denotation(tmp_path):
+    """8 lies above --nmax 3, so the denotation is empty: stdout stays empty, stderr says why."""
+    f = tmp_path / "succ.cdl"
+    f.write_text("(\\x:nat. succ x) 7\n")
+    r = run("eval", str(f), "--nmax", "3")
+    assert (r.exit_code, r.stdout) == (0, "")
+    assert "empty denotation at --nmax 3 --budget 3" in r.stderr
+    r = run("eval", str(f), "--nmax", "9")
+    assert (r.exit_code, r.stdout, r.stderr) == (0, "8\n", "")
 
 
 def test_derive_linear_demo():
