@@ -12,7 +12,12 @@ sides' raw values, medians and quartiles, the relative change of the
 median, how many pairs each side won, and whether the gain rule holds:
 the change wins at least 9 of every 10 pairs (ties count for neither
 side) and its median is better than the parent's by more than the
-parent's interquartile range.  Workloads are keyed ``name/seed<seed>``.
+parent's interquartile range.  It also holds ``regression``, the
+no-regression rule: ``worse`` when the change's median is worse than
+the parent's by more than the metric's ``bound`` (a fraction of the
+parent's median), ``unresolved`` when the parent's IQR/median exceeds
+the bound and not every change run beats every parent run, and
+``none`` otherwise.  Workloads are keyed ``name/seed<seed>``.
 """
 
 from __future__ import annotations
@@ -53,14 +58,23 @@ def compare(parent: list, change: list, metric: dict) -> dict:
         won["tie" if x == y else "change" if sign * (y - x) < 0 else "parent"] += 1
     pa, ch = summary(a), summary(b)
     gain = sign * (pa["median"] - ch["median"])
+    median_change = (ch["median"] - pa["median"]) / pa["median"]
+    every_run_beats = all(sign * (y - x) < 0 for x in a for y in b)
+    if sign * median_change > metric["bound"]:
+        regression = "worse"
+    elif (pa["q3"] - pa["q1"]) / pa["median"] > metric["bound"] and not every_run_beats:
+        regression = "unresolved"
+    else:
+        regression = "none"
     return {
         "better": metric["better"],
         "bound": metric["bound"],
         "parent": pa,
         "change": ch,
-        "median_change": (ch["median"] - pa["median"]) / pa["median"],
+        "median_change": median_change,
         "pairs_won": won,
         "gain_holds": 10 * won["change"] >= 9 * len(a) and gain > pa["q3"] - pa["q1"],
+        "regression": regression,
     }
 
 
@@ -97,7 +111,8 @@ def main(argv=None) -> int:
         for m, v in w["metrics"].items():
             print(
                 f"{name} {m}: median {v['parent']['median']:.4g} -> {v['change']['median']:.4g}"
-                f" ({v['median_change']:+.1%}), pairs won {v['pairs_won']}, gain holds: {v['gain_holds']}"
+                f" ({v['median_change']:+.1%}), pairs won {v['pairs_won']}, gain holds: {v['gain_holds']},"
+                f" regression: {v['regression']}"
             )
     return 0
 

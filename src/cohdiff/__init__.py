@@ -19,7 +19,6 @@ from .web_core import (
     Base,
     Budget,
     BudgetExceeded,
-    MSet,
     Multiset,
     Pair,
     Rel,
@@ -28,7 +27,6 @@ from .web_core import (
     atom_from_text,
     atom_to_text,
     degree,
-    mset,
     rel_compose,
     rel_from_text,
     rel_to_text,

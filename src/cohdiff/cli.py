@@ -16,7 +16,7 @@ from .denot import SemEnv, interp_closed
 from .differential import dhat
 from .lawcheck import REGISTRY, run_all
 from .spaces import Bang, BaseSpace, is_morphism, parse_space, parse_space_expr
-from .web_core import Base, Budget, MSet, Multiset, Rel, atom_to_text, rel_from_text, rel_to_text
+from .web_core import Base, Budget, Multiset, Rel, atom_to_text, rel_from_text, rel_to_text
 
 ALL_KINDS = ("coh", "nucs", "rel")
 
@@ -49,7 +49,7 @@ def check_laws(model, trials, seed, budget, only, summary):
         kinds=kinds,
         seed=seed,
         trials=trials,
-        budget=Budget(budget, 20000),
+        budget=Budget(budget),
         only=None if only is None else {only},
     )
     results.sort(key=lambda r: (r.kind, r.name))
@@ -152,7 +152,7 @@ def eval_cmd(file, kind, budget, nmax):
     except cal.TypeError_ as e:
         click.echo(f"type error: {e}", err=True)
         sys.exit(1)
-    sem = SemEnv(kind=kind, nmax=nmax, budget=Budget(budget, 20000))
+    sem = SemEnv(kind=kind, nmax=nmax, budget=Budget(budget))
     den = interp_closed(m, sem)
     if not den:
         # an empty denotation is also what truncation leaves of a numeral
@@ -209,7 +209,7 @@ def _load_rel_file(path):
 def derive(file, budget):
     """Differentiate the Kleisli morphism in FILE (.rel): print D̂s."""
     E, F, s = _load_rel_file(file)
-    out = dhat(E, F, s, Budget(budget, 20000))
+    out = dhat(E, F, s, Budget(budget))
     text = rel_to_text(out)
     if text:
         click.echo(text)
@@ -220,8 +220,8 @@ def derive(file, budget):
 def demo(what):
     """Showcase runs; `taylor` contrasts uniform and non-uniform derivatives."""
     a, b = Base("a"), Base("b")
-    budget = Budget(3, 20000)
-    s2 = Rel(frozenset({(MSet(Multiset.of([a, a])), b)}), "s'", "")
+    budget = Budget(3)
+    s2 = Rel(frozenset({(Multiset.of([a, a]), b)}), "s'", "")
     click.echo("s' = { [a,a] ↦ b }   (a square: the first-order term vanishes)")
     for kind, blurb in (
         ("coh", "uniform: the derivative at degree 1 vanishes"),

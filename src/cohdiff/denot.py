@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 from . import calculus as cal
 from .spaces import Bang, Limpl, SFun, Space, BaseSpace, With, contains, enumerate_web, top
-from .web_core import Atom, Base, Budget, MSet, Multiset, Pair, Tag, mset, within_budget
+from .web_core import Atom, Base, Budget, Multiset, Pair, Tag, within_budget
 
 
 @dataclass(frozen=True)
 class SemEnv:
     kind: str = "coh"
     nmax: int = 3
-    budget: Budget = Budget(3, 20000)
+    budget: Budget = Budget()
 
 
 def nat_atom(n: int) -> Base:
@@ -128,21 +128,21 @@ def interp_term(m: cal.Term, ctx: list, sem: SemEnv) -> frozenset:
         ty = tyenv[m.name]
         out = set()
         for a in enumerate_web(interp_type(ty, sem), budget):
-            out.add((mset([_var_path(ctx, m.name, a)]), a))
+            out.add((Multiset.of([_var_path(ctx, m.name, a)]), a))
         return frozenset(out)
 
     if isinstance(m, cal.Num):
         if m.value > sem.nmax:
             return frozenset()
-        return frozenset({(MSet(Multiset.of([])), nat_atom(m.value))})
+        return frozenset({(Multiset(), nat_atom(m.value))})
 
     if isinstance(m, cal.Succ):
         out = set()
         for n in range(sem.nmax):
             out.add(
                 (
-                    MSet(Multiset.of([])),
-                    Pair(mset([nat_atom(n)]), nat_atom(n + 1)),
+                    Multiset(),
+                    Pair(Multiset.of([nat_atom(n)]), nat_atom(n + 1)),
                 )
             )
         return frozenset(out)
@@ -158,12 +158,12 @@ def interp_term(m: cal.Term, ctx: list, sem: SemEnv) -> frozenset:
         out = set()
         for mm, b in inner:
             c_part, a_part = [], []
-            for x, k in mm.ms.entries:
+            for x, k in mm.entries:
                 (c_part if x.index == 0 else a_part).append((x.inner, k))
             out.add(
                 (
-                    MSet(Multiset.from_counts(c_part)),
-                    Pair(MSet(Multiset.from_counts(a_part)), b),
+                    Multiset.from_counts(c_part),
+                    Pair(Multiset.from_counts(a_part), b),
                 )
             )
         return frozenset(out)
@@ -214,8 +214,8 @@ def interp_term(m: cal.Term, ctx: list, sem: SemEnv) -> frozenset:
     raise TypeError(f"no interpretation clause for {m!r}")
 
 
-def _merge_ctx(m0: MSet, m1: MSet, C: Space, sem: SemEnv):
-    tot = MSet(m0.ms + m1.ms)
+def _merge_ctx(m0: Multiset, m1: Multiset, C: Space, sem: SemEnv):
+    tot = m0 + m1
     if not within_budget(tot, sem.budget.max_degree):
         return None
     if not contains(Bang(C), tot):
@@ -230,20 +230,19 @@ def _sem_app(frel, arel, C: Space, sem: SemEnv) -> frozenset:
     out = set()
     for m0, fa in frel:
         p, b = fa.left, fa.right
-        occ = list(p.ms)
+        occ = list(p)
         pools = [by_atom.get(a, ()) for a in occ]
         if any(not pool for pool in pools):
             continue
         for choice in itertools.product(*pools):
-            tot = m0.ms
+            tot = m0
             for mm in choice:
-                tot = tot + mm.ms
-            cand = MSet(tot)
-            if not within_budget(cand, sem.budget.max_degree):
+                tot = tot + mm
+            if not within_budget(tot, sem.budget.max_degree):
                 continue
-            if not contains(Bang(C), cand):
+            if not contains(Bang(C), tot):
                 continue
-            out.add((cand, b))
+            out.add((tot, b))
     return frozenset(out)
 
 
@@ -260,14 +259,14 @@ def _sem_d(frel, fty: cal.Arrow, sem: SemEnv) -> frozenset:
     out = set()
     for mm, fa in frel:
         p, b = fa.left, fa.right
-        base = [add_s(A, 0, a) for a in p.ms]
-        m_val = MSet(Multiset.of(base))
+        base = [add_s(A, 0, a) for a in p]
+        m_val = Multiset.of(base)
         if contains(Bang(DA), m_val):
             out.add((mm, Pair(m_val, add_s(B, 0, b))))
-        occ = list(p.ms)
+        occ = list(p)
         for k in range(len(occ)):
             tagged = [add_s(A, 1 if i == k else 0, a) for i, a in enumerate(occ)]
-            m_inc = MSet(Multiset.of(tagged))
+            m_inc = Multiset.of(tagged)
             if contains(Bang(DA), m_inc):
                 out.add((mm, Pair(m_inc, add_s(B, 1, b))))
     return frozenset(out)

@@ -20,7 +20,7 @@ from .exponential import m2
 from .maps import BOUND, PointMap, pm_compose, pm_id, pm_memo, pm_tensor
 from .spaces import Bang, SFun, Space, contains, ispace
 from .summability import sfun_morphism
-from .web_core import MSet, Multiset, Rel, STAR, Tag, rel_compose
+from .web_core import Multiset, Rel, STAR, Tag, rel_compose
 
 
 def dbar(kind: str, max_degree: int) -> Rel:
@@ -33,9 +33,9 @@ def dbar(kind: str, max_degree: int) -> Rel:
     z, u = Tag(0, STAR), Tag(1, STAR)
     pairs = set()
     for k in range(max_degree + 1):
-        pairs.add((z, MSet(Multiset.from_counts([(z, k)]))))
+        pairs.add((z, Multiset.from_counts([(z, k)])))
     for k in range(max_degree):
-        pairs.add((u, MSet(Multiset.from_counts([(z, k), (u, 1)]))))
+        pairs.add((u, Multiset.from_counts([(z, k), (u, 1)])))
     return Rel(frozenset(pairs), "dbar", "")
 
 
@@ -56,16 +56,15 @@ def dpartial(E: Space) -> PointMap:
     """
 
     def fn(m):
-        tags = [a.index for a in m.ms]
-        values = Multiset.of([a.inner for a in m.ms if a.index == 0])
+        tags = [a.index for a in m]
+        values = Multiset.of([a.inner for a in m if a.index == 0])
         n_inc = sum(1 for t in tags if t == 1)
         if n_inc == 0:
-            out = MSet(values)
-            if contains(Bang(E), out):
-                yield Tag(0, out)
+            if contains(Bang(E), values):
+                yield Tag(0, values)
         elif n_inc == 1:
-            (a,) = [x.inner for x in m.ms if x.index == 1]
-            out = MSet(values + Multiset.of([a]))
+            (a,) = [x.inner for x in m if x.index == 1]
+            out = values + Multiset.of([a])
             if contains(Bang(E), out):
                 yield Tag(1, out)
 
@@ -97,10 +96,10 @@ def dpartial_via_dbar(E: Space) -> PointMap:
         # of equal size, and ev only fires when the I components match,
         # i.e. when m's tag multiset equals the dbar decomposition; the
         # evaluated image is then the multiset of the a's.
-        shape = MSet(Multiset.of([Tag(a.index, STAR) for a in m.ms]))
+        shape = Multiset.of([Tag(a.index, STAR) for a in m])
         for i in (0, 1):
             if shape in db.fn(Tag(i, STAR)):
-                out = MSet(Multiset.of([a.inner for a in m.ms]))
+                out = Multiset.of([a.inner for a in m])
                 if contains(Bang(E), out):
                     yield Tag(i, out)
 
@@ -118,8 +117,8 @@ def local_derivative(s: Rel, x) -> Rel:
     xs = set(x)
     pairs = set()
     for m, b in s.pairs:
-        for a in m.ms.support:
-            rest = m.ms - Multiset.of([a])
+        for a in m.support:
+            rest = m - Multiset.of([a])
             if all(c in xs for c in rest.support):
                 pairs.add((a, b))
     return Rel(frozenset(pairs), "local", "")
@@ -128,4 +127,4 @@ def local_derivative(s: Rel, x) -> Rel:
 def fun_apply(s: Rel, x) -> frozenset:
     """Fun s(x) = {b | ∃ m with Supp m ⊆ x, (m, b) ∈ s}."""
     xs = set(x)
-    return frozenset(b for m, b in s.pairs if all(a in xs for a in m.ms.support))
+    return frozenset(b for m, b in s.pairs if all(a in xs for a in m.support))

@@ -12,15 +12,15 @@ from functools import lru_cache
 
 from .maps import BOUND, PointMap, pm_bang, pm_compose, pm_from_rel, pm_memo, _sub_multisets
 from .spaces import Bang, Space, Tensor, With, contains, mset_width, one, top
-from .web_core import MSet, Multiset, Pair, Rel, STAR, Tag, degree, mset
+from .web_core import Multiset, Pair, Rel, STAR, Tag, degree
 
 
 def der(E: Space) -> PointMap:
     """Dereliction !E → E, ([a], a); for a within degree b, [a] is within 1 + mset_width(E)·b."""
 
     def fn(m):
-        if len(m.ms) == 1:
-            yield m.ms.entries[0][0]
+        if len(m) == 1:
+            yield m.entries[0][0]
 
     k = mset_width(E)
     return PointMap(Bang(E), E, fn, "der", lambda b: 1 + k * b)
@@ -54,10 +54,10 @@ def dig(E: Space) -> PointMap:
     def fn(m):
         bound = BOUND.get()
         seen = set()
-        for split in _mpartitions(m.ms, bound - degree(m)):
+        for split in _mpartitions(m, bound - degree(m)):
             base = len(split) + degree(m)
             for e in range(max(0, bound - base) + 1):
-                out = mset([MSet(p) for p in split] + [MSet(Multiset())] * e)
+                out = Multiset.of(split + (Multiset(),) * e)
                 if out not in seen:
                     seen.add(out)
                     yield out
@@ -69,7 +69,7 @@ def weak(E: Space) -> PointMap:
     """Weakening !E → 1, ([], *)."""
 
     def fn(m):
-        if len(m.ms) == 0:
+        if len(m) == 0:
             yield STAR
 
     return PointMap(Bang(E), one(E.kind), fn, "weak")
@@ -80,8 +80,8 @@ def contr(E: Space) -> PointMap:
     """Contraction !E → !E ⊗ !E: all two-part decompositions, each half bounded apart."""
 
     def fn(m):
-        for m1 in _sub_multisets(m.ms):
-            yield Pair(MSet(m1), MSet(m.ms - m1))
+        for m1 in _sub_multisets(m):
+            yield Pair(m1, m - m1)
 
     return pm_memo(PointMap(Bang(E), Tensor(Bang(E), Bang(E)), fn, "contr", lambda b: 2 * b))
 
@@ -90,7 +90,7 @@ def seely0(kind: str) -> PointMap:
     """1 → !⊤, * ↦ []."""
 
     def fn(a):
-        yield MSet(Multiset.of([]))
+        yield Multiset()
 
     return PointMap(one(kind), Bang(top(kind)), fn, "seely0")
 
@@ -107,11 +107,11 @@ def seely2(E: Space, F: Space) -> PointMap:
     """!E ⊗ !F → !(E & F), (m, p) ↦ 0·m + 1·p."""
 
     def fn(a):
-        m, p = a.left.ms, a.right.ms
+        m, p = a.left, a.right
         tagged = Multiset.from_counts(
             [(Tag(0, x), k) for x, k in m.entries] + [(Tag(1, y), k) for y, k in p.entries]
         )
-        yield MSet(tagged)
+        yield tagged
 
     return pm_memo(PointMap(Tensor(Bang(E), Bang(F)), Bang(With(E, F)), fn, "seely2"))
 
@@ -120,9 +120,9 @@ def seely2(E: Space, F: Space) -> PointMap:
 def seely2_inv(E: Space, F: Space) -> PointMap:
     def fn(m):
         left, right = [], []
-        for x, k in m.ms.entries:
+        for x, k in m.entries:
             (left if x.index == 0 else right).append((x.inner, k))
-        yield Pair(MSet(Multiset.from_counts(left)), MSet(Multiset.from_counts(right)))
+        yield Pair(Multiset.from_counts(left), Multiset.from_counts(right))
 
     pre = lambda b: 2 * b  # as contr's: the two halves of an output are bounded apart
     return pm_memo(PointMap(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), fn, "seely2_inv", pre))
@@ -133,7 +133,7 @@ def m0(kind: str) -> PointMap:
 
     def fn(a):
         for k in range(BOUND.get() + 1):
-            yield MSet(Multiset.from_counts([(STAR, k)] if k else []))
+            yield Multiset.from_counts([(STAR, k)] if k else [])
 
     return PointMap(one(kind), Bang(one(kind)), fn, "m0")
 
@@ -143,13 +143,13 @@ def m2(E: Space, F: Space) -> PointMap:
     """Monoidality !E ⊗ !F → !(E ⊗ F): all pairings of equal-size multisets."""
 
     def fn(a):
-        m, p = a.left.ms, a.right.ms
+        m, p = a.left, a.right
         if len(m) != len(p):
             return
         xs = list(m)
         seen = set()
         for perm in _distinct_pairings(xs, list(p)):
-            out = mset(Pair(x, y) for x, y in perm)
+            out = Multiset.of(Pair(x, y) for x, y in perm)
             if out not in seen:
                 seen.add(out)
                 yield out
@@ -184,18 +184,17 @@ def kleisli_compose(t: Rel, s: Rel, E: Space) -> Rel:
     """
     by_tgt: dict = {}
     for m, b in s.pairs:
-        by_tgt.setdefault(b, []).append(m.ms)
+        by_tgt.setdefault(b, []).append(m)
     pairs = set()
     for p, c in t.pairs:
-        items = list(p.ms)
+        items = list(p)
         def rec(i, acc):
             if i == len(items):
-                total = Multiset.of([])
+                total = Multiset()
                 for m in acc:
                     total = total + m
-                cand = MSet(total)
-                if contains(Bang(E), cand):
-                    pairs.add((cand, c))
+                if contains(Bang(E), total):
+                    pairs.add((total, c))
                 return
             for m in by_tgt.get(items[i], ()):
                 rec(i + 1, acc + [m])

@@ -140,7 +140,7 @@ class MapCtx:
     """
 
     kind: str
-    budget: Budget = Budget(3, 20000)
+    budget: Budget = Budget()
     overrides: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -797,7 +797,7 @@ def run_all(
     kinds=("coh", "nucs", "rel"),
     seed: int = 0,
     trials: int = 100,
-    budget: Budget = Budget(3, 20000),
+    budget: Budget = Budget(),
     only=None,
     overrides=None,
 ):

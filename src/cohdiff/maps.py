@@ -17,7 +17,7 @@ import contextvars
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .web_core import Atom, Budget, MSet, Multiset, Pair, Rel, Tag, degree, within_budget
+from .web_core import Atom, Budget, Multiset, Pair, Rel, Tag, degree, within_budget
 from .spaces import Bang, SFun, Space, Tensor, With, contains, enumerate_web, mset_width
 
 
@@ -159,7 +159,7 @@ def pm_bang(f: PointMap, label: str = "") -> PointMap:
 
     def fn(a):
         bound = BOUND.get()
-        items = list(a.ms)
+        items = list(a)
         base = len(items)
         images = []
         for x in items:
@@ -177,7 +177,7 @@ def pm_bang(f: PointMap, label: str = "") -> PointMap:
             if deg > bound:
                 return
             if i == len(items):
-                dedup.add(MSet(Multiset.of(acc)))
+                dedup.add(Multiset.of(acc))
                 return
             for b in images[i]:
                 d2 = deg + degree(b)

@@ -10,24 +10,31 @@ so every finite set is a clique and every relation is a morphism.
 
 Derived relations: coherent = strictly coherent or neutral,
 incoherent = strictly incoherent or neutral.
+
+Spaces are hash-consed like atoms, in the same weak table
+(``web_core._TABLE``): two structurally equal spaces are one object, so
+the caches keyed on spaces (``contains``, ``_verdict``, the enumeration
+cache and the per-space map factories) hash them by identity.  Those
+``lru_cache``s keep every space they have seen alive.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .web_core import (
     Atom,
     Budget,
     BudgetExceeded,
-    MSet,
     Multiset,
     Pair,
     Rel,
     STAR,
     Tag,
+    _Interned,
+    _lookup,
+    _make,
     atom_from_text,
     atom_key,
     degree,
@@ -55,14 +62,29 @@ class Verdict(enum.Enum):
         return self is Verdict.NEU
 
 
-class Space:
-    """Base class; concrete spaces are the dataclasses below."""
+class Space(_Interned):
+    """Base class of the eight space constructors below.
+
+    Spaces are interned in the atoms' table: structurally equal spaces
+    are one object.  A constructed space's slots are its parts followed
+    by ``kind``, which it takes from its first part; a ``BaseSpace`` is
+    given its kind.
+    """
 
     __slots__ = ()
 
-    @property
-    def kind(self) -> str:
-        raise NotImplementedError
+    def __new__(cls, *parts):
+        key = (cls, *parts)
+        E = _lookup(key)
+        if E is None:
+            if len(parts) != len(cls.__slots__) - 1 or not all(isinstance(p, Space) for p in parts):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__) - 1} spaces, not {parts!r}")
+            E = _make(cls, key, *parts, parts[0].kind)
+        return E
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
 
 def _norm_pairs(pairs) -> frozenset:
@@ -74,100 +96,56 @@ def _norm_pairs(pairs) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
 class BaseSpace(Space):
     """Extensionally given space: finite web + strict relations.
 
     For kind "coh" the stored scoh is coherence minus the diagonal (the
     diagonal is neutral).  For kind "nucs" scoh/sincoh are the strict
     relations and must be disjoint; the rest is neutral.  For kind
-    "rel" the relations are ignored.
+    "rel" the relations are ignored.  Both relations are stored
+    symmetrically closed, so either orientation of a pair gives one
+    space.
     """
 
-    base_kind: str
-    atoms: tuple
-    scoh: frozenset = frozenset()
-    sincoh: frozenset = frozenset()
-    name: str = ""
+    __slots__ = ("kind", "atoms", "scoh", "sincoh", "name")
 
-    def __post_init__(self):
-        if self.base_kind not in KINDS:
-            raise ValueError(f"unknown kind {self.base_kind!r}")
-        object.__setattr__(self, "scoh", _norm_pairs(self.scoh))
-        object.__setattr__(self, "sincoh", _norm_pairs(self.sincoh))
-        if self.scoh & self.sincoh:
+    def __new__(cls, kind: str, atoms: tuple, scoh=frozenset(), sincoh=frozenset(), name: str = ""):
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        scoh, sincoh = _norm_pairs(scoh), _norm_pairs(sincoh)
+        if scoh & sincoh:
             raise ValueError("strict coherence and strict incoherence overlap")
+        key = (cls, kind, atoms, scoh, sincoh, name)
+        E = _lookup(key)
+        return E if E is not None else _make(cls, key, kind, atoms, scoh, sincoh, name)
 
-    @property
-    def kind(self) -> str:
-        return self.base_kind
 
-
-@dataclass(frozen=True)
 class Tensor(Space):
-    left: Space
-    right: Space
-
-    @property
-    def kind(self):
-        return self.left.kind
+    __slots__ = ("left", "right", "kind")
 
 
-@dataclass(frozen=True)
 class With(Space):
-    left: Space
-    right: Space
-
-    @property
-    def kind(self):
-        return self.left.kind
+    __slots__ = ("left", "right", "kind")
 
 
-@dataclass(frozen=True)
 class PlusSp(Space):
-    left: Space
-    right: Space
-
-    @property
-    def kind(self):
-        return self.left.kind
+    __slots__ = ("left", "right", "kind")
 
 
-@dataclass(frozen=True)
 class Limpl(Space):
-    left: Space
-    right: Space
-
-    @property
-    def kind(self):
-        return self.left.kind
+    __slots__ = ("left", "right", "kind")
 
 
-@dataclass(frozen=True)
 class DualSp(Space):
-    inner: Space
-
-    @property
-    def kind(self):
-        return self.inner.kind
+    __slots__ = ("inner", "kind")
 
 
-@dataclass(frozen=True)
 class SFun(Space):
-    inner: Space
-
-    @property
-    def kind(self):
-        return self.inner.kind
+    __slots__ = ("inner", "kind")
 
 
-@dataclass(frozen=True)
 class Bang(Space):
-    inner: Space
-
-    @property
-    def kind(self):
-        return self.inner.kind
+    __slots__ = ("inner", "kind")
 
 
 def one(kind: str) -> BaseSpace:
@@ -226,13 +204,13 @@ def contains(E: Space, a: Atom) -> bool:
     if isinstance(E, SFun):
         return isinstance(a, Tag) and contains(E.inner, a.inner)
     if isinstance(E, Bang):
-        if not isinstance(a, MSet):
+        if not isinstance(a, Multiset):
             return False
-        if not all(contains(E.inner, x) for x in a.ms.support):
+        if not all(contains(E.inner, x) for x in a.support):
             return False
         if E.kind == COH:
             # uniform exponential: the support must be a clique
-            return is_clique(E.inner, a.ms.support)
+            return is_clique(E.inner, a.support)
         return True
     raise TypeError(f"not a space: {E!r}")
 
@@ -247,7 +225,7 @@ def coherent(E: Space, a: Atom, b: Atom) -> Verdict:
 @lru_cache(maxsize=None)
 def _verdict(E: Space, a: Atom, b: Atom) -> Verdict:
     if isinstance(E, BaseSpace):
-        if E.base_kind == COH:
+        if E.kind == COH:
             if a == b:
                 return Verdict.NEU
             return Verdict.SCOH if (a, b) in E.scoh else Verdict.SINCOH
@@ -293,12 +271,11 @@ def _verdict(E: Space, a: Atom, b: Atom) -> Verdict:
             return Verdict.NEU if a.index == b.index else Verdict.SINCOH
         return v
     if isinstance(E, Bang):
-        m0, m1 = a.ms, b.ms
-        for x in m0.support:
-            for y in m1.support:
+        for x in a.support:
+            for y in b.support:
                 if not _verdict(E.inner, x, y).coherent:
                     return Verdict.SINCOH
-        if len(m0) == len(m1) and _neutral_matching(E.inner, list(m0), list(m1)):
+        if len(a) == len(b) and _neutral_matching(E.inner, list(a), list(b)):
             return Verdict.NEU
         return Verdict.SCOH
     raise TypeError(f"not a space: {E!r}")
@@ -413,7 +390,7 @@ def _enum_msets(inner_space: Space, inner: list, max_degree: int, uniform: bool)
     """
 
     def rec(i: int, left: int, chosen: list):
-        yield MSet(Multiset.of(chosen))
+        yield Multiset.of(chosen)
         for j in range(i, len(inner)):
             a = inner[j]
             cost = 1 + degree(a)

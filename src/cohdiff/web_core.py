@@ -6,22 +6,24 @@ differential) is phrased in terms of three value types:
 * ``Atom`` -- a structural tree over base symbols: tagged atoms ``i·a``
   (summability layers), pairs ``(a,b)`` (tensor / linear implication)
   and finite multisets ``[a,...,b]`` (the exponential).
-* ``Multiset`` -- a canonical (sorted) finite multiset of atoms.
+* ``Multiset`` -- a canonical (sorted) finite multiset of atoms, itself
+  the atom of the web of ``!E``.
 * ``Rel`` -- a finite set of atom pairs, the universal notion of
   morphism; composition is relational and the zero morphism is ``∅``.
 
-Atoms and multisets are hash-consed (Filliâtre & Conchon, "Type-Safe
-Modular Hash-Consing", 2006).  A constructor looks up its class and its
-arguments, whose atoms are interned already, in one table and returns
-the object it finds there; it builds a new object only on a miss.  Two
-structurally equal values are therefore one object: ``==`` is identity
-and ``hash`` is ``object.__hash__``.  The table holds its values
-weakly, so an atom leaves it as soon as nothing else refers to it.  Its
-keys hold the children themselves, never their ``id()``, so an address
-freed by one atom cannot be mistaken for another.  (The ``lru_cache``s
-on ``atom_key``, ``degree`` and ``within_budget`` do keep every atom
-they have seen alive.)  Interned values are immutable: setting or
-deleting an attribute raises.
+Atoms, and the spaces built on them in ``spaces``, are hash-consed
+(Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006).  A
+constructor looks up its class and its arguments, which are interned
+already, in one table and returns the object it finds there; it builds
+a new object only on a miss.  Two structurally equal values are
+therefore one object: ``==`` is identity and ``hash`` is
+``object.__hash__``.  The table holds its values weakly, so a value
+leaves it as soon as nothing else refers to it.  Its keys hold the
+children themselves, never their ``id()``, so an address freed by one
+value cannot be mistaken for another.  (The ``lru_cache``s on
+``atom_key``, ``degree`` and ``within_budget``, and those keyed on
+spaces, do keep every value they have seen alive.)  Interned values are
+immutable: setting or deleting an attribute raises.
 
 Webs of ``!E`` are infinite, so enumeration is controlled by a
 ``Budget``.  The degree of an atom counts multiset entries through
@@ -70,12 +72,12 @@ class _Interned:
 class Atom(_Interned):
     """Base class for web elements. Structural equality is identity.
 
-    Every ``Base``, ``Tag``, ``Pair`` and ``MSet`` is interned when it is
-    built, so two atoms with the same structure are the same object, and
-    it stays in the table only while something else refers to it.  On a
-    table miss the constructors raise ``TypeError`` for a ``Tag`` or
-    ``Pair`` child that is not an atom, an ``MSet`` child that is not a
-    ``Multiset`` and a ``Base`` symbol that is not a ``str``.
+    Every ``Base``, ``Tag``, ``Pair`` and ``Multiset`` is interned when it
+    is built, so two atoms with the same structure are the same object,
+    and it stays in the table only while something else refers to it.  On
+    a table miss the constructors raise ``TypeError`` for a ``Tag``,
+    ``Pair`` or ``Multiset`` child that is not an atom and a ``Base``
+    symbol that is not a ``str``.
     """
 
     __slots__ = ()
@@ -139,16 +141,16 @@ def atom_key(a: Atom):
         return (1, a.index, atom_key(a.inner))
     if isinstance(a, Pair):
         return (2, atom_key(a.left), atom_key(a.right))
-    if isinstance(a, MSet):
-        return (3, tuple((atom_key(x), n) for x, n in a.ms.entries))
+    if isinstance(a, Multiset):
+        return (3, tuple((atom_key(x), n) for x, n in a.entries))
     raise TypeError(f"not an atom: {a!r}")
 
 
-class Multiset(_Interned):
+class Multiset(Atom):
     """Canonical finite multiset of atoms: sorted (atom, count) entries.
 
-    Interned like the atoms.  ``support`` (the distinct atoms, in entry
-    order) and the length are computed once, when the multiset is built.
+    The atom of the web of ``!E``.  ``support`` (the distinct atoms, in
+    entry order) and the length are computed once, when it is built.
     """
 
     __slots__ = ("entries", "support", "_len")
@@ -157,7 +159,10 @@ class Multiset(_Interned):
         key = (cls, entries)
         m = _lookup(key)
         if m is None:
-            m = _make(cls, key, entries, tuple(a for a, _ in entries), sum(n for _, n in entries))
+            support = tuple(a for a, _ in entries)
+            for a in support:
+                _require_atom(a)
+            m = _make(cls, key, entries, support, sum(n for _, n in entries))
         return m
 
     @staticmethod
@@ -207,28 +212,7 @@ class Multiset(_Interned):
         return "[" + ",".join(repr(a) for a in self) + "]"
 
 
-class MSet(Atom):
-    __slots__ = ("ms",)
-
-    def __new__(cls, ms: Multiset):
-        key = (cls, ms)
-        a = _lookup(key)
-        if a is None:
-            if not isinstance(ms, Multiset):
-                raise TypeError(f"not a multiset: {ms!r}")
-            a = _make(cls, key, ms)
-        return a
-
-    def __repr__(self):
-        return repr(self.ms)
-
-
 STAR = Base("*")
-
-
-def mset(atoms: Iterable[Atom]) -> MSet:
-    """Convenience: build a multiset atom from an iterable of atoms."""
-    return MSet(Multiset.of(atoms))
 
 
 @lru_cache(maxsize=None)
@@ -244,8 +228,8 @@ def degree(a: Atom) -> int:
         return degree(a.inner)
     if isinstance(a, Pair):
         return degree(a.left) + degree(a.right)
-    if isinstance(a, MSet):
-        return len(a.ms) + sum(n * degree(x) for x, n in a.ms.entries)
+    if isinstance(a, Multiset):
+        return len(a) + sum(n * degree(x) for x, n in a.entries)
     raise TypeError(f"not an atom: {a!r}")
 
 
@@ -262,13 +246,13 @@ def within_budget(a: Atom, max_degree: int) -> bool:
         return within_budget(a.inner, max_degree)
     if isinstance(a, Pair):
         return within_budget(a.left, max_degree) and within_budget(a.right, max_degree)
-    if isinstance(a, MSet):
+    if isinstance(a, Multiset):
         # degree of an outer multiset dominates the degree of every
         # multiset nested inside one of its elements, except those
         # hidden inside pairs -- recurse to be safe.
         if degree(a) > max_degree:
             return False
-        return all(within_budget(x, max_degree) for x, _ in a.ms.entries)
+        return all(within_budget(x, max_degree) for x, _ in a.entries)
     raise TypeError(f"not an atom: {a!r}")
 
 
@@ -278,6 +262,8 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class Budget:
+    """Enumeration bounds: the multiset degree, and the one atom cap every caller shares."""
+
     max_degree: int = 3
     max_atoms: int = 20000
 
@@ -350,8 +336,8 @@ def atom_to_text(a: Atom) -> str:
         return f"{a.index}·{atom_to_text(a.inner)}"
     if isinstance(a, Pair):
         return f"({atom_to_text(a.left)},{atom_to_text(a.right)})"
-    if isinstance(a, MSet):
-        return "[" + ",".join(atom_to_text(x) for x in a.ms) + "]"
+    if isinstance(a, Multiset):
+        return "[" + ",".join(atom_to_text(x) for x in a) + "]"
     raise TypeError(f"not an atom: {a!r}")
 
 
@@ -398,7 +384,7 @@ class _AtomParser:
                     self.pos += 1
                     items.append(self.atom())
             self.expect("]")
-            return mset(items)
+            return Multiset.of(items)
         if c == "*":
             self.pos += 1
             return STAR

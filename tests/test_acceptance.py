@@ -28,9 +28,9 @@ from cohdiff.spaces import (
     matapp,
 )
 from cohdiff.summability import L_map, msum, nary_summable, pr0, summable
-from cohdiff.web_core import Base, Budget, Pair, Rel, Tag, degree, mset
+from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag, degree
 
-BUD = Budget(3, 20000)
+BUD = Budget(3)
 a, b = Base("a"), Base("b")
 
 
@@ -79,20 +79,20 @@ def test_criterion_1_law_suite_green_and_mutation_sensitive():
 
 def test_criterion_2_exact_differential_formulas():
     E = BaseSpace("coh", (a,), name="E")
-    got_dp = dpartial(E).materialize(Budget(2, 20000)).pairs
+    got_dp = dpartial(E).materialize(Budget(2)).pairs
     t0, t1 = (lambda x: Tag(0, x)), (lambda x: Tag(1, x))
     want_dp = frozenset(
         {
-            (mset([]), t0(mset([]))),
-            (mset([t0(a)]), t0(mset([a]))),
-            (mset([t0(a), t0(a)]), t0(mset([a, a]))),
-            (mset([t1(a)]), t1(mset([a]))),
+            (Multiset.of([]), t0(Multiset.of([]))),
+            (Multiset.of([t0(a)]), t0(Multiset.of([a]))),
+            (Multiset.of([t0(a), t0(a)]), t0(Multiset.of([a, a]))),
+            (Multiset.of([t1(a)]), t1(Multiset.of([a]))),
         }
     )
     z, o = Tag(0, Base("*")), Tag(1, Base("*"))
     want_db = frozenset(
-        {(z, mset([z] * k)) for k in range(4)}
-        | {(o, mset([z] * k + [o])) for k in range(3)}
+        {(z, Multiset.of([z] * k)) for k in range(4)}
+        | {(o, Multiset.of([z] * k + [o])) for k in range(3)}
     )
     ok = got_dp == want_dp and dbar("coh", 3).pairs == want_db
     report("criterion 2: dpartial four-pair example and dbar at degree 3, exact", ok)
@@ -102,18 +102,18 @@ def test_criterion_2_exact_differential_formulas():
 
 
 def test_criterion_3_taylor_contrast():
-    s1 = Rel(frozenset({(mset([a]), b)}), "s", "")
-    s2 = Rel(frozenset({(mset([a, a]), b)}), "s'", "")
+    s1 = Rel(frozenset({(Multiset.of([a]), b)}), "s", "")
+    s2 = Rel(frozenset({(Multiset.of([a, a]), b)}), "s'", "")
     Ec = BaseSpace("coh", (a,), name="E")
     Fc = BaseSpace("coh", (b,), name="F")
     En = BaseSpace("nucs", (a,), frozenset({(a, a)}), name="E")
     Fn = BaseSpace("nucs", (b,), frozenset({(b, b)}), name="F")
     t0, t1 = (lambda x: Tag(0, x)), (lambda x: Tag(1, x))
     want_lin = frozenset(
-        {(mset([t0(a)]), t0(b)), (mset([t1(a)]), t1(b))}
+        {(Multiset.of([t0(a)]), t0(b)), (Multiset.of([t1(a)]), t1(b))}
     )
-    base = (mset([t0(a), t0(a)]), t0(b))
-    cross = (mset([t0(a), t1(a)]), t1(b))
+    base = (Multiset.of([t0(a), t0(a)]), t0(b))
+    cross = (Multiset.of([t0(a), t1(a)]), t1(b))
     ok = (
         dhat(Ec, Fc, s1, BUD).pairs == want_lin
         and dhat(Ec, Fc, s2, BUD).pairs == frozenset({base})
@@ -169,7 +169,7 @@ def test_criterion_4_dhat_matches_local_derivative():
 
 
 def test_criterion_5_lafont_uniqueness():
-    bud = Budget(2, 20000)
+    bud = Budget(2)
     I = ispace("coh")
     webI = enumerate_web(I, bud)
     webB = enumerate_web(Bang(I), bud)

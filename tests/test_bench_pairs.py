@@ -1,4 +1,4 @@
-"""scripts/bench_pairs.py on synthetic runs: one entry per workload and seed, and the gain rule."""
+"""scripts/bench_pairs.py on synthetic runs: one entry per workload and seed, the gain rule and the no-regression rule."""
 
 import importlib.util
 import json
@@ -57,3 +57,20 @@ def test_gain_needs_nine_in_ten_pairs_and_a_shift_beyond_the_parent_iqr(tmp_path
         assert got["corpus/seed0"]["metrics"]["wall_s"]["gain_holds"] is holds, k
         # a metric the change leaves equal wins no pair
         assert got["corpus/seed0"]["metrics"]["setup_s"]["gain_holds"] is False
+
+
+def test_no_regression_rule_follows_the_metric_bound(tmp_path):
+    parent = [3.0 + 0.01 * k for k in range(10)]
+    wide = [2.0, 4.0] * 5  # IQR/median 0.67, beyond wall_s's bound 0.25
+    cases = [
+        (parent, [w * 1.3 for w in parent], "worse"),
+        (parent, [w * 1.05 for w in parent], "none"),
+        (parent, [w * 0.9 for w in parent], "none"),
+        (wide, list(wide), "unresolved"),
+        (wide, [1.9] * 10, "none"),  # every change run beats every parent run
+    ]
+    for k, (p, c, want) in enumerate(cases):
+        got = pair(tmp_path / str(k), [(0, w) for w in p], [(0, w) for w in c])
+        metrics = got["corpus/seed0"]["metrics"]
+        assert metrics["wall_s"]["regression"] == want, k
+        assert metrics["setup_s"]["regression"] == "none"

@@ -327,7 +327,7 @@ def reduce_corpus(terms, order):
 
     Each term takes at most 60 steps, as in the corpus benchmark.
     """
-    sem = SemEnv(kind="coh", nmax=3, budget=Budget(3, 20000))
+    sem = SemEnv(kind="coh", nmax=3, budget=Budget(3))
     out = {}
     for i in order:
         m = terms[i][0]

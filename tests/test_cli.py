@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +11,7 @@ from click.testing import CliRunner
 from cohdiff.cli import main
 
 HERE = os.path.dirname(__file__)
+SRC = os.path.join(HERE, os.pardir, "src")
 DEMOS = os.path.join(HERE, os.pardir, "demos")
 GOLDEN = os.path.join(HERE, "golden")
 
@@ -40,6 +43,19 @@ def test_check_laws_matches_golden_output(seed):
     assert r.exit_code == 0, r.output
     with open(os.path.join(GOLDEN, f"check-laws-seed{seed}.txt"), "rb") as fh:
         assert r.stdout_bytes == fh.read()
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "12345"])
+@pytest.mark.parametrize("model", ["coh", "rel"])
+def test_law_verdicts_do_not_depend_on_hashing(model, hash_seed):
+    """Atoms and spaces hash by identity, strings by PYTHONHASHSEED: neither may reach a verdict."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+    cmd = [sys.executable, "-m", "cohdiff.cli", "check-laws", "--seed", "7", "--model", model]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+    with open(os.path.join(GOLDEN, "check-laws-seed7.txt")) as fh:
+        want = [line for line in fh.read().splitlines() if line.split()[1] == model]
+    passed = sum(line.startswith("PASS") for line in want)
+    assert out.splitlines() == want + [f"{passed}/{len(want)} law checks passed"]
 
 
 def test_check_laws_unknown_law_is_usage_error():

@@ -7,7 +7,7 @@ from cohdiff.denot import SemEnv, interp_closed, interp_type, nat_atom, soundnes
 from cohdiff.spaces import SFun, enumerate_web
 from cohdiff.web_core import Budget
 
-SEM = SemEnv(kind="coh", nmax=3, budget=Budget(3, 20000))
+SEM = SemEnv(kind="coh", nmax=3, budget=Budget(3))
 
 
 def den(src, sem=SEM):

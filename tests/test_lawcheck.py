@@ -22,7 +22,7 @@ from cohdiff.maps import PointMap, pm_bang, pm_compose, pm_id, pm_tensor
 from cohdiff.spaces import Bang, BaseSpace, Tensor, With, enumerate_web, is_morphism
 from cohdiff.web_core import Base, Budget, Tag, within_budget
 
-BUD = Budget(3, 20000)
+BUD = Budget(3)
 
 # every law family the registry is meant to cover
 REQUIRED = [
@@ -220,7 +220,7 @@ DIAGRAM_LAWS = [n for n in REGISTRY if n not in _NO_DIAGRAM]
 def test_tightened_margins_are_exact(monkeypatch, name, kind):
     """Every side a law compares is exact at the bounds its maps derive."""
     for degree, trials in ((3, 3), (4, 1)):
-        assert not _inexact_sides(monkeypatch, name, kind, Budget(degree, 20000), trials)
+        assert not _inexact_sides(monkeypatch, name, kind, Budget(degree), trials)
 
 
 @pytest.mark.parametrize("name", ["der", "contr", "seely2_inv"])
@@ -286,14 +286,14 @@ def test_freed_override_does_not_reuse_cached_verdict():
 @pytest.mark.parametrize("degree", [4, 5])
 def test_registry_passes_at_higher_budgets(degree):
     """Truncation never shows up as a law failure above the default budget."""
-    res = run_all(kinds=("coh", "nucs", "rel"), seed=0, trials=1, budget=Budget(degree, 20000))
+    res = run_all(kinds=("coh", "nucs", "rel"), seed=0, trials=1, budget=Budget(degree))
     bad = [(r.name, r.kind, r.witness) for r in res if not r.ok]
     assert not bad
 
 
 def test_every_diagram_law_sees_atoms_at_budget_1(monkeypatch):
     """At the smallest budget the CLI accepts, no diagram law compares two empty relations."""
-    budget = Budget(1, 20000)
+    budget = Budget(1)
     sizes = []
 
     def recorded(lhs, rhs, budget):

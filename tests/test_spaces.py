@@ -1,12 +1,16 @@
 """Coherence verdicts, constructed spaces and web enumeration."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from cohdiff import web_core
 from cohdiff.spaces import (
     Bang,
     BaseSpace,
+    DualSp,
     Limpl,
     PlusSp,
     SFun,
@@ -26,10 +30,10 @@ from cohdiff.spaces import (
     parse_space,
     parse_space_expr,
 )
-from cohdiff.web_core import Base, Budget, Pair, Rel, Tag, mset
+from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag
 
 a, b, c = Base("a"), Base("b"), Base("c")
-BUD = Budget(3, 20000)
+BUD = Budget(3)
 
 
 def coh_space(scoh=()):
@@ -109,9 +113,9 @@ def test_sfun_same_index_follows_inner():
 def test_bang_web_needs_cliques_in_coh():
     E = coh_space({(a, b)})
     B = Bang(E)
-    assert contains(B, mset([a, b]))
-    assert not contains(B, mset([a, c]))  # a, c incoherent: not a clique
-    assert contains(B, mset([a, a]))  # diagonal neutral counts as coherent
+    assert contains(B, Multiset.of([a, b]))
+    assert not contains(B, Multiset.of([a, c]))  # a, c incoherent: not a clique
+    assert contains(B, Multiset.of([a, a]))  # diagonal neutral counts as coherent
 
 
 def test_bang_web_in_nucs_is_unconstrained():
@@ -119,10 +123,10 @@ def test_bang_web_in_nucs_is_unconstrained():
     cliquehood shows up in the coherence relation, not in membership."""
     N = nucs_space(scoh={(a, a)}, sincoh={(b, b)})
     B = Bang(N)
-    assert contains(B, mset([a, a]))
-    assert contains(B, mset([b, b]))
-    assert coherent(B, mset([a]), mset([a])) is Verdict.SCOH
-    assert coherent(B, mset([b, b]), mset([b, b])) is Verdict.SINCOH
+    assert contains(B, Multiset.of([a, a]))
+    assert contains(B, Multiset.of([b, b]))
+    assert coherent(B, Multiset.of([a]), Multiset.of([a])) is Verdict.SCOH
+    assert coherent(B, Multiset.of([b, b]), Multiset.of([b, b])) is Verdict.SINCOH
 
 
 def test_enumerate_web_counts():
@@ -132,19 +136,19 @@ def test_enumerate_web_counts():
     # multisets drawn from {a,b} plus ones from {c} alone
     got = {x for x in enumerate_web(Bang(E), BUD)}
     for m in got:
-        assert is_clique(E, list(m.ms))
+        assert is_clique(E, list(m))
     brute = set()
     for n in range(4):
         for combo in itertools.combinations_with_replacement((a, b, c), n):
             if is_clique(E, list(combo)):
-                brute.add(mset(combo))
+                brute.add(Multiset.of(combo))
     assert got == brute
 
 
 def test_enumerate_web_respects_degree():
     E = coh_space({(a, b)})
-    for m in enumerate_web(Bang(E), Budget(2, 20000)):
-        assert len(m.ms) <= 2
+    for m in enumerate_web(Bang(E), Budget(2)):
+        assert len(m) <= 2
 
 
 def test_is_morphism():
@@ -188,3 +192,61 @@ def test_parse_space_expr():
     assert isinstance(t.left, Bang)
     s = parse_space_expr("E -o E", env)
     assert isinstance(s, Limpl)
+
+
+def test_equal_spaces_are_one_object():
+    N = nucs_space(scoh={(a, b)}, sincoh={(b, c)})
+    assert nucs_space(scoh={(b, a)}, sincoh={(c, b)}) is N  # either orientation of a pair
+    assert Bang(N) is Bang(N)
+    assert Limpl(Tensor(N, N), SFun(N)) is Limpl(Tensor(N, N), SFun(N))
+    assert dual(dual(N)) is N
+    assert parse_space_expr("!N (x) N", {"N": N}) is Tensor(Bang(N), N)
+    assert Tensor(N, Bang(N)) is not Tensor(Bang(N), N)
+    assert With(N, N) is not PlusSp(N, N)
+    assert nucs_space() is not nucs_space(scoh={(a, b)})
+
+
+def test_spaces_are_immutable():
+    E = coh_space({(a, b)})
+    for space, attr in [(E, "scoh"), (E, "kind"), (Bang(E), "inner"), (Tensor(E, E), "left")]:
+        with pytest.raises(AttributeError):
+            setattr(space, attr, E)
+        with pytest.raises(AttributeError):
+            delattr(space, attr)
+        with pytest.raises(AttributeError):
+            space.extra = 1
+        assert not hasattr(space, "__dict__")
+
+
+def test_constructed_spaces_take_their_kind_from_their_first_part():
+    E, R = coh_space(), BaseSpace("rel", (a,), name="R")
+    assert Limpl(Bang(E), R).kind == "coh"
+    assert DualSp(With(R, E)).kind == "rel"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Bang(a), lambda: Tensor(coh_space()), lambda: Tensor(coh_space(), "E"), lambda: SFun()],
+    ids=["atom", "too-few", "not-a-space", "no-parts"],
+)
+def test_constructed_spaces_take_spaces(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_unreferenced_spaces_leave_the_table():
+    """Spaces share the atoms' weak table; nothing here reaches a cache keyed on spaces."""
+
+    def build():
+        x = Base("space-built-here")
+        E = BaseSpace("nucs", (x,), {(x, x)}, name="S")
+        spaces = [E, Bang(E), Tensor(E, Bang(E)), SFun(E), dual(E)]
+        return [weakref.ref(v) for v in spaces + [x]], len(web_core._TABLE)
+
+    gc.collect()
+    before = len(web_core._TABLE)
+    refs, during = build()
+    assert during == before + len(refs)  # the atom and the five spaces, in one table
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(web_core._TABLE) == before

@@ -25,7 +25,7 @@ from cohdiff.summability import (
 from cohdiff.web_core import Base, Budget, Rel, Tag
 
 a, b, c = Base("a"), Base("b"), Base("c")
-BUD = Budget(3, 20000)
+BUD = Budget(3)
 
 
 def coh(atoms=(a, b), scoh=()):
