@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exponential import m2
-from .maps import BOUND, PointMap, pm_compose, pm_id, pm_memo, pm_tensor
+from .maps import PointMap, pm_compose, pm_from_rel, pm_id, pm_memo, pm_tensor
 from .spaces import Bang, SFun, Space, contains, ispace
 from .summability import sfun_morphism
 from .web_core import Multiset, Rel, STAR, Tag, rel_compose
@@ -40,9 +40,14 @@ def dbar(kind: str, max_degree: int) -> Rel:
 
 
 def dbar_pm(kind: str) -> PointMap:
-    """∂̄ as a point map, its image cut at the bound it runs under."""
+    """∂̄ as a point map, its image cut at the bound it is fixed at.
+
+    The relation is built and indexed once per bound.  Both inputs have
+    degree 0, so the identity ``pre`` holds.
+    """
     I = ispace(kind)
-    return pm_memo(PointMap(I, Bang(I), lambda x: dbar(kind, BOUND.get()).image(x), "dbar"))
+    at = lambda bound: pm_from_rel(I, Bang(I), dbar(kind, bound)).at(bound)
+    return pm_memo(PointMap(I, Bang(I), at, "dbar"))
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +73,7 @@ def dpartial(E: Space) -> PointMap:
             if contains(Bang(E), out):
                 yield Tag(1, out)
 
-    return pm_memo(PointMap(Bang(SFun(E)), SFun(Bang(E)), fn, "dpartial"))
+    return pm_memo(PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), fn, "dpartial"))
 
 
 def dtilde(E: Space) -> PointMap:
@@ -90,20 +95,25 @@ def dpartial_via_dbar(E: Space) -> PointMap:
     """
     db = dbar_pm(E.kind)
 
-    def fn(m):
-        # m : multiset over Web SE ≅ Web (I ⊸ E); an element (j, a) is
-        # the hom atom ((j, *), a).  m2 pairs m against a dbar output
-        # of equal size, and ev only fires when the I components match,
-        # i.e. when m's tag multiset equals the dbar decomposition; the
-        # evaluated image is then the multiset of the a's.
-        shape = Multiset.of([Tag(a.index, STAR) for a in m])
-        for i in (0, 1):
-            if shape in db.fn(Tag(i, STAR)):
-                out = Multiset.of([a.inner for a in m])
-                if contains(Bang(E), out):
-                    yield Tag(i, out)
+    def at(bound):
+        db_at = db.at(bound)
 
-    return PointMap(Bang(SFun(E)), SFun(Bang(E)), fn, "dpartial-via-dbar")
+        def fn(m):
+            # m : multiset over Web SE ≅ Web (I ⊸ E); an element (j, a) is
+            # the hom atom ((j, *), a).  m2 pairs m against a dbar output
+            # of equal size, and ev only fires when the I components match,
+            # i.e. when m's tag multiset equals the dbar decomposition; the
+            # evaluated image is then the multiset of the a's.
+            shape = Multiset.of([Tag(a.index, STAR) for a in m])
+            for i in (0, 1):
+                if shape in db_at(Tag(i, STAR)):
+                    out = Multiset.of([a.inner for a in m])
+                    if contains(Bang(E), out):
+                        yield Tag(i, out)
+
+        return fn
+
+    return PointMap(Bang(SFun(E)), SFun(Bang(E)), at, "dpartial-via-dbar")
 
 
 def dhat(E: Space, F: Space, s: Rel, budget) -> Rel:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .maps import BOUND, PointMap, pm_bang, pm_compose, pm_from_rel, pm_memo, _sub_multisets
+from .maps import PointMap, pm_bang, pm_compose, pm_from_rel, pm_memo, _sub_multisets
 from .spaces import Bang, Space, Tensor, With, contains, mset_width, one, top
 from .web_core import Multiset, Pair, Rel, STAR, Tag, degree
 
@@ -23,7 +23,7 @@ def der(E: Space) -> PointMap:
             yield m.entries[0][0]
 
     k = mset_width(E)
-    return PointMap(Bang(E), E, fn, "der", lambda b: 1 + k * b)
+    return PointMap.pointwise(Bang(E), E, fn, "der", lambda b: 1 + k * b)
 
 
 @lru_cache(maxsize=None)
@@ -48,21 +48,23 @@ def dig(E: Space) -> PointMap:
     """Digging !E → !!E: all decompositions m = m1 + ... + mn.
 
     Empty parts are allowed, so the image is infinite; it is cut where
-    the decomposition's degree would pass the bound dig runs under.
+    the decomposition's degree would pass the bound dig is fixed at.
     """
 
-    def fn(m):
-        bound = BOUND.get()
-        seen = set()
-        for split in _mpartitions(m, bound - degree(m)):
-            base = len(split) + degree(m)
-            for e in range(max(0, bound - base) + 1):
-                out = Multiset.of(split + (Multiset(),) * e)
-                if out not in seen:
-                    seen.add(out)
-                    yield out
+    def at(bound):
+        def fn(m):
+            seen = set()
+            for split in _mpartitions(m, bound - degree(m)):
+                base = len(split) + degree(m)
+                for e in range(max(0, bound - base) + 1):
+                    out = Multiset.of(split + (Multiset(),) * e)
+                    if out not in seen:
+                        seen.add(out)
+                        yield out
 
-    return pm_memo(PointMap(Bang(E), Bang(Bang(E)), fn, "dig"))
+        return fn
+
+    return pm_memo(PointMap(Bang(E), Bang(Bang(E)), at, "dig"))
 
 
 def weak(E: Space) -> PointMap:
@@ -72,7 +74,7 @@ def weak(E: Space) -> PointMap:
         if len(m) == 0:
             yield STAR
 
-    return PointMap(Bang(E), one(E.kind), fn, "weak")
+    return PointMap.pointwise(Bang(E), one(E.kind), fn, "weak")
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +85,7 @@ def contr(E: Space) -> PointMap:
         for m1 in _sub_multisets(m):
             yield Pair(m1, m - m1)
 
-    return pm_memo(PointMap(Bang(E), Tensor(Bang(E), Bang(E)), fn, "contr", lambda b: 2 * b))
+    return pm_memo(PointMap.pointwise(Bang(E), Tensor(Bang(E), Bang(E)), fn, "contr", lambda b: 2 * b))
 
 
 def seely0(kind: str) -> PointMap:
@@ -92,14 +94,14 @@ def seely0(kind: str) -> PointMap:
     def fn(a):
         yield Multiset()
 
-    return PointMap(one(kind), Bang(top(kind)), fn, "seely0")
+    return PointMap.pointwise(one(kind), Bang(top(kind)), fn, "seely0")
 
 
 def seely0_inv(kind: str) -> PointMap:
     def fn(m):
         yield STAR
 
-    return PointMap(Bang(top(kind)), one(kind), fn, "seely0_inv")
+    return PointMap.pointwise(Bang(top(kind)), one(kind), fn, "seely0_inv")
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +115,7 @@ def seely2(E: Space, F: Space) -> PointMap:
         )
         yield tagged
 
-    return pm_memo(PointMap(Tensor(Bang(E), Bang(F)), Bang(With(E, F)), fn, "seely2"))
+    return pm_memo(PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(With(E, F)), fn, "seely2"))
 
 
 @lru_cache(maxsize=None)
@@ -125,17 +127,17 @@ def seely2_inv(E: Space, F: Space) -> PointMap:
         yield Pair(Multiset.from_counts(left), Multiset.from_counts(right))
 
     pre = lambda b: 2 * b  # as contr's: the two halves of an output are bounded apart
-    return pm_memo(PointMap(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), fn, "seely2_inv", pre))
+    return pm_memo(PointMap.pointwise(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), fn, "seely2_inv", pre))
 
 
 def m0(kind: str) -> PointMap:
     """Nullary monoidality 1 → !1, * ↦ k·[*] for every k ≥ 0, cut at its bound."""
 
-    def fn(a):
-        for k in range(BOUND.get() + 1):
-            yield Multiset.from_counts([(STAR, k)] if k else [])
+    def at(bound):
+        image = tuple(Multiset.from_counts([(STAR, k)] if k else []) for k in range(bound + 1))
+        return lambda a: image
 
-    return PointMap(one(kind), Bang(one(kind)), fn, "m0")
+    return PointMap(one(kind), Bang(one(kind)), at, "m0")
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +156,7 @@ def m2(E: Space, F: Space) -> PointMap:
                 seen.add(out)
                 yield out
 
-    return pm_memo(PointMap(Tensor(Bang(E), Bang(F)), Bang(Tensor(E, F)), fn, "m2"))
+    return pm_memo(PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(Tensor(E, F)), fn, "m2"))
 
 
 def _distinct_pairings(xs, ys):

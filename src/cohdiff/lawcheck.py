@@ -167,33 +167,33 @@ def _pw(E0: Space, E1: Space, i: int) -> PointMap:
         if a.index == i:
             yield a.inner
 
-    return PointMap(With(E0, E1), E0 if i == 0 else E1, fn, f"pw{i}")
+    return PointMap.pointwise(With(E0, E1), E0 if i == 0 else E1, fn, f"pw{i}")
 
 
 def _sym(E: Space, F: Space) -> PointMap:
-    return PointMap(Tensor(E, F), Tensor(F, E), lambda a: (Pair(a.right, a.left),), "sym")
+    return PointMap.pointwise(Tensor(E, F), Tensor(F, E), lambda a: (Pair(a.right, a.left),), "sym")
 
 
 def _assoc(E: Space, F: Space, G: Space) -> PointMap:
     def fn(a):
         yield Pair(a.left.left, Pair(a.left.right, a.right))
 
-    return PointMap(Tensor(Tensor(E, F), G), Tensor(E, Tensor(F, G)), fn, "assoc")
+    return PointMap.pointwise(Tensor(Tensor(E, F), G), Tensor(E, Tensor(F, G)), fn, "assoc")
 
 
 def _assoc_inv(E: Space, F: Space, G: Space) -> PointMap:
     def fn(a):
         yield Pair(Pair(a.left, a.right.left), a.right.right)
 
-    return PointMap(Tensor(E, Tensor(F, G)), Tensor(Tensor(E, F), G), fn, "assoc_inv")
+    return PointMap.pointwise(Tensor(E, Tensor(F, G)), Tensor(Tensor(E, F), G), fn, "assoc_inv")
 
 
 def _lunit(E: Space, kind: str) -> PointMap:
-    return PointMap(Tensor(one(kind), E), E, lambda a: (a.right,), "lunit")
+    return PointMap.pointwise(Tensor(one(kind), E), E, lambda a: (a.right,), "lunit")
 
 
 def _to_top(E: Space) -> PointMap:
-    return PointMap(E, top(E.kind), lambda a: (), "0")
+    return PointMap.pointwise(E, top(E.kind), lambda a: (), "0")
 
 
 def _diag(E: Space) -> PointMap:
@@ -206,7 +206,7 @@ def _sym23(A, B, C, D) -> PointMap:
     def fn(a):
         yield Pair(Pair(a.left.left, a.right.left), Pair(a.left.right, a.right.right))
 
-    return PointMap(
+    return PointMap.pointwise(
         Tensor(Tensor(A, B), Tensor(C, D)), Tensor(Tensor(A, C), Tensor(B, D)), fn, "sym23"
     )
 
@@ -695,11 +695,11 @@ def chk_sfun_iso(ctx, rng):
     fpm = pm_from_rel(E, F, f, "f")
     fwdF, _ = canonical_iso(F)
 
-    def homf(a):
-        for b in fpm.fn(a.right):
-            yield Pair(a.left, b)
+    def homf_at(bound):
+        f_at = fpm.at(bound)
+        return lambda a: (Pair(a.left, b) for b in f_at(a.right))
 
-    hom_map = PointMap(fwd.tgt, fwdF.tgt, homf, "I-of")
+    hom_map = PointMap(fwd.tgt, fwdF.tgt, homf_at, "I-of")
     return run_diagram(
         pm_compose(hom_map, fwd), pm_compose(fwdF, pm_sfun(fpm)), ctx.budget
     )

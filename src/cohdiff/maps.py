@@ -7,13 +7,21 @@ diagram checks compose maps exactly: a composite is evaluated point by
 point, each intermediate atom cut at the bound its successor declares,
 and only the final image is filtered back to the user's budget.
 
-A PointMap is src space, tgt space, fn: atom -> iterable of atoms, and
-pre: every input whose image holds an atom within degree b is within pre(b).
+A PointMap is src space, tgt space, at: bound -> (atom -> iterable of
+atoms), and pre: every input whose image holds an atom within degree b
+is within pre(b).  Its image at bound b holds every atom within b; maps
+whose image is infinite (dig's empty parts, m0's powers of *, ∂̄'s
+powers of the value point) cut it there.
+
+Evaluation is staged.  ``materialize`` calls ``at`` once, with the
+budget's degree; the combinators pass each part its own bound (f runs
+at g.pre(b) under g ∘ f), so every ``pre`` and every per-bound table is
+fixed once per diagram side.  What runs per source atom is only the
+function ``at`` returned.
 """
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -21,58 +29,75 @@ from .web_core import Atom, Budget, Multiset, Pair, Rel, Tag, degree, within_bud
 from .spaces import Bang, SFun, Space, Tensor, With, contains, enumerate_web, mset_width
 
 
-# The bound a point map runs under: its image holds every atom within it.
-# ``materialize`` sets it to the budget's degree, and ``pm_compose`` runs f
-# under g.pre of it.  Maps whose image is infinite (dig's empty parts, m0's
-# powers of *, ∂̄'s powers of the value point) cut their image at it.  It
-# has no value outside ``materialize``: point maps are only evaluated there.
-BOUND: contextvars.ContextVar = contextvars.ContextVar("pointmap_bound")
-
-
 @dataclass(frozen=True)
 class PointMap:
     src: Space
     tgt: Space
-    fn: Callable[[Atom], Iterable[Atom]]
+    at: Callable[[int], Callable[[Atom], Iterable[Atom]]]
     label: str = ""
     pre: Callable[[int], int] = lambda b: b  # right for every map that never lowers degree
 
+    @classmethod
+    def pointwise(cls, src: Space, tgt: Space, fn: Callable[[Atom], Iterable[Atom]], *rest) -> "PointMap":
+        """A map whose image does not depend on the bound: fn at every bound (rest: label, pre)."""
+        return cls(src, tgt, lambda bound: fn, *rest)
+
     def materialize(self, budget: Budget) -> Rel:
-        """Pairs (a, b) with both sides within the degree budget, run under its degree."""
-        token = BOUND.set(budget.max_degree)
-        try:
-            pairs = set()
-            for a in enumerate_web(self.src, budget):
-                for b in self.fn(a):
-                    if within_budget(b, budget.max_degree):
-                        pairs.add((a, b))
-        finally:
-            BOUND.reset(token)
+        """Pairs (a, b) with both sides within the degree budget.
+
+        ``at`` runs once, at the budget's degree: it fixes every bound,
+        ``pre`` and per-bound table of the map.  The loop over the source
+        web then runs only the function it returns.
+        """
+        fn = self.at(budget.max_degree)
+        pairs = set()
+        for a in enumerate_web(self.src, budget):
+            for b in fn(a):
+                if within_budget(b, budget.max_degree):
+                    pairs.add((a, b))
         return Rel(frozenset(pairs), self.label, "")
 
 
 def pm_memo(pm: PointMap) -> PointMap:
-    """Cache a point map's images per (atom, bound).
+    """Cache a point map's images per atom.
 
+    ``pm.at`` runs once per bound.  Each function it returns gets one
+    table keyed by the atom alone, so a map that ignores the bound keeps
+    one table, and one whose image depends on it keeps one per bound.
     Worth it for maps whose factories are themselves cached per space:
     random generators repeat small spaces constantly, so the per-atom
     work amortizes across trials.
     """
+    by_bound: dict = {}  # bound -> memoized function
+    by_fn: dict = {}  # function pm.at returned -> memoized function
+
+    def at(bound):
+        memo = by_bound.get(bound)
+        if memo is None:
+            fn = pm.at(bound)
+            memo = by_fn.get(fn)
+            if memo is None:
+                memo = by_fn[fn] = _memoized(fn)
+            by_bound[bound] = memo
+        return memo
+
+    return PointMap(pm.src, pm.tgt, at, pm.label, pm.pre)
+
+
+def _memoized(fn):
     cache: dict = {}
 
-    def fn(a):
-        key = (a, BOUND.get())
-        out = cache.get(key)
+    def memo(a):
+        out = cache.get(a)
         if out is None:
-            out = tuple(pm.fn(a))
-            cache[key] = out
+            out = cache[a] = tuple(fn(a))
         return out
 
-    return PointMap(pm.src, pm.tgt, fn, pm.label, pm.pre)
+    return memo
 
 
 def pm_id(E: Space, label: str = "id") -> PointMap:
-    return PointMap(E, E, lambda a: (a,), label)
+    return PointMap.pointwise(E, E, lambda a: (a,), label)
 
 
 def pm_from_rel(E: Space, F: Space, rel: Rel, label: str = "") -> PointMap:
@@ -80,57 +105,74 @@ def pm_from_rel(E: Space, F: Space, rel: Rel, label: str = "") -> PointMap:
     index: dict = {}
     for a, b in rel.pairs:
         index.setdefault(a, []).append(b)
+    index = {a: tuple(bs) for a, bs in index.items()}
     top = max(map(degree, index), default=0)
-    return PointMap(E, F, lambda a: tuple(index.get(a, ())), label or rel.src_label, lambda b: top)
+    return PointMap.pointwise(E, F, lambda a: index.get(a, ()), label or rel.src_label, lambda b: top)
 
 
 def pm_compose(g: PointMap, f: PointMap, label: str = "") -> PointMap:
-    """g after f: f runs under g.pre of the bound, and its images above that are skipped."""
+    """g after f: f runs at g.pre of the bound, and its images above that are skipped."""
 
-    def fn(a):
-        bound = g.pre(BOUND.get())
-        token = BOUND.set(bound)
-        try:
-            mids = [b for b in f.fn(a) if within_budget(b, bound)]
-        finally:
-            BOUND.reset(token)
-        for b in mids:
-            yield from g.fn(b)
+    def at(bound):
+        mid = g.pre(bound)
+        f_at, g_at = f.at(mid), g.at(bound)
 
-    return PointMap(f.src, g.tgt, fn, label or f"{g.label}∘{f.label}", lambda b: f.pre(g.pre(b)))
+        def fn(a):
+            for b in f_at(a):
+                if within_budget(b, mid):
+                    yield from g_at(b)
+
+        return fn
+
+    return PointMap(f.src, g.tgt, at, label or f"{g.label}∘{f.label}", lambda b: f.pre(g.pre(b)))
 
 
 def pm_tensor(f: PointMap, g: PointMap, label: str = "") -> PointMap:
-    def fn(a):
-        for b in f.fn(a.left):
-            for c in g.fn(a.right):
-                yield Pair(b, c)
+    def at(bound):
+        f_at, g_at = f.at(bound), g.at(bound)
+
+        def fn(a):
+            for b in f_at(a.left):
+                for c in g_at(a.right):
+                    yield Pair(b, c)
+
+        return fn
 
     pre = lambda b: max(f.pre(b), g.pre(b))  # within_budget bounds each component
-    return PointMap(Tensor(f.src, g.src), Tensor(f.tgt, g.tgt), fn, label or f"{f.label}⊗{g.label}", pre)
+    return PointMap(Tensor(f.src, g.src), Tensor(f.tgt, g.tgt), at, label or f"{f.label}⊗{g.label}", pre)
 
 
 def pm_pair(f: PointMap, g: PointMap, label: str = "") -> PointMap:
     """The pairing ⟨f, g⟩ into a & product (shared source)."""
 
-    def fn(a):
-        for b in f.fn(a):
-            yield Tag(0, b)
-        for c in g.fn(a):
-            yield Tag(1, c)
+    def at(bound):
+        f_at, g_at = f.at(bound), g.at(bound)
+
+        def fn(a):
+            for b in f_at(a):
+                yield Tag(0, b)
+            for c in g_at(a):
+                yield Tag(1, c)
+
+        return fn
 
     pre = lambda b: max(f.pre(b), g.pre(b))
-    return PointMap(f.src, With(f.tgt, g.tgt), fn, label or f"⟨{f.label},{g.label}⟩", pre)
+    return PointMap(f.src, With(f.tgt, g.tgt), at, label or f"⟨{f.label},{g.label}⟩", pre)
 
 
 def pm_sfun(f: PointMap, label: str = "") -> PointMap:
     """S f: act under the summability tag."""
 
-    def fn(a):
-        for b in f.fn(a.inner):
-            yield Tag(a.index, b)
+    def at(bound):
+        f_at = f.at(bound)
 
-    return PointMap(SFun(f.src), SFun(f.tgt), fn, label or f"S{f.label}", f.pre)
+        def fn(a):
+            for b in f_at(a.inner):
+                yield Tag(a.index, b)
+
+        return fn
+
+    return PointMap(SFun(f.src), SFun(f.tgt), at, label or f"S{f.label}", f.pre)
 
 
 def _sub_multisets(m: Multiset):
@@ -150,49 +192,54 @@ def _sub_multisets(m: Multiset):
 def pm_bang(f: PointMap, label: str = "") -> PointMap:
     """!f : send a multiset to every multiset of pointwise images.
 
-    f runs under the bound of !f, and pointwise images are pruned where
+    f runs at the bound of !f, and pointwise images are pruned where
     the accumulated degree of the output passes it, which keeps products
-    of decomposition maps (dig, m0) finite and fast.
+    of decomposition maps (dig, m0) finite and fast.  The pointwise
+    images are cached per bound, keyed by the atom.
     """
     tgt = Bang(f.tgt)
-    img_cache: dict = {}
+    img_caches: dict = {}  # bound -> atom -> its images under f, sorted by degree
 
-    def fn(a):
-        bound = BOUND.get()
-        items = list(a)
-        base = len(items)
-        images = []
-        for x in items:
-            opts = img_cache.get((x, bound))
-            if opts is None:
-                opts = sorted(set(f.fn(x)), key=degree)
-                img_cache[(x, bound)] = opts
-            if not opts:
-                return
-            images.append(opts)
+    def at(bound):
+        f_at = f.at(bound)
+        img_cache = img_caches.setdefault(bound, {})
 
-        dedup = set()
+        def fn(a):
+            items = list(a)
+            base = len(items)
+            images = []
+            for x in items:
+                opts = img_cache.get(x)
+                if opts is None:
+                    opts = img_cache[x] = sorted(set(f_at(x)), key=degree)
+                if not opts:
+                    return
+                images.append(opts)
 
-        def rec(i, acc, deg):
-            if deg > bound:
-                return
-            if i == len(items):
-                dedup.add(Multiset.of(acc))
-                return
-            for b in images[i]:
-                d2 = deg + degree(b)
-                if d2 > bound:
-                    break
-                acc.append(b)
-                rec(i + 1, acc, d2)
-                acc.pop()
+            dedup = set()
 
-        rec(0, [], base)
-        yield from (m for m in dedup if contains(tgt, m))
+            def rec(i, acc, deg):
+                if deg > bound:
+                    return
+                if i == len(items):
+                    dedup.add(Multiset.of(acc))
+                    return
+                for b in images[i]:
+                    d2 = deg + degree(b)
+                    if d2 > bound:
+                        break
+                    acc.append(b)
+                    rec(i + 1, acc, d2)
+                    acc.pop()
+
+            rec(0, [], base)
+            yield from (m for m in dedup if contains(tgt, m))
+
+        return fn
 
     # [x1..xn] ↦ [y1..yn] within b: n + Σ deg yi ≤ b, deg xi ≤ k·f.pre(deg yi) ≤ k·(deg yi + slack),
     # so the input's degree n + Σ deg xi is at most max(k·b, b + k·b·slack).
     k = mset_width(f.src)
     slack = lambda b: max(f.pre(d) - d for d in range(b + 1))
     pre = lambda b: max(k * b, b + k * b * slack(b))
-    return PointMap(Bang(f.src), tgt, fn, label or f"!{f.label}", pre)
+    return PointMap(Bang(f.src), tgt, at, label or f"!{f.label}", pre)

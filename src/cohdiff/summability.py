@@ -32,7 +32,7 @@ def proj(E: Space, i: int) -> PointMap:
         if a.index == i:
             yield a.inner
 
-    return PointMap(SFun(E), E, fn, f"proj{i}")
+    return PointMap.pointwise(SFun(E), E, fn, f"proj{i}")
 
 
 def sigma(E: Space) -> PointMap:
@@ -41,7 +41,7 @@ def sigma(E: Space) -> PointMap:
     def fn(a):
         yield a.inner
 
-    return PointMap(SFun(E), E, fn, "sigma")
+    return PointMap.pointwise(SFun(E), E, fn, "sigma")
 
 
 def inj(E: Space, i: int) -> PointMap:
@@ -50,7 +50,7 @@ def inj(E: Space, i: int) -> PointMap:
     def fn(a):
         yield Tag(i, a)
 
-    return PointMap(E, SFun(E), fn, f"inj{i}")
+    return PointMap.pointwise(E, SFun(E), fn, f"inj{i}")
 
 
 def flip(E: Space) -> PointMap:
@@ -59,7 +59,7 @@ def flip(E: Space) -> PointMap:
     def fn(a):
         yield Tag(a.inner.index, Tag(a.index, a.inner.inner))
 
-    return PointMap(SFun(SFun(E)), SFun(SFun(E)), fn, "flip")
+    return PointMap.pointwise(SFun(SFun(E)), SFun(SFun(E)), fn, "flip")
 
 
 def theta(E: Space) -> PointMap:
@@ -70,7 +70,7 @@ def theta(E: Space) -> PointMap:
         if (i, j) != (1, 1):
             yield Tag(i | j, a.inner.inner)
 
-    return PointMap(SFun(SFun(E)), SFun(E), fn, "theta")
+    return PointMap.pointwise(SFun(SFun(E)), SFun(E), fn, "theta")
 
 
 def strength(E: Space, F: Space) -> PointMap:
@@ -79,7 +79,7 @@ def strength(E: Space, F: Space) -> PointMap:
     def fn(a):
         yield Tag(a.right.index, Pair(a.left, a.right.inner))
 
-    return PointMap(Tensor(E, SFun(F)), SFun(Tensor(E, F)), fn, "strength")
+    return PointMap.pointwise(Tensor(E, SFun(F)), SFun(Tensor(E, F)), fn, "strength")
 
 
 def strength_sym(E: Space, F: Space) -> PointMap:
@@ -88,7 +88,7 @@ def strength_sym(E: Space, F: Space) -> PointMap:
     def fn(a):
         yield Tag(a.left.index, Pair(a.left.inner, a.right))
 
-    return PointMap(Tensor(SFun(E), F), SFun(Tensor(E, F)), fn, "strength_sym")
+    return PointMap.pointwise(Tensor(SFun(E), F), SFun(Tensor(E, F)), fn, "strength_sym")
 
 
 def smont(E: Space, F: Space) -> PointMap:
@@ -99,7 +99,7 @@ def smont(E: Space, F: Space) -> PointMap:
         if i + j <= 1:
             yield Tag(i + j, Pair(a.left.inner, a.right.inner))
 
-    return PointMap(Tensor(SFun(E), SFun(F)), SFun(Tensor(E, F)), fn, "smont")
+    return PointMap.pointwise(Tensor(SFun(E), SFun(F)), SFun(Tensor(E, F)), fn, "smont")
 
 
 def sfun_morphism(E: Space, F: Space, s: Rel) -> Rel:
@@ -187,6 +187,6 @@ def canonical_iso(E: Space) -> tuple[PointMap, PointMap]:
         yield Tag(p.left.index, p.right)
 
     return (
-        PointMap(SFun(E), hom, fwd, "S≅hom"),
-        PointMap(hom, SFun(E), bwd, "hom≅S"),
+        PointMap.pointwise(SFun(E), hom, fwd, "S≅hom"),
+        PointMap.pointwise(hom, SFun(E), bwd, "hom≅S"),
     )

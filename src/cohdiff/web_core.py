@@ -284,9 +284,6 @@ class Rel:
     def of(pairs: Iterable, src_label: str = "", tgt_label: str = "") -> "Rel":
         return Rel(frozenset(tuple(p) for p in pairs), src_label, tgt_label)
 
-    def image(self, a: Atom) -> frozenset:
-        return frozenset(b for (x, b) in self.pairs if x == a)
-
     def codomain(self) -> frozenset:
         return frozenset(b for _, b in self.pairs)
 

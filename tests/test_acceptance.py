@@ -53,15 +53,20 @@ def test_criterion_1_law_suite_green_and_mutation_sensitive():
     def mutant(E):
         base = dpartial(E)
 
-        def fn(x):
-            skipped = False
-            for y in sorted(set(base.fn(x)), key=repr):
-                if not skipped and isinstance(y, Tag) and y.index == 1:
-                    skipped = True
-                    continue
-                yield y
+        def at(bound):
+            base_at = base.at(bound)
 
-        return PointMap(base.src, base.tgt, fn, "mutant")
+            def fn(x):
+                skipped = False
+                for y in sorted(set(base_at(x)), key=repr):
+                    if not skipped and isinstance(y, Tag) and y.index == 1:
+                        skipped = True
+                        continue
+                    yield y
+
+            return fn
+
+        return PointMap(base.src, base.tgt, at, "mutant")
 
     mut = run_check(
         "d-chain-der", MapCtx("coh", BUD, {"dpartial": mutant}), seed=0, trials=50

@@ -2,6 +2,7 @@
 
 import random
 
+from cohdiff import differential
 from cohdiff.differential import (
     dbar,
     dhat,
@@ -93,6 +94,22 @@ def test_dpartial_agrees_with_dbar_route():
             lhs = dpartial(E).materialize(BUD)
             rhs = dpartial_via_dbar(E).materialize(BUD)
             assert lhs.pairs == rhs.pairs, kind
+
+
+def test_dbar_is_built_once_per_bound(monkeypatch):
+    """∂̄'s relation is built once for each bound it is fixed at, not once per atom."""
+    built = []
+
+    def counted(kind, max_degree):
+        built.append(max_degree)
+        return dbar(kind, max_degree)
+
+    monkeypatch.setattr(differential, "dbar", counted)
+    E = BaseSpace("coh", (a, b), name="E")
+    via = dpartial_via_dbar(E)
+    for budget in (BUD, BUD, Budget(2)):
+        assert via.materialize(budget).pairs == dpartial(E).materialize(budget).pairs
+    assert built == [3, 2]
 
 
 def test_dhat_linear_morphism():

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from cohdiff import differential, lawcheck, maps
+from cohdiff import differential, lawcheck
 from cohdiff.differential import dpartial
 from cohdiff.lawcheck import (
     REGISTRY,
@@ -100,16 +100,21 @@ def _mutant_dpartial(E):
     """∂ with one pair silently dropped: the least increment pair."""
     base = dpartial(E)
 
-    def fn(x):
-        outs = sorted(set(base.fn(x)), key=repr)
-        skipped = False
-        for y in outs:
-            if not skipped and isinstance(y, Tag) and y.index == 1:
-                skipped = True
-                continue
-            yield y
+    def at(bound):
+        base_at = base.at(bound)
 
-    return PointMap(base.src, base.tgt, fn, "mutant")
+        def fn(x):
+            outs = sorted(set(base_at(x)), key=repr)
+            skipped = False
+            for y in outs:
+                if not skipped and isinstance(y, Tag) and y.index == 1:
+                    skipped = True
+                    continue
+                yield y
+
+        return fn
+
+    return PointMap(base.src, base.tgt, at, "mutant")
 
 
 def test_mutated_dpartial_fails_chain_law_with_witness():
@@ -157,27 +162,28 @@ def test_instances_count_distinct_space_draws():
 def _uniform_compose(g, f, label=""):
     """g after f with one bound for every map: the oracle ignores ``pre``."""
 
-    def fn(a):
-        bound = maps.BOUND.get()
-        for b in f.fn(a):
-            if within_budget(b, bound):
-                yield from g.fn(b)
+    def at(bound):
+        f_at, g_at = f.at(bound), g.at(bound)
 
-    return PointMap(f.src, g.tgt, fn, label)
+        def fn(a):
+            for b in f_at(a):
+                if within_budget(b, bound):
+                    yield from g_at(b)
+
+        return fn
+
+    return PointMap(f.src, g.tgt, at, label)
 
 
 def _graph_under(pm, budget, bound):
-    """pm's pairs on the budget's window, pm run under ``bound``."""
-    token = maps.BOUND.set(bound)
-    try:
-        return frozenset(
-            (a, b)
-            for a in enumerate_web(pm.src, budget)
-            for b in pm.fn(a)
-            if within_budget(b, budget.max_degree)
-        )
-    finally:
-        maps.BOUND.reset(token)
+    """pm's pairs on the budget's window, pm fixed at ``bound``."""
+    fn = pm.at(bound)
+    return frozenset(
+        (a, b)
+        for a in enumerate_web(pm.src, budget)
+        for b in fn(a)
+        if within_budget(b, budget.max_degree)
+    )
 
 
 def _law_sides(monkeypatch, name, kind, budget, trials, compose):
@@ -275,9 +281,11 @@ def test_freed_override_does_not_reuse_cached_verdict():
         base = dpartial(E)
         if not isinstance(E, With):
             return base
-        return PointMap(
-            base.src, base.tgt, lambda x: (y for y in base.fn(x) if y.index == 0), "mutant"
-        )
+        def at(bound):
+            base_at = base.at(bound)
+            return lambda x: (y for y in base_at(x) if y.index == 0)
+
+        return PointMap(base.src, base.tgt, at, "mutant")
 
     res = run_check("d-with-2", MapCtx("coh", BUD, {"dpartial": mutant}), seed=0, trials=3)
     assert not res.ok and res.witness

@@ -1,4 +1,4 @@
-"""Every name a module of the package or of its tests imports is read somewhere in it."""
+"""Every name a module of the package, its tests or its scripts imports is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # the package's __init__.py imports in order to re-export
 MODULES = sorted(
     str(p.relative_to(ROOT))
-    for p in [*(ROOT / "src" / "cohdiff").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for d in (ROOT / "src" / "cohdiff", ROOT / "tests", ROOT / "scripts")
+    for p in d.glob("*.py")
     if p.name != "__init__.py"
 )
 
