@@ -2,6 +2,9 @@
 
 import gc
 import os
+import subprocess
+import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -26,6 +29,7 @@ from cohdiff.denot import SemEnv, interp_closed
 from cohdiff.web_core import Budget, atom_to_text
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def ty(s):
@@ -310,6 +314,126 @@ def test_only_depth_independent_failures_are_stored(monkeypatch, error, stored):
     else:
         assert cal._ty(m, {}, memo) == Nat(0)
     assert typecheck(parse(s)) == Nat(0)
+
+
+# -- normal forms are shared across calls, exactly and within a bound -------
+
+
+FUELS = (1, 2, 3, 5, 8, 13, 40)
+
+
+def corpus_trajectories(count=400):
+    """Each term of make_corpus(0, count) with its reducts."""
+    return [[m, *reducts(m)] for m, _ in make_corpus(seed=0, count=count)]
+
+
+def nf_outcome(m, fuel):
+    """normalize's normal form for m within fuel, or the text of its FuelExhausted."""
+    try:
+        return normalize(m, fuel=fuel)
+    except FuelExhausted as e:
+        return str(e)
+
+
+def keep_table_empty(monkeypatch):
+    """Disable the normal-form table: a cap of 0 evicts every entry on storing it."""
+    monkeypatch.setattr(cal, "_NF", {})
+    monkeypatch.setattr(cal, "_NF_CAP", 0)
+
+
+def test_normal_form_table_is_fuel_exact(monkeypatch):
+    """Oracle: a hit changes no normal form and no FuelExhausted message, at any fuel."""
+    trajectories = corpus_trajectories()
+    cases = [(r, fuel) for path in trajectories for r in path for fuel in FUELS]
+    with monkeypatch.context() as mp:
+        keep_table_empty(mp)
+        want = [nf_outcome(r, fuel) for r, fuel in cases]
+    monkeypatch.setattr(cal, "_NF", {})
+    got, stored_beyond_fuel = [], 0
+    for path in trajectories:
+        nf_outcome(path[0], 100)  # warm: stores the trajectory when it ends within 100 steps
+        for r in path:
+            for fuel in FUELS:
+                hit = cal._NF.get((r, frozenset()))
+                stored_beyond_fuel += hit is not None and hit[1] + 1 > fuel
+                got.append(nf_outcome(r, fuel))
+    assert [i for i, (a, b) in enumerate(zip(want, got)) if a != b] == []
+    assert len(cases) > 20_000
+    assert stored_beyond_fuel > 1_000  # cases where only the fuel rule keeps a hit out
+
+
+def test_walk_that_absorbs_a_recursion_error_stores_nothing(monkeypatch):
+    """A walk whose step absorbed a RecursionError may step otherwise at another stack depth."""
+    s = "pi0 (iota0 1) + pi1 ((\\x:D nat. x) (iota0 1))"  # typed by normalizing its summands
+    m = parse(f"pi1 (iota0 ({s}))")  # steps to a zero annotated with the sum's type
+    walk = cal.normalize  # the real one: only the nested calls below meet the patch
+    monkeypatch.setattr(cal, "_NF", {})
+
+    def failing(*args, **kwargs):
+        raise RecursionError
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cal, "normalize", failing)
+        assert walk(m) == cal.Zero(None)
+    assert cal._NF == {}
+    assert normalize(m) == cal.Zero(Nat(0))
+    assert cal._NF[m, frozenset()] == (cal.Zero(Nat(0)), 1)
+
+
+def test_memo_agrees_with_unmemoized_typing_with_the_table_empty(monkeypatch):
+    """The memo oracle holds with the normal-form table disabled, and the table changes no outcome."""
+    terms = [r for path in corpus_trajectories() for r in path]
+    with_table = [outcome(r) for r in terms]
+    keep_table_empty(monkeypatch)
+    assert [outcome(r) for r in terms] == with_table
+    test_memo_agrees_with_unmemoized_typing(monkeypatch)
+
+
+def test_normal_form_table_stays_bounded(monkeypatch):
+    """Two typing passes over the corpus reducts: the table stays within its cap, memory stays flat."""
+    terms = [r for path in corpus_trajectories() for r in path]
+    monkeypatch.setattr(cal, "_NF", {})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traced = [tracemalloc.get_traced_memory()[0]]
+        for _ in range(2):
+            for r in terms:
+                outcome(r)
+                assert len(cal._NF) <= cal._NF_CAP
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert len(cal._NF) == cal._NF_CAP
+    before, first, second = traced
+    assert first - before <= 1_000_000  # the full table
+    assert second - first <= 50_000
+
+
+CORPUS_NF_SCRIPT = """
+from cohdiff.calculus import step, to_text, ty_to_text, typecheck
+from cohdiff.corpus import make_corpus
+
+for i, (m, _) in enumerate(make_corpus(seed=0, count=200)):
+    for _ in range(60):
+        n = step(m)
+        if n is None:
+            break
+        m = n
+        typecheck(m)
+    print(f"{i}\\t{to_text(m)}\\t{ty_to_text(typecheck(m))}")
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "12345"])
+def test_corpus_normal_forms_do_not_depend_on_hashing(hash_seed):
+    """Reduce and type every reduct, as the corpus benchmark does; the table's eviction order may not reach an output."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+    cmd = [sys.executable, "-c", CORPUS_NF_SCRIPT]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+    with open(os.path.join(GOLDEN, "corpus-nf-0-200.txt")) as fh:
+        assert out == fh.read()
 
 
 def test_types_print_in_the_input_syntax():
