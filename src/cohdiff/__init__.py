@@ -56,21 +56,12 @@ from .spaces import (
     top,
 )
 from .maps import PointMap, pm_bang, pm_compose, pm_from_rel, pm_id
-from .exponential import (
-    bang_morphism,
-    contr,
-    der,
-    dig,
-    kleisli_compose,
-    promotion,
-    weak,
-)
+from .exponential import contr, der, dig, weak
 from .summability import (
     NotSummable,
     canonical_iso,
     msum,
     nary_summable,
-    sfun_morphism,
     summable,
     witness,
 )

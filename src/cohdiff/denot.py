@@ -8,9 +8,13 @@ at a chosen bound; multiset degree is truncated by a budget.  Fixpoints
 are computed by Kleene iteration, which converges on these finite
 truncations.
 
-The interpretation of D inserts a summability tag at the codomain leaf
-of the type, matching D(A ⇒ B) = A ⇒ DB, and acts on the graph of a
-function atom by tagging its input multiset with at most one increment.
+D is interpreted as the Kleisli derivative D̂s = (S s) ∘ ∂ of the
+function's graph, through ``differential.dhat_graph``: the route
+``derive`` takes, over the ∂ whose laws the registry checks.  Its
+summability tags then move to the codomain leaves of the types through
+the iso S(!E ⊸ F) ≅ !E ⊸ SF, matching D(A ⇒ B) = DA ⇒ DB.  The tag
+operators are the summability maps π_i, ι_i, θ and c, applied at the
+codomain leaf where their tag layers sit.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ import itertools
 from dataclasses import dataclass
 
 from . import calculus as cal
+from .differential import dhat_graph
+from .maps import PointMap
 from .spaces import Bang, Limpl, SFun, Space, BaseSpace, With, contains, enumerate_web, top
+from .summability import flip, inj, proj, theta
 from .web_core import Atom, Base, Budget, Multiset, Pair, Tag, within_budget
 
 
@@ -94,25 +101,19 @@ def descend(a: Atom, d: int, t: cal.Ty):
     return (lambda x, _a=a, _z=z: Tag(_a.index, _z(x))), core
 
 
-def _apply_op(op: str, index: int | None, d: int, t: cal.Ty, a: Atom):
-    """Apply a tag operator at depth d to a codomain atom of type t.
+def _tag_map(m: cal.Term, t: cal.Ty, sem: SemEnv) -> PointMap:
+    """The summability map a tag operator denotes, on the S-layers it acts on.
 
-    t is the type of the operator's *argument*.  Yields 0 or 1 atoms.
+    t is the type of the operator's argument; its codomain leaf holds
+    the layers, the map's source being those below depth ``m.depth``.
     """
-    z, core = descend(a, d, t)
-    if op == "proj":
-        if core.index == index:
-            yield z(core.inner)
-    elif op == "inj":
-        yield z(Tag(index, core))
-    elif op == "sigma":
-        i, j = core.index, core.inner.index
-        if (i, j) != (1, 1):
-            yield z(Tag(i | j, core.inner.inner))
-    elif op == "c":
-        yield z(Tag(core.inner.index, Tag(core.index, core.inner.inner)))
-    else:
-        raise ValueError(op)
+    depth = cal.nat_depth(t) - m.depth
+    if isinstance(m, cal.Proj):
+        return proj(interp_type(cal.Nat(depth - 1), sem), m.index)
+    if isinstance(m, cal.Inj):
+        return inj(interp_type(cal.Nat(depth), sem), m.index)
+    X = interp_type(cal.Nat(depth - 2), sem)
+    return theta(X) if isinstance(m, cal.SigmaT) else flip(X)
 
 
 # -- term interpretation ----------------------------------------------------
@@ -120,8 +121,7 @@ def _apply_op(op: str, index: int | None, d: int, t: cal.Ty, a: Atom):
 
 def interp_term(m: cal.Term, ctx: list, sem: SemEnv) -> frozenset:
     """The graph of ⟦Γ ⊢ M⟧ as a set of (context multiset, atom) pairs."""
-    kind, budget = sem.kind, sem.budget
-    C = ctx_space(ctx, sem)
+    budget = sem.budget
     tyenv = dict(ctx)
 
     if isinstance(m, cal.Var):
@@ -171,39 +171,46 @@ def interp_term(m: cal.Term, ctx: list, sem: SemEnv) -> frozenset:
     if isinstance(m, cal.App):
         frel = interp_term(m.fun, ctx, sem)
         arel = interp_term(m.arg, ctx, sem)
-        return _sem_app(frel, arel, C, sem)
+        return _sem_app(frel, arel, ctx_space(ctx, sem), sem)
 
     if isinstance(m, cal.If0):
         crel = interp_term(m.cond, ctx, sem)
         trel = interp_term(m.then, ctx, sem)
         orel = interp_term(m.other, ctx, sem)
+        C = ctx_space(ctx, sem)
         out = set()
         for m0, v in crel:
             branch = trel if v == nat_atom(0) else orel
             for m1, b in branch:
-                tot = _merge_ctx(m0, m1, C, sem)
+                tot = _merge_ctx((m0, m1), C, sem)
                 if tot is not None:
                     out.add((tot, b))
         return frozenset(out)
 
     if isinstance(m, (cal.Proj, cal.Inj, cal.SigmaT, cal.CTerm)):
         arg_ty = cal.typecheck(m.body, tyenv)
-        op = {cal.Proj: "proj", cal.Inj: "inj", cal.SigmaT: "sigma", cal.CTerm: "c"}[type(m)]
-        index = getattr(m, "index", None)
-        inner = interp_term(m.body, ctx, sem)
+        fn = _tag_map(m, arg_ty, sem).at(budget.max_degree)
         out = set()
-        for mm, b in inner:
-            for b2 in _apply_op(op, index, m.depth, arg_ty, b):
-                out.add((mm, b2))
+        for mm, b in interp_term(m.body, ctx, sem):
+            z, core = descend(b, m.depth, arg_ty)
+            for c in fn(core):
+                out.add((mm, z(c)))
         return frozenset(out)
 
     if isinstance(m, cal.DTerm):
         fty = cal.typecheck(m.body, tyenv)
-        inner = interp_term(m.body, ctx, sem)
-        return _sem_d(inner, fty, sem)
+        A, E = fty.src, interp_type(fty.src, sem)
+        out = set()
+        for mm, fa in interp_term(m.body, ctx, sem):
+            for dm, db in dhat_graph(E, [(fa.left, fa.right)], budget.max_degree):
+                if isinstance(A, cal.Arrow):  # S⟦A⟧ ≅ ⟦DA⟧ moves each tag to A's codomain leaf
+                    dm = Multiset.from_counts((add_s(A, x.index, x.inner), k) for x, k in dm.entries)
+                out.add((mm, Pair(dm, add_s(fty.tgt, db.index, db.inner))))
+        return frozenset(out)
 
     if isinstance(m, cal.Fix):
         frel = interp_term(m.body, ctx, sem)
+        C = ctx_space(ctx, sem)
         cur: frozenset = frozenset()
         while True:
             nxt = cur | _sem_app(frel, cur, C, sem)
@@ -214,8 +221,9 @@ def interp_term(m: cal.Term, ctx: list, sem: SemEnv) -> frozenset:
     raise TypeError(f"no interpretation clause for {m!r}")
 
 
-def _merge_ctx(m0: Multiset, m1: Multiset, C: Space, sem: SemEnv):
-    tot = m0 + m1
+def _merge_ctx(parts, C: Space, sem: SemEnv):
+    """The sum of the context multisets ``parts``, or None outside the budget or the web of !C."""
+    tot = sum(parts[1:], parts[0])
     if not within_budget(tot, sem.budget.max_degree):
         return None
     if not contains(Bang(C), tot):
@@ -224,57 +232,25 @@ def _merge_ctx(m0: Multiset, m1: Multiset, C: Space, sem: SemEnv):
 
 
 def _sem_app(frel, arel, C: Space, sem: SemEnv) -> frozenset:
+    """Kleisli application: each function atom (p, b) meets one argument pair per occurrence in p."""
     by_atom: dict = {}
     for mm, a in arel:
         by_atom.setdefault(a, []).append(mm)
     out = set()
     for m0, fa in frel:
-        p, b = fa.left, fa.right
-        occ = list(p)
-        pools = [by_atom.get(a, ()) for a in occ]
+        pools = [by_atom.get(a, ()) for a in fa.left]
         if any(not pool for pool in pools):
             continue
         for choice in itertools.product(*pools):
-            tot = m0
-            for mm in choice:
-                tot = tot + mm
-            if not within_budget(tot, sem.budget.max_degree):
-                continue
-            if not contains(Bang(C), tot):
-                continue
-            out.add((tot, b))
-    return frozenset(out)
-
-
-def _sem_d(frel, fty: cal.Arrow, sem: SemEnv) -> frozenset:
-    """Differentiate the function coordinate of a graph, pointwise.
-
-    An atom (p, b) of the function contributes the all-values tagging
-    (0·p, (0, b)) and, for each occurrence in p, the tagging with that
-    occurrence as the increment, (p[a ↦ 1·a], (1, b)).  Tags are placed
-    at the codomain leaves of the D-transformed types.
-    """
-    A, B = fty.src, fty.tgt
-    DA = interp_type(cal.dtype(A), sem)
-    out = set()
-    for mm, fa in frel:
-        p, b = fa.left, fa.right
-        base = [add_s(A, 0, a) for a in p]
-        m_val = Multiset.of(base)
-        if contains(Bang(DA), m_val):
-            out.add((mm, Pair(m_val, add_s(B, 0, b))))
-        occ = list(p)
-        for k in range(len(occ)):
-            tagged = [add_s(A, 1 if i == k else 0, a) for i, a in enumerate(occ)]
-            m_inc = Multiset.of(tagged)
-            if contains(Bang(DA), m_inc):
-                out.add((mm, Pair(m_inc, add_s(B, 1, b))))
+            tot = _merge_ctx((m0, *choice), C, sem)
+            if tot is not None:
+                out.add((tot, fa.right))
     return frozenset(out)
 
 
 def interp_closed(m: cal.Term, sem: SemEnv) -> frozenset:
     """Graph of a closed term: the context multiset is always empty."""
-    return frozenset({(mm, b) for mm, b in interp_term(m, [], sem)})
+    return interp_term(m, [], sem)
 
 
 def soundness_check(m: cal.Term, n: cal.Term, sem: SemEnv | None = None):

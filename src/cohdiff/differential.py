@@ -10,6 +10,11 @@ Two independent routes to the same map are kept side by side:
   isomorphism Web SE ≅ {0,1} × Web E ≅ Web (I ⊸ E).
 
 Diagram checks use the first; tests compare it against the second.
+
+The Kleisli derivative D̂s = (S s) ∘ ∂ has one route, ``dhat_graph``,
+which reads ∂ pointwise at the taggings of s's sources; ``dhat`` (the
+``derive`` command) and ``denot``'s D use it.  The composite through ∂
+materialized over the whole web of !SE is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from functools import lru_cache
 from .exponential import m2
 from .maps import PointMap, pm_compose, pm_from_rel, pm_id, pm_memo, pm_tensor
 from .spaces import Bang, SFun, Space, contains, ispace
-from .summability import sfun_morphism
-from .web_core import Multiset, Rel, STAR, Tag, rel_compose
+from .web_core import Multiset, Rel, STAR, Tag, within_budget
 
 
 def dbar(kind: str, max_degree: int) -> Rel:
@@ -116,10 +120,31 @@ def dpartial_via_dbar(E: Space) -> PointMap:
     return PointMap(Bang(SFun(E)), SFun(Bang(E)), at, "dpartial-via-dbar")
 
 
+def dhat_graph(E: Space, pairs, bound: int) -> set:
+    """The graph of (S s) ∘ ∂ : !SE → SF, for the pairs (p, b) of s : !E → F.
+
+    ∂ sends only taggings of p with at most one increment to (i, p), so
+    those (at most n + 1 for n = len(p)) are the only inputs read: a
+    tagging m is kept, with (i, b), when it is in the web of !SE and ∂
+    at ``bound`` sends it to (i, p).
+    """
+    d_at, web = dpartial(E).at(bound), Bang(SFun(E))
+    out = set()
+    for p, b in pairs:
+        values = [(Tag(0, a), k) for a, k in p.entries]
+        # all values, then one occurrence of each a moved to the increment
+        taggings = [(0, values)] + [(1, values + [(Tag(0, a), -1), (Tag(1, a), 1)]) for a in p.support]
+        for i, counts in taggings:
+            m = Multiset.from_counts(counts)
+            if contains(web, m) and Tag(i, p) in d_at(m):
+                out.add((m, Tag(i, b)))
+    return out
+
+
 def dhat(E: Space, F: Space, s: Rel, budget) -> Rel:
-    """D̂s = (S s) ∘ ∂ for a Kleisli morphism s : !E → F."""
-    d = dpartial(E).materialize(budget)
-    return rel_compose(d, sfun_morphism(Bang(E), F, s))
+    """D̂s = (S s) ∘ ∂ for a Kleisli morphism s : !E → F, within the budget."""
+    pairs = [(p, b) for p, b in s.pairs if within_budget(p, budget.max_degree)]
+    return Rel(frozenset(dhat_graph(E, pairs, budget.max_degree)), "dhat", "")
 
 
 def local_derivative(s: Rel, x) -> Rel:

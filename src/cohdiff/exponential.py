@@ -1,4 +1,4 @@
-"""The exponential !: free comonoid structure and Kleisli operations.
+"""The exponential !: comonad, free comonoid, Seely and monoidality maps.
 
 All structural morphisms are produced as PointMaps so diagram checks
 can compose them exactly.  Multiset decompositions (dig, contr, m2)
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .maps import PointMap, pm_bang, pm_compose, pm_from_rel, pm_memo, _sub_multisets
-from .spaces import Bang, Space, Tensor, With, contains, mset_width, one, top
-from .web_core import Multiset, Pair, Rel, STAR, Tag, degree
+from .maps import PointMap, pm_memo, _sub_multisets
+from .spaces import Bang, Space, Tensor, With, mset_width, one, top
+from .web_core import Multiset, Pair, STAR, Tag, degree
 
 
 def der(E: Space) -> PointMap:
@@ -171,40 +171,3 @@ def _distinct_pairings(xs, ys):
         used.add(y)
         for tail in _distinct_pairings(rest, ys[:i] + ys[i + 1 :]):
             yield ((x, y),) + tail
-
-
-def bang_morphism(E: Space, F: Space, s: Rel, budget) -> Rel:
-    """!s as an extensional relation, materialized within the budget."""
-    return pm_bang(pm_from_rel(E, F, s, "s")).materialize(budget)
-
-
-def kleisli_compose(t: Rel, s: Rel, E: Space) -> Rel:
-    """Kleisli composition t ∘ s for s: !E → F, t: !F → G.
-
-    (Σ mi, c) whenever ([b1..bn], c) ∈ t and (mi, bi) ∈ s with the sum
-    a valid atom of !E.
-    """
-    by_tgt: dict = {}
-    for m, b in s.pairs:
-        by_tgt.setdefault(b, []).append(m)
-    pairs = set()
-    for p, c in t.pairs:
-        items = list(p)
-        def rec(i, acc):
-            if i == len(items):
-                total = Multiset()
-                for m in acc:
-                    total = total + m
-                if contains(Bang(E), total):
-                    pairs.add((total, c))
-                return
-            for m in by_tgt.get(items[i], ()):
-                rec(i + 1, acc + [m])
-        rec(0, [])
-    return Rel(frozenset(pairs), "kleisli", "")
-
-
-def promotion(s: Rel, E: Space, F: Space, budget) -> Rel:
-    """!s ∘ dig for s: !E → F, materialized within the budget."""
-    sm = pm_from_rel(Bang(E), F, s, "s")
-    return pm_compose(pm_bang(sm), dig(E), "prom").materialize(budget)

@@ -102,12 +102,6 @@ def smont(E: Space, F: Space) -> PointMap:
     return PointMap.pointwise(Tensor(SFun(E), SFun(F)), SFun(Tensor(E, F)), fn, "smont")
 
 
-def sfun_morphism(E: Space, F: Space, s: Rel) -> Rel:
-    """S s : SE → SF, acting under the tag."""
-    pairs = {(Tag(i, a), Tag(i, b)) for a, b in s.pairs for i in (0, 1)}
-    return Rel(frozenset(pairs), f"S({s.src_label})", "")
-
-
 def witness(f0: Rel, f1: Rel) -> Rel:
     """The candidate witness {(a, (i, b)) | (a, b) ∈ f_i} : X → SY."""
     pairs = {(a, Tag(0, b)) for a, b in f0.pairs} | {(a, Tag(1, b)) for a, b in f1.pairs}

@@ -1,11 +1,19 @@
 """The denotational oracle: interpreting terms as webs of points."""
 
+import hashlib
+import os
+
 import cohdiff.calculus as cal
+from cohdiff import denot, differential
 from cohdiff.calculus import normalize, parse, step
 from cohdiff.corpus import SHOWCASE, make_corpus
 from cohdiff.denot import SemEnv, interp_closed, interp_type, nat_atom, soundness_check
+from cohdiff.lawcheck import MapCtx, run_check
+from cohdiff.maps import PointMap
 from cohdiff.spaces import SFun, enumerate_web
-from cohdiff.web_core import Budget
+from cohdiff.web_core import Budget, Tag, atom_to_text
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 SEM = SemEnv(kind="coh", nmax=3, budget=Budget(3))
 
@@ -106,3 +114,73 @@ def test_full_normalization_is_sound_on_small_corpus():
             continue
         ok, info = soundness_check(m, n, WIDE)
         assert ok, f"{cal.to_text(m)}: {info}"
+
+
+def test_corpus_denotations_match_golden():
+    """One line per model and term of make_corpus(0, 200): a digest of its sorted denotation."""
+    terms = make_corpus(seed=0, count=200)
+    lines = []
+    for kind in ("coh", "nucs", "rel"):
+        sem = SemEnv(kind=kind, nmax=3, budget=Budget(3))
+        for i, (m, _t) in enumerate(terms):
+            text = "\n".join(sorted(f"{atom_to_text(a)}|{atom_to_text(b)}" for a, b in interp_closed(m, sem)))
+            lines.append(f"{kind}\t{i}\t{hashlib.sha256(text.encode()).hexdigest()[:16]}\n")
+    with open(os.path.join(GOLDEN, "corpus-den-0-200.txt")) as fh:
+        assert lines == fh.readlines()
+
+
+# -- the corpus soundness pass sees the structural maps ---------------------
+
+# Terms of make_corpus(0, 400) whose 60-step reduct differs in COH at
+# nmax 3 and budget 3: all are truncation artifacts (numerals above
+# nmax, or a multiset of degree 4).
+TRUNCATED = [11, 16, 144, 165]
+
+
+def unsound_terms():
+    sem = SemEnv(kind="coh", nmax=3, budget=Budget(3))
+    out = []
+    for i, (m, _t) in enumerate(make_corpus(seed=0, count=400)):
+        n = m
+        for _ in range(60):
+            nxt = step(n)
+            if nxt is None:
+                break
+            n = nxt
+        if not soundness_check(m, n, sem)[0]:
+            out.append(i)
+    return out
+
+
+def test_corpus_soundness_baseline():
+    assert unsound_terms() == TRUNCATED
+
+
+def _drop_increments(dpartial):
+    """A ∂ that loses its increment image: only the (0, values) pairs survive."""
+
+    def mutant(E):
+        base = dpartial(E)
+
+        def at(bound):
+            base_at = base.at(bound)
+            return lambda m: [x for x in base_at(m) if x.index == 0]
+
+        return PointMap(base.src, base.tgt, at, "dpartial-without-increments")
+
+    return mutant
+
+
+def test_dpartial_without_increments_is_flagged_by_corpus_and_registry(monkeypatch):
+    mutant = _drop_increments(differential.dpartial)
+    assert not run_check("d-chain-der", MapCtx("coh", Budget(3), {"dpartial": mutant}), seed=0, trials=20).ok
+    monkeypatch.setattr(differential, "dpartial", mutant)
+    assert set(unsound_terms()) > set(TRUNCATED)
+
+
+def test_theta_keeping_the_1_1_case_is_flagged_by_corpus(monkeypatch):
+    def theta(E):
+        return PointMap.pointwise(SFun(SFun(E)), SFun(E), lambda a: (Tag(a.index | a.inner.index, a.inner.inner),))
+
+    monkeypatch.setattr(denot, "theta", theta)
+    assert set(unsound_terms()) > set(TRUNCATED)

@@ -3,6 +3,9 @@
 import random
 
 from cohdiff import differential
+from cohdiff.calculus import Arrow, DTerm, Nat
+from cohdiff.corpus import make_corpus
+from cohdiff.denot import SemEnv, add_s, interp_closed, interp_type
 from cohdiff.differential import (
     dbar,
     dhat,
@@ -13,7 +16,7 @@ from cohdiff.differential import (
 )
 from cohdiff.lawcheck import gen_morphism, gen_space
 from cohdiff.spaces import Bang, BaseSpace, SFun, enumerate_web, is_clique, matapp
-from cohdiff.web_core import Base, Budget, Multiset, Rel, Tag
+from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag, rel_compose
 
 a, b = Base("a"), Base("b")
 BUD = Budget(3)
@@ -138,6 +141,50 @@ def test_dhat_square_taylor_contrast():
     got_nucs = dhat(E["nucs"], F["nucs"], s2, BUD).pairs
     assert got_coh == frozenset({base})
     assert got_nucs == frozenset({base, cross})
+
+
+def dhat_oracle(E, s, budget):
+    """(S s) ∘ ∂ as a composite of relations, ∂ materialized over the whole web of !SE."""
+    s_under_tag = Rel(frozenset((Tag(i, p), Tag(i, b)) for p, b in s.pairs for i in (0, 1)))
+    return rel_compose(dpartial(E).materialize(budget), s_under_tag)
+
+
+def test_dhat_equals_the_materialized_composite():
+    """dhat reads ∂ only at the taggings of s's sources; the full composite is the oracle.
+
+    s is drawn at degree 3 and differentiated at degrees 1 to 3, so the
+    budget filter on s's sources is exercised too.
+    """
+    rng = random.Random(2107)
+    for kind in ("coh", "nucs", "rel"):
+        for degree in (1, 2, 3):
+            budget = Budget(degree)
+            for _ in range(40):
+                E, F = gen_space(rng, kind, 3), gen_space(rng, kind, 3)
+                s = gen_morphism(rng, Bang(E), F, BUD)
+                assert dhat(E, F, s, budget).pairs == dhat_oracle(E, s, budget).pairs
+
+
+def test_d_of_first_order_corpus_functions_is_the_dhat_oracle():
+    """⟦D f⟧ is (S ⟦f⟧) ∘ ∂ read through add_s, in every model, for f : D^i nat ⇒ D^j nat."""
+    fs = [
+        (m, t)
+        for m, t in make_corpus(seed=0, count=200)
+        if isinstance(t, Arrow) and isinstance(t.src, Nat) and isinstance(t.tgt, Nat)
+    ]
+    assert len(fs) >= 20
+    nonempty = 0
+    for kind in ("coh", "nucs", "rel"):
+        sem = SemEnv(kind=kind, nmax=3, budget=BUD)
+        for f, t in fs:
+            graph = Rel(frozenset((fa.left, fa.right) for _, fa in interp_closed(f, sem)))
+            want = {
+                (Multiset(), Pair(Multiset.of(add_s(t.src, x.index, x.inner) for x in m), add_s(t.tgt, y.index, y.inner)))
+                for m, y in dhat_oracle(interp_type(t.src, sem), graph, BUD).pairs
+            }
+            assert interp_closed(DTerm(f), sem) == want
+            nonempty += bool(want)
+    assert nonempty >= 60  # 72 of the 78 denotations are not empty
 
 
 def _summable_clique_pairs(E, max_total):

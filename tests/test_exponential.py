@@ -1,22 +1,11 @@
-"""The exponential comonad: der, dig, weak, contr, Seely, promotion."""
+"""The exponential !: der, dig, weak, contr, the Seely isos and m2."""
 
 from collections import Counter
 
-from cohdiff.exponential import (
-    bang_morphism,
-    contr,
-    der,
-    dig,
-    kleisli_compose,
-    m2,
-    promotion,
-    seely2,
-    seely2_inv,
-    weak,
-)
-from cohdiff.maps import pm_bang, pm_compose, pm_from_rel, pm_id
+from cohdiff.exponential import contr, der, dig, m2, seely2, seely2_inv, weak
+from cohdiff.maps import pm_compose, pm_id
 from cohdiff.spaces import Bang, BaseSpace, Tensor
-from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel
+from cohdiff.web_core import Base, Budget, Multiset, Pair
 
 a, b, c = Base("a"), Base("b"), Base("c")
 BUD = Budget(3)
@@ -134,29 +123,3 @@ def test_m2_merges_multisets():
     E, F = space(atoms=(a,)), space(atoms=(b,))
     r = m2(E, F).materialize(BUD)
     assert (Pair(Multiset.of([a]), Multiset.of([b])), Multiset.of([Pair(a, b)])) in r.pairs
-
-
-def test_bang_morphism_agrees_with_pm_bang():
-    E = space(atoms=(a, b))
-    f = Rel(frozenset({(a, b), (b, a)}), "f", "")
-    viaop = bang_morphism(E, E, f, BUD)
-    viapm = pm_bang(pm_from_rel(E, E, f)).materialize(BUD)
-    assert viaop.pairs == viapm.pairs
-
-
-def test_promotion_then_der_recovers_morphism():
-    """der ∘ s! = s, the Kleisli unit law, on a concrete morphism."""
-    E = space(atoms=(a, b))
-    s = Rel(frozenset({(Multiset.of([a]), b), (Multiset.of([b, b]), a)}), "s", "")
-    prom = promotion(s, E, E, BUD)
-    derE = der(E).materialize(BUD)
-    back = {(m, x) for m, mm in prom.pairs for mm2, x in derE.pairs if mm == mm2}
-    assert back == set(s.pairs)
-
-
-def test_kleisli_compose_concrete():
-    E = space(atoms=(a, b))
-    s = Rel(frozenset({(Multiset.of([a]), b)}), "s", "")
-    t = Rel(frozenset({(Multiset.of([b, b]), a)}), "t", "")
-    r = kleisli_compose(t, s, E)
-    assert (Multiset.of([a, a]), a) in r.pairs
