@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import calculus as cal
 from .differential import dhat_graph
@@ -36,24 +37,25 @@ class SemEnv:
     nmax: int = 3
     budget: Budget = Budget()
 
+    @cached_property
+    def nat(self) -> BaseSpace:
+        """The web of nat: the numerals up to ``nmax``, built once per environment."""
+        atoms = tuple(nat_atom(i) for i in range(self.nmax + 1))
+        if self.kind == "coh":
+            return BaseSpace("coh", atoms, name="nat")
+        sincoh = frozenset(
+            (a, b) for a in atoms for b in atoms if a != b
+        )
+        return BaseSpace(self.kind, atoms, sincoh=sincoh, name="nat")
+
 
 def nat_atom(n: int) -> Base:
     return Base(str(n))
 
 
-def nat_space(sem: SemEnv) -> BaseSpace:
-    atoms = tuple(nat_atom(i) for i in range(sem.nmax + 1))
-    if sem.kind == "coh":
-        return BaseSpace("coh", atoms, name="nat")
-    sincoh = frozenset(
-        (a, b) for a in atoms for b in atoms if a != b
-    )
-    return BaseSpace(sem.kind, atoms, sincoh=sincoh, name="nat")
-
-
 def interp_type(t: cal.Ty, sem: SemEnv) -> Space:
     if isinstance(t, cal.Nat):
-        s: Space = nat_space(sem)
+        s: Space = sem.nat
         for _ in range(t.depth):
             s = SFun(s)
         return s

@@ -13,17 +13,25 @@ differential) is phrased in terms of three value types:
 
 Atoms, and the spaces built on them in ``spaces``, are hash-consed
 (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006).  A
-constructor looks up its class and its arguments, which are interned
-already, in one table and returns the object it finds there; it builds
-a new object only on a miss.  Two structurally equal values are
-therefore one object: ``==`` is identity and ``hash`` is
-``object.__hash__``.  The table holds its values weakly, so a value
-leaves it as soon as nothing else refers to it.  Its keys hold the
-children themselves, never their ``id()``, so an address freed by one
-value cannot be mistaken for another.  (The ``lru_cache``s on
-``atom_key``, ``degree`` and ``within_budget``, and those keyed on
-spaces, do keep every value they have seen alive.)  Interned values are
-immutable: setting or deleting an attribute raises.
+constructor looks up its arguments, which are interned already, in one
+table and returns the object it finds there; it builds a new object only
+on a miss.  Two structurally equal values are therefore one object:
+``==`` is identity and ``hash`` is ``object.__hash__``.  Most keys are a
+tuple of the class and its arguments.  A multiset's key is order-free:
+the bare ``frozenset`` of its ``(atom, count)`` items, which no tuple
+key can equal (cf. the order-independent multiset hashes of Clarke et
+al., ASIACRYPT 2003).  So a multiset that exists already is found from
+its count map alone; dropping zero counts and sorting the entries by
+``atom_key`` happen only on a miss, and ``atom_key`` runs otherwise only
+when a ``Rel`` or a web is printed or listed in order.  The table is a
+dict of ``weakref.KeyedRef``s, read by calling the ref it finds, so a
+hit runs no Python frame; a ref's callback drops its entry as soon as
+nothing else refers to the value, unless a new value has taken the key
+since.  Keys hold the children themselves, never their ``id()``, so an
+address freed by one value cannot be mistaken for another.  (The
+``lru_cache``s on ``atom_key``, ``degree`` and ``within_budget``, and
+those keyed on spaces, do keep every value they have seen alive.)
+Interned values are immutable: setting or deleting an attribute raises.
 
 Webs of ``!E`` are infinite, so enumeration is controlled by a
 ``Budget``.  The degree of an atom counts multiset entries through
@@ -33,14 +41,29 @@ of its elements.
 
 from __future__ import annotations
 
-import weakref
+from collections import _count_elements
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
+from weakref import KeyedRef
 
-# (class, *arguments) -> the one live object built from them.
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_lookup = _TABLE.get
+# key -> a KeyedRef to the one live object built from it: (class,
+# *arguments) for most classes, the frozenset of its items for a multiset.
+_TABLE: dict = {}
+_get = _TABLE.get
+# Called in place of a ref when the key is absent, so ``_get(key, _dead)()``
+# is the live object or None.
+_dead = type(None)
+
+
+def _lookup(key):
+    return _get(key, _dead)()
+
+
+def _evict(ref, _table=_TABLE):
+    """Drop the entry of a dead ``ref``, unless a new object has taken its key."""
+    if _table.get(ref.key) is ref:
+        del _table[ref.key]
 
 
 def _make(cls, key, *values):
@@ -48,7 +71,7 @@ def _make(cls, key, *values):
     obj = object.__new__(cls)
     for name, value in zip(cls.__slots__, values):
         object.__setattr__(obj, name, value)
-    _TABLE[key] = obj
+    _TABLE[key] = KeyedRef(obj, _evict, key)
     return obj
 
 
@@ -88,7 +111,7 @@ class Base(Atom):
 
     def __new__(cls, sym: str):
         key = (cls, sym)
-        a = _lookup(key)
+        a = _get(key, _dead)()
         if a is None:
             if not isinstance(sym, str):
                 raise TypeError(f"base symbol must be a str, not {sym!r}")
@@ -104,7 +127,7 @@ class Tag(Atom):
 
     def __new__(cls, index: int, inner: Atom):
         key = (cls, index, inner)
-        a = _lookup(key)
+        a = _get(key, _dead)()
         if a is None:
             if index not in (0, 1):
                 raise ValueError("tag index must be 0 or 1")
@@ -121,7 +144,7 @@ class Pair(Atom):
 
     def __new__(cls, left: Atom, right: Atom):
         key = (cls, left, right)
-        a = _lookup(key)
+        a = _get(key, _dead)()
         if a is None:
             _require_atom(left)
             _require_atom(right)
@@ -146,44 +169,57 @@ def atom_key(a: Atom):
     raise TypeError(f"not an atom: {a!r}")
 
 
+def _from_counts(counts) -> "Multiset":
+    """Build from a dict or an iterable of (atom, count) pairs; counts ≤ 0 drop out."""
+    if not isinstance(counts, dict):
+        acc: dict[Atom, int] = {}
+        for a, n in counts:
+            acc[a] = acc.get(a, 0) + n
+        counts = acc
+    key = frozenset(counts.items())
+    m = _get(key, _dead)()
+    return m if m is not None else _intern_multiset(key)
+
+
+def _intern_multiset(key: frozenset) -> "Multiset":
+    """The multiset whose count map has the items ``key`` (a table miss).
+
+    No stored key holds a count ≤ 0, so a key with one always misses:
+    drop those counts and look again.  Otherwise sort the key's own items
+    into the entries and intern them.
+    """
+    if not all(n > 0 for _, n in key):
+        key = frozenset(e for e in key if e[1] > 0)
+        m = _get(key, _dead)()
+        if m is not None:
+            return m
+    for a, _ in key:
+        _require_atom(a)
+    entries = tuple(sorted(key, key=lambda e: atom_key(e[0])))
+    return _make(Multiset, key, entries, tuple(a for a, _ in entries), sum(n for _, n in entries))
+
+
 class Multiset(Atom):
     """Canonical finite multiset of atoms: sorted (atom, count) entries.
 
     The atom of the web of ``!E``.  ``support`` (the distinct atoms, in
     entry order) and the length are computed once, when it is built.
+    The raw constructor takes (atom, count) pairs in any order, like
+    ``from_counts``.
     """
 
     __slots__ = ("entries", "support", "_len")
 
-    def __new__(cls, entries: tuple = ()):
-        key = (cls, entries)
-        m = _lookup(key)
-        if m is None:
-            support = tuple(a for a, _ in entries)
-            for a in support:
-                _require_atom(a)
-            m = _make(cls, key, entries, support, sum(n for _, n in entries))
-        return m
+    def __new__(cls, entries: Iterable = ()):
+        return _from_counts(entries)
 
     @staticmethod
     def of(atoms: Iterable[Atom]) -> "Multiset":
         counts: dict[Atom, int] = {}
-        for a in atoms:
-            counts[a] = counts.get(a, 0) + 1
+        _count_elements(counts, atoms)
         return Multiset.from_counts(counts)
 
-    @staticmethod
-    def from_counts(counts) -> "Multiset":
-        """Build from a dict or an iterable of (atom, count) pairs."""
-        if not isinstance(counts, dict):
-            acc: dict[Atom, int] = {}
-            for a, n in counts:
-                acc[a] = acc.get(a, 0) + n
-            counts = acc
-        entries = tuple(
-            (a, n) for a, n in sorted(counts.items(), key=lambda e: atom_key(e[0])) if n > 0
-        )
-        return Multiset(entries)
+    from_counts = staticmethod(_from_counts)
 
     def __len__(self) -> int:
         return self._len
@@ -203,9 +239,12 @@ class Multiset(Atom):
         counts = dict(self.entries)
         for a, n in other.entries:
             m = counts.get(a, 0) - n
-            if m < 0:
+            if m > 0:
+                counts[a] = m
+            elif m == 0:
+                del counts[a]
+            else:
                 raise ValueError("multiset subtraction went negative")
-            counts[a] = m
         return Multiset.from_counts(counts)
 
     def __repr__(self):

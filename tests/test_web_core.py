@@ -124,6 +124,99 @@ def test_dropped_atoms_leave_the_table():
     assert len(web_core._TABLE) == before
 
 
+@pytest.fixture
+def atom_key_calls(monkeypatch):
+    """Count the calls into ``atom_key`` made through ``web_core``'s global."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return atom_key(x)
+
+    monkeypatch.setattr(web_core, "atom_key", counting)
+    return calls
+
+
+def test_building_an_existing_multiset_makes_no_atom_key_call(atom_key_calls):
+    """A hit is a table lookup on the count map: no sort, so no ``atom_key``."""
+    m = Multiset.of([a, b, a, Pair(a, b), Multiset.of([c])])
+    n = Multiset.of([b, c])
+    total, empty = m + n, Multiset()
+    atom_key_calls.clear()
+    built = [
+        Multiset.of([Multiset.of([c]), a, Pair(a, b), b, a]),
+        Multiset.from_counts([(b, 1), (Pair(a, b), 1), (a, 2), (Multiset.of([c]), 1)]),
+        Multiset.from_counts(dict(reversed(m.entries))),
+        Multiset(tuple(reversed(m.entries))),
+        n + m,
+        total - n,
+        m - m,
+        Multiset(),
+    ]
+    assert built == [m, m, m, m, total, m, empty, empty]
+    assert atom_key_calls == []
+    Multiset.of([Base("new-here"), a])  # a miss sorts, so the counter does see it
+    assert atom_key_calls
+
+
+def test_subtraction_hands_on_no_zero_count(monkeypatch):
+    """``-`` drops an entry that reaches 0, so only the miss path meets counts ≤ 0."""
+    seen = []
+    from_counts = Multiset.from_counts
+    monkeypatch.setattr(Multiset, "from_counts", staticmethod(lambda counts: seen.append(dict(counts)) or from_counts(counts)))
+    m = Multiset.of([a, a, b])
+    assert m - Multiset.of([a, b]) is Multiset.of([a])
+    assert m - m is Multiset()
+    assert seen and all(n > 0 for counts in seen for n in counts.values())
+
+
+def test_zero_and_negative_counts_give_the_canonical_object():
+    assert Multiset.from_counts([(a, 1), (a, -1), (b, 1)]) is Multiset.of([b])
+    assert Multiset.from_counts({a: 0, b: 1, c: -2}) is Multiset.of([b])
+    assert Multiset.from_counts({a: 0}) is Multiset()
+    m = Multiset.of([a, b, b])
+    assert m - m is Multiset()
+    assert Multiset(((b, 2), (a, 1))) is m
+    assert m.entries == ((a, 1), (b, 2))
+    keys = [k for k in list(web_core._TABLE) if isinstance(k, frozenset)]
+    assert keys and all(n > 0 for k in keys for _, n in k)
+
+
+@given(st.lists(st.tuples(atoms, st.integers(-2, 3)), max_size=6))
+def test_from_counts_sums_and_drops_like_counter(pairs):
+    """Oracle: ``Counter`` sums the pairs; the multiset keeps its positive counts."""
+    want = Counter()
+    for x, n in pairs:
+        want[x] += n
+    got = Multiset.from_counts(pairs)
+    assert got is Multiset.of(list((+want).elements()))
+    assert got is Multiset(reversed(pairs))
+    assert [x for x, _ in got.entries] == sorted(got.support, key=atom_key)
+
+
+def test_a_stale_callback_never_evicts_a_live_object():
+    """A dead ref whose key a new object has taken leaves that object's entry alone."""
+
+    class Gone:
+        pass
+
+    x = Base("re-created")
+    key = (Base, "re-created")
+    live = web_core._TABLE[key]
+    before = len(web_core._TABLE)
+    gone = Gone()
+    stale = weakref.KeyedRef(gone, live.__callback__, key)
+    del gone  # the stale ref dies now, and its callback runs
+    assert stale() is None
+    assert web_core._TABLE[key] is live
+    assert Base("re-created") is x
+    assert len(web_core._TABLE) == before
+    del x
+    gc.collect()
+    assert key not in web_core._TABLE
+    assert len(web_core._TABLE) == before - 1
+
+
 @pytest.mark.parametrize(
     "build",
     [
