@@ -19,10 +19,10 @@ materialized over the whole web of !SE is the tests' oracle for it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .exponential import m2
-from .maps import PointMap, pm_compose, pm_from_rel, pm_id, pm_memo, pm_tensor
+from .maps import PointMap, pm_compose, pm_from_rel, pm_id, pm_tensor
 from .spaces import Bang, SFun, Space, contains, ispace
 from .web_core import Multiset, Rel, STAR, Tag, within_budget
 
@@ -50,8 +50,21 @@ def dbar_pm(kind: str) -> PointMap:
     degree 0, so the identity ``pre`` holds.
     """
     I = ispace(kind)
-    at = lambda bound: pm_from_rel(I, Bang(I), dbar(kind, bound)).at(bound)
-    return pm_memo(PointMap(I, Bang(I), at, "dbar"))
+    at = lru_cache(maxsize=None)(lambda bound: pm_from_rel(I, Bang(I), dbar(kind, bound)).at(bound))
+    return PointMap(I, Bang(I), at, "dbar")
+
+
+@lru_cache(maxsize=None)
+def _dpartial_image(E: Space, m: Multiset) -> tuple:
+    """∂ at m: the multiset of m's inner atoms, tagged with its number of increments if ≤ 1."""
+    counts, i = {}, 0
+    for x, k in m.entries:
+        counts[x.inner] = counts.get(x.inner, 0) + k
+        i += x.index * k
+    if i > 1:
+        return ()
+    out = Multiset.from_counts(counts)
+    return (Tag(i, out),) if contains(Bang(E), out) else ()
 
 
 @lru_cache(maxsize=None)
@@ -61,23 +74,10 @@ def dpartial(E: Space) -> PointMap:
     (m0 tagged 0, (0, m0)) for every multiset m0 of value atoms, and
     (m0 + one increment atom a, (1, m0 + a)).  In the uniform kind a
     never also occurs in m0: 0·a and 1·a are strictly incoherent in SE,
-    so no web atom of !SE holds both.
+    so no web atom of !SE holds both.  Unlike the maps of ``exponential``,
+    the image is filtered by the web of !E, so it is cached per (E, atom).
     """
-
-    def fn(m):
-        tags = [a.index for a in m]
-        values = Multiset.of([a.inner for a in m if a.index == 0])
-        n_inc = sum(1 for t in tags if t == 1)
-        if n_inc == 0:
-            if contains(Bang(E), values):
-                yield Tag(0, values)
-        elif n_inc == 1:
-            (a,) = [x.inner for x in m if x.index == 1]
-            out = values + Multiset.of([a])
-            if contains(Bang(E), out):
-                yield Tag(1, out)
-
-    return pm_memo(PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), fn, "dpartial"))
+    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), partial(_dpartial_image, E), "dpartial")
 
 
 def dtilde(E: Space) -> PointMap:

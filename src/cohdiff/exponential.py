@@ -4,13 +4,19 @@ All structural morphisms are produced as PointMaps so diagram checks
 can compose them exactly.  Multiset decompositions (dig, contr, m2)
 allow empty parts — that is what makes the nullary monoidality map m0
 come out right.
+
+Digging, contraction, the Seely isos and monoidality are natural: the
+image of an atom never reads the space.  Each is computed by one
+module-level image function of the atom (and, for dig, the bound),
+``lru_cache``d, which the factories wrap directly, so one image serves
+every space and kind.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .maps import PointMap, pm_memo, _sub_multisets
+from .maps import PointMap, _sub_multisets
 from .spaces import Bang, Space, Tensor, With, mset_width, one, top
 from .web_core import Multiset, Pair, STAR, Tag, degree
 
@@ -26,20 +32,29 @@ def der(E: Space) -> PointMap:
     return PointMap.pointwise(Bang(E), E, fn, "der", lambda b: 1 + k * b)
 
 
-@lru_cache(maxsize=None)
-def _mpartitions(m: Multiset, max_parts: int) -> tuple:
+def _mpartitions(m: Multiset, max_parts: int):
     """Unordered partitions of m into at most max_parts nonempty submultisets."""
     if len(m) == 0:
-        return ((),)
+        yield ()
+        return
     if max_parts <= 0:
-        return ()
-    out = []
+        return
     first = m.support[0]
     one_first = Multiset.of([first])
     for part in _sub_multisets(m - one_first):
         head = part + one_first
         for rest in _mpartitions(m - head, max_parts - 1):
-            out.append((head,) + rest)
+            yield (head,) + rest
+
+
+@lru_cache(maxsize=None)
+def _dig_image(bound: int, m: Multiset) -> tuple:
+    """Every decomposition m = m1 + ... + mn, empty parts included, within the bound."""
+    out = {}
+    for split in _mpartitions(m, bound - degree(m)):
+        base = len(split) + degree(m)
+        for e in range(max(0, bound - base) + 1):
+            out[Multiset.of(split + (Multiset(),) * e)] = None
     return tuple(out)
 
 
@@ -50,21 +65,7 @@ def dig(E: Space) -> PointMap:
     Empty parts are allowed, so the image is infinite; it is cut where
     the decomposition's degree would pass the bound dig is fixed at.
     """
-
-    def at(bound):
-        def fn(m):
-            seen = set()
-            for split in _mpartitions(m, bound - degree(m)):
-                base = len(split) + degree(m)
-                for e in range(max(0, bound - base) + 1):
-                    out = Multiset.of(split + (Multiset(),) * e)
-                    if out not in seen:
-                        seen.add(out)
-                        yield out
-
-        return fn
-
-    return pm_memo(PointMap(Bang(E), Bang(Bang(E)), at, "dig"))
+    return PointMap(Bang(E), Bang(Bang(E)), lambda bound: partial(_dig_image, bound), "dig")
 
 
 def weak(E: Space) -> PointMap:
@@ -78,14 +79,14 @@ def weak(E: Space) -> PointMap:
 
 
 @lru_cache(maxsize=None)
+def _halves(m: Multiset) -> tuple:
+    return tuple(Pair(m1, m - m1) for m1 in _sub_multisets(m))
+
+
+@lru_cache(maxsize=None)
 def contr(E: Space) -> PointMap:
     """Contraction !E → !E ⊗ !E: all two-part decompositions, each half bounded apart."""
-
-    def fn(m):
-        for m1 in _sub_multisets(m):
-            yield Pair(m1, m - m1)
-
-    return pm_memo(PointMap.pointwise(Bang(E), Tensor(Bang(E), Bang(E)), fn, "contr", lambda b: 2 * b))
+    return PointMap.pointwise(Bang(E), Tensor(Bang(E), Bang(E)), _halves, "contr", lambda b: 2 * b)
 
 
 def seely0(kind: str) -> PointMap:
@@ -105,29 +106,28 @@ def seely0_inv(kind: str) -> PointMap:
 
 
 @lru_cache(maxsize=None)
-def seely2(E: Space, F: Space) -> PointMap:
-    """!E ⊗ !F → !(E & F), (m, p) ↦ 0·m + 1·p."""
-
-    def fn(a):
-        m, p = a.left, a.right
-        tagged = Multiset.from_counts(
-            [(Tag(0, x), k) for x, k in m.entries] + [(Tag(1, y), k) for y, k in p.entries]
-        )
-        yield tagged
-
-    return pm_memo(PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(With(E, F)), fn, "seely2"))
+def _tagged(a: Pair) -> tuple:
+    counts = [(Tag(0, x), k) for x, k in a.left.entries] + [(Tag(1, y), k) for y, k in a.right.entries]
+    return (Multiset.from_counts(counts),)
 
 
 @lru_cache(maxsize=None)
-def seely2_inv(E: Space, F: Space) -> PointMap:
-    def fn(m):
-        left, right = [], []
-        for x, k in m.entries:
-            (left if x.index == 0 else right).append((x.inner, k))
-        yield Pair(Multiset.from_counts(left), Multiset.from_counts(right))
+def seely2(E: Space, F: Space) -> PointMap:
+    """!E ⊗ !F → !(E & F), (m, p) ↦ 0·m + 1·p."""
+    return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(With(E, F)), _tagged, "seely2")
 
+
+@lru_cache(maxsize=None)
+def _split(m: Multiset) -> tuple:
+    halves = ([], [])
+    for x, k in m.entries:
+        halves[x.index].append((x.inner, k))
+    return (Pair(Multiset.from_counts(halves[0]), Multiset.from_counts(halves[1])),)
+
+
+def seely2_inv(E: Space, F: Space) -> PointMap:
     pre = lambda b: 2 * b  # as contr's: the two halves of an output are bounded apart
-    return pm_memo(PointMap.pointwise(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), fn, "seely2_inv", pre))
+    return PointMap.pointwise(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), _split, "seely2_inv", pre)
 
 
 def m0(kind: str) -> PointMap:
@@ -141,22 +141,20 @@ def m0(kind: str) -> PointMap:
 
 
 @lru_cache(maxsize=None)
+def _pairings(a: Pair) -> tuple:
+    m, p = a.left, a.right
+    if len(m) != len(p):
+        return ()
+    out = {}
+    for perm in _distinct_pairings(list(m), list(p)):
+        out[Multiset.of(Pair(x, y) for x, y in perm)] = None
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def m2(E: Space, F: Space) -> PointMap:
     """Monoidality !E ⊗ !F → !(E ⊗ F): all pairings of equal-size multisets."""
-
-    def fn(a):
-        m, p = a.left, a.right
-        if len(m) != len(p):
-            return
-        xs = list(m)
-        seen = set()
-        for perm in _distinct_pairings(xs, list(p)):
-            out = Multiset.of(Pair(x, y) for x, y in perm)
-            if out not in seen:
-                seen.add(out)
-                yield out
-
-    return pm_memo(PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(Tensor(E, F)), fn, "m2"))
+    return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(Tensor(E, F)), _pairings, "m2")
 
 
 def _distinct_pairings(xs, ys):

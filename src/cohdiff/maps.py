@@ -18,6 +18,11 @@ budget's degree; the combinators pass each part its own bound (f runs
 at g.pre(b) under g ∘ f), so every ``pre`` and every per-bound table is
 fixed once per diagram side.  What runs per source atom is only the
 function ``at`` returned.
+
+No combinator here caches a map's images, except ``pm_bang``'s table of
+pointwise images per bound.  The structural maps cache their own, each
+in one ``lru_cache`` on the function that computes an atom's image
+(``exponential``, ``differential``).
 """
 
 from __future__ import annotations
@@ -56,44 +61,6 @@ class PointMap:
                 if within_budget(b, budget.max_degree):
                     pairs.add((a, b))
         return Rel(frozenset(pairs), self.label, "")
-
-
-def pm_memo(pm: PointMap) -> PointMap:
-    """Cache a point map's images per atom.
-
-    ``pm.at`` runs once per bound.  Each function it returns gets one
-    table keyed by the atom alone, so a map that ignores the bound keeps
-    one table, and one whose image depends on it keeps one per bound.
-    Worth it for maps whose factories are themselves cached per space:
-    random generators repeat small spaces constantly, so the per-atom
-    work amortizes across trials.
-    """
-    by_bound: dict = {}  # bound -> memoized function
-    by_fn: dict = {}  # function pm.at returned -> memoized function
-
-    def at(bound):
-        memo = by_bound.get(bound)
-        if memo is None:
-            fn = pm.at(bound)
-            memo = by_fn.get(fn)
-            if memo is None:
-                memo = by_fn[fn] = _memoized(fn)
-            by_bound[bound] = memo
-        return memo
-
-    return PointMap(pm.src, pm.tgt, at, pm.label, pm.pre)
-
-
-def _memoized(fn):
-    cache: dict = {}
-
-    def memo(a):
-        out = cache.get(a)
-        if out is None:
-            out = cache[a] = tuple(fn(a))
-        return out
-
-    return memo
 
 
 def pm_id(E: Space, label: str = "id") -> PointMap:

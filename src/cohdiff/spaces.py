@@ -14,8 +14,11 @@ incoherent = strictly incoherent or neutral.
 Spaces are hash-consed like atoms, in the same weak table
 (``web_core._TABLE``): two structurally equal spaces are one object, so
 the caches keyed on spaces (``contains``, ``_verdict``, the enumeration
-cache and the per-space map factories) hash them by identity.  Those
-``lru_cache``s keep every space they have seen alive.
+cache, the map factories ``dig``, ``contr``, ``seely2``, ``m2`` and
+``dpartial``, and ∂'s image cache) hash them by identity.  Those
+``lru_cache``s keep every space they have seen alive.  The other
+structural maps' images never read the space, so their caches are
+keyed by the atom alone.
 """
 
 from __future__ import annotations

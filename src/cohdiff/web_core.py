@@ -29,8 +29,9 @@ hit runs no Python frame; a ref's callback drops its entry as soon as
 nothing else refers to the value, unless a new value has taken the key
 since.  Keys hold the children themselves, never their ``id()``, so an
 address freed by one value cannot be mistaken for another.  (The
-``lru_cache``s on ``atom_key``, ``degree`` and ``within_budget``, and
-those keyed on spaces, do keep every value they have seen alive.)
+``lru_cache``s on ``atom_key``, ``degree`` and ``within_budget``, on the
+structural maps' image functions and on those keyed on spaces do keep
+every value they have seen alive.)
 Interned values are immutable: setting or deleting an attribute raises.
 
 Webs of ``!E`` are infinite, so enumeration is controlled by a
@@ -100,10 +101,13 @@ class Atom(_Interned):
     and it stays in the table only while something else refers to it.  On
     a table miss the constructors raise ``TypeError`` for a ``Tag``,
     ``Pair`` or ``Multiset`` child that is not an atom and a ``Base``
-    symbol that is not a ``str``.
+    symbol that is not a ``str``.  It prints as ``atom_to_text`` writes it.
     """
 
     __slots__ = ()
+
+    def __repr__(self):
+        return atom_to_text(self)
 
 
 class Base(Atom):
@@ -117,9 +121,6 @@ class Base(Atom):
                 raise TypeError(f"base symbol must be a str, not {sym!r}")
             a = _make(cls, key, sym)
         return a
-
-    def __repr__(self):
-        return self.sym
 
 
 class Tag(Atom):
@@ -135,9 +136,6 @@ class Tag(Atom):
             a = _make(cls, key, index, inner)
         return a
 
-    def __repr__(self):
-        return f"{self.index}·{self.inner!r}"
-
 
 class Pair(Atom):
     __slots__ = ("left", "right")
@@ -150,9 +148,6 @@ class Pair(Atom):
             _require_atom(right)
             a = _make(cls, key, left, right)
         return a
-
-    def __repr__(self):
-        return f"({self.left!r},{self.right!r})"
 
 
 @lru_cache(maxsize=None)
@@ -246,9 +241,6 @@ class Multiset(Atom):
             else:
                 raise ValueError("multiset subtraction went negative")
         return Multiset.from_counts(counts)
-
-    def __repr__(self):
-        return "[" + ",".join(repr(a) for a in self) + "]"
 
 
 STAR = Base("*")

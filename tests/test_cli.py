@@ -46,9 +46,13 @@ def test_check_laws_matches_golden_output(seed):
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "12345"])
-@pytest.mark.parametrize("model", ["coh", "rel"])
+@pytest.mark.parametrize("model", ["coh", "nucs", "rel"])
 def test_law_verdicts_do_not_depend_on_hashing(model, hash_seed):
-    """Atoms and spaces hash by identity, strings by PYTHONHASHSEED: neither may reach a verdict."""
+    """Atoms and spaces hash by identity, strings by PYTHONHASHSEED: neither may reach a verdict.
+
+    Each model runs alone in a fresh process, so the image caches it
+    shares with the other kinds in a full run start cold.
+    """
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
     cmd = [sys.executable, "-m", "cohdiff.cli", "check-laws", "--seed", "7", "--model", model]
     out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout

@@ -4,7 +4,9 @@ from collections import Counter
 
 import pytest
 
-from cohdiff.maps import PointMap, pm_bang, pm_compose, pm_id, pm_memo
+from cohdiff import exponential
+from cohdiff.exponential import contr, dig, m2
+from cohdiff.maps import PointMap, pm_bang, pm_compose
 from cohdiff.spaces import Bang, BaseSpace, enumerate_web
 from cohdiff.web_core import Base, Budget
 
@@ -47,26 +49,27 @@ def test_each_pre_runs_once_per_side_not_per_atom(nesting):
     assert sum(counts[20].values()) <= 10
 
 
-def test_a_bound_free_map_keeps_one_table():
-    """A memoized map that ignores the bound computes each atom once, whatever bound reaches it."""
-    X = _web(20)
-    seen, per_bound = Counter(), Counter()
-
-    def free(a):
-        seen[a] += 1
-        return (a,)
-
-    def at(bound):  # a fresh function at every bound, like dig's
-        def fn(a):
-            per_bound[a] += 1
-            return (a,)
-
-        return fn
-
-    double = PointMap.pointwise(X, X, lambda a: (a,), "double", lambda b: 2 * b)
-    for inner in (pm_memo(PointMap.pointwise(X, X, free, "free")), pm_memo(PointMap(X, X, at, "per-bound"))):
-        # the first side reaches ``inner`` at bound 3, the second at bound 6
-        for side in (pm_compose(pm_id(X), inner), pm_compose(double, inner), pm_compose(double, inner)):
-            assert len(side.materialize(BUD).pairs) == 20
-    assert set(seen) == set(X.atoms) and set(seen.values()) == {1}
-    assert set(per_bound) == set(X.atoms) and set(per_bound.values()) == {2}
+def test_structural_images_are_computed_once_for_every_space():
+    """Spaces of two kinds over the same atoms share contr's and m2's images, and dig's per (bound, atom)."""
+    x, y = Base("x"), Base("y")
+    spaces = (
+        BaseSpace("coh", (x, y), name="S"),
+        BaseSpace("nucs", (x, y), scoh={(x, x)}, sincoh={(x, y)}, name="S"),
+    )
+    images = {"contr": exponential._halves, "m2": exponential._pairings, "dig": exponential._dig_image}
+    for fn in images.values():
+        fn.cache_clear()
+    calls, distinct = Counter(), {name: set() for name in images}
+    for E in spaces:
+        for budget in (Budget(2), BUD):
+            for name, pm in (("contr", contr(E)), ("m2", m2(E, E)), ("dig", dig(E))):
+                pm.materialize(budget)
+                atoms = enumerate_web(pm.src, budget)
+                calls[name] += len(atoms)
+                key = (lambda a: (budget.max_degree, a)) if name == "dig" else (lambda a: a)
+                distinct[name].update(map(key, atoms))
+    assert enumerate_web(Bang(spaces[0]), BUD) != enumerate_web(Bang(spaces[1]), BUD)
+    for name, fn in images.items():
+        info = fn.cache_info()
+        assert info.misses == len(distinct[name]), name
+        assert info.hits == calls[name] - len(distinct[name]) > 0, name
