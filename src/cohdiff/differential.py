@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 
 from .exponential import m2
 from .maps import PointMap, pm_compose, pm_from_rel, pm_id, pm_tensor
-from .spaces import Bang, SFun, Space, contains, ispace
+from .spaces import Bang, SFun, Space, contains, ispace, web_of
 from .web_core import Multiset, Rel, STAR, Tag, within_budget
 
 
@@ -56,7 +56,10 @@ def dbar_pm(kind: str) -> PointMap:
 
 @lru_cache(maxsize=None)
 def _dpartial_image(E: Space, m: Multiset) -> tuple:
-    """∂ at m: the multiset of m's inner atoms, tagged with its number of increments if ≤ 1."""
+    """∂ at m: the multiset of m's inner atoms, tagged with its number of increments if ≤ 1.
+
+    E is a web (``web_of``): the image is kept only inside the web of !E.
+    """
     counts, i = {}, 0
     for x, k in m.entries:
         counts[x.inner] = counts.get(x.inner, 0) + k
@@ -75,9 +78,10 @@ def dpartial(E: Space) -> PointMap:
     (m0 + one increment atom a, (1, m0 + a)).  In the uniform kind a
     never also occurs in m0: 0·a and 1·a are strictly incoherent in SE,
     so no web atom of !SE holds both.  Unlike the maps of ``exponential``,
-    the image is filtered by the web of !E, so it is cached per (E, atom).
+    the image is filtered by the web of !E, so it is cached per (web, atom)
+    with the web ``web_of(E)``: spaces with one web share one image.
     """
-    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), partial(_dpartial_image, E), "dpartial")
+    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), partial(_dpartial_image, web_of(E)), "dpartial")
 
 
 def dtilde(E: Space) -> PointMap:
@@ -128,7 +132,7 @@ def dhat_graph(E: Space, pairs, bound: int) -> set:
     tagging m is kept, with (i, b), when it is in the web of !SE and ∂
     at ``bound`` sends it to (i, p).
     """
-    d_at, web = dpartial(E).at(bound), Bang(SFun(E))
+    d_at, web = dpartial(E).at(bound), web_of(Bang(SFun(E)))
     out = set()
     for p, b in pairs:
         values = [(Tag(0, a), k) for a, k in p.entries]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .web_core import Atom, Budget, Multiset, Pair, Rel, Tag, degree, within_budget
-from .spaces import Bang, SFun, Space, Tensor, With, contains, enumerate_web, mset_width
+from .spaces import Bang, SFun, Space, Tensor, With, contains, enumerate_web, mset_width, web_of
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,12 @@ def pm_bang(f: PointMap, label: str = "") -> PointMap:
     f runs at the bound of !f, and pointwise images are pruned where
     the accumulated degree of the output passes it, which keeps products
     of decomposition maps (dig, m0) finite and fast.  The pointwise
-    images are cached per bound, keyed by the atom.
+    images are cached per bound, keyed by the atom, and read once per
+    entry of the input multiset.  Outputs are kept inside the web of
+    !(f.tgt), tested against ``web_of`` of it.
     """
     tgt = Bang(f.tgt)
+    web = web_of(tgt)
     img_caches: dict = {}  # bound -> atom -> its images under f, sorted by degree
 
     def at(bound):
@@ -172,23 +175,22 @@ def pm_bang(f: PointMap, label: str = "") -> PointMap:
         img_cache = img_caches.setdefault(bound, {})
 
         def fn(a):
-            items = list(a)
-            base = len(items)
-            images = []
-            for x in items:
+            images = []  # one list of options per occurrence in a
+            for x, k in a.entries:
                 opts = img_cache.get(x)
                 if opts is None:
                     opts = img_cache[x] = sorted(set(f_at(x)), key=degree)
                 if not opts:
                     return
-                images.append(opts)
+                images += [opts] * k
+            n = len(images)
 
             dedup = set()
 
             def rec(i, acc, deg):
                 if deg > bound:
                     return
-                if i == len(items):
+                if i == n:
                     dedup.add(Multiset.of(acc))
                     return
                 for b in images[i]:
@@ -199,8 +201,8 @@ def pm_bang(f: PointMap, label: str = "") -> PointMap:
                     rec(i + 1, acc, d2)
                     acc.pop()
 
-            rec(0, [], base)
-            yield from (m for m in dedup if contains(tgt, m))
+            rec(0, [], n)
+            yield from (m for m in dedup if contains(web, m))
 
         return fn
 

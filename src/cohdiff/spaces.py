@@ -13,12 +13,19 @@ incoherent = strictly incoherent or neutral.
 
 Spaces are hash-consed like atoms, in the same weak table
 (``web_core._TABLE``): two structurally equal spaces are one object, so
-the caches keyed on spaces (``contains``, ``_verdict``, the enumeration
-cache, the map factories ``dig``, ``contr``, ``seely2``, ``m2`` and
-``dpartial``, and ∂'s image cache) hash them by identity.  Those
-``lru_cache``s keep every space they have seen alive.  The other
-structural maps' images never read the space, so their caches are
-keyed by the atom alone.
+the caches keyed on spaces (``web_of``, ``contains``, ``_verdict``, the
+enumeration cache, the map factories ``dig``, ``contr``, ``seely2``,
+``m2`` and ``dpartial``, and ∂'s image cache) hash them by identity.
+Those ``lru_cache``s keep every space they have seen alive.
+
+Only the uniform (COH) ``!`` reads coherence to decide its web, so
+``web_of(E)`` gives one canonical space for every space with E's web.
+Questions that read only the web are keyed by it: the enumeration
+cache, ∂'s image cache and the membership tests of ``pm_bang`` and
+``dhat_graph`` (``contains`` itself answers for whatever space it is
+given).  ``_verdict`` reads coherence and stays keyed by the space.
+The other structural maps' images never read the space, so their
+caches are keyed by the atom alone.
 """
 
 from __future__ import annotations
@@ -171,6 +178,23 @@ def dual(E: Space) -> Space:
     if isinstance(E, DualSp):
         return E.inner
     return DualSp(E)
+
+
+@lru_cache(maxsize=None)
+def web_of(E: Space) -> Space:
+    """A canonical space with E's web, shared by every space with that web.
+
+    Only the uniform (COH) ``!`` reads coherence to build its web, so a
+    node whose kind is COH comes back unchanged, with its whole subtree.
+    Any other node is rebuilt with the same constructors over
+    ``BaseSpace(REL, atoms)``: NUCS and REL spaces over the same atoms
+    get one web whatever their coherence.
+    """
+    if E.kind == COH:
+        return E
+    if isinstance(E, BaseSpace):
+        return BaseSpace(REL, E.atoms)
+    return type(E)(*(web_of(getattr(E, n)) for n in E.__slots__[:-1]))
 
 
 def mset_width(E: Space) -> int:
@@ -335,9 +359,10 @@ def enumerate_web(E: Space, budget: Budget) -> list:
     """All web atoms whose nested multisets fit the degree budget.
 
     Deterministic (canonical atom order); raises BudgetExceeded if more
-    than ``budget.max_atoms`` atoms would be produced.
+    than ``budget.max_atoms`` atoms would be produced.  Cached per
+    ``web_of(E)``, so spaces with one web share one enumeration.
     """
-    return list(_enumerate_cached(E, budget))
+    return list(_enumerate_cached(web_of(E), budget))
 
 
 @lru_cache(maxsize=4096)

@@ -2,7 +2,7 @@
 
 import random
 
-from cohdiff import differential
+from cohdiff import differential, spaces
 from cohdiff.calculus import Arrow, DTerm, Nat
 from cohdiff.corpus import make_corpus
 from cohdiff.denot import SemEnv, add_s, interp_closed, interp_type
@@ -97,6 +97,27 @@ def test_dpartial_agrees_with_dbar_route():
             lhs = dpartial(E).materialize(BUD)
             rhs = dpartial_via_dbar(E).materialize(BUD)
             assert lhs.pairs == rhs.pairs, kind
+
+
+def test_spaces_with_one_web_share_its_enumeration_and_dpartial_image():
+    """Coherence does not decide a NUCS or REL web, so spaces over the same
+    atoms share !E's enumeration and ∂'s image; a COH ! keeps cliques only."""
+    nucs = (
+        BaseSpace("nucs", (a, b), {(a, a)}, {(a, b)}, name="E"),
+        BaseSpace("nucs", (a, b), {(a, b)}, {(b, b)}, name="E"),
+        BaseSpace("rel", (a, b), name="E"),
+    )
+    coh = (BaseSpace("coh", (a, b), {(a, b)}, name="E"), BaseSpace("coh", (a, b), name="E"))
+    spaces._enumerate_cached.cache_clear()
+    differential._dpartial_image.cache_clear()
+    m = Multiset.of([tag0(a), tag1(b)])
+    webs = {tuple(enumerate_web(Bang(E), BUD)) for E in nucs}
+    images = {tuple(dpartial(E).at(3)(m)) for E in nucs}
+    assert len(webs) == 1 and images == {(tag1(Multiset.of([a, b])),)}
+    assert spaces._enumerate_cached.cache_info().misses == 1
+    assert differential._dpartial_image.cache_info().misses == 1
+    assert len({tuple(enumerate_web(Bang(E), BUD)) for E in coh}) == 2
+    assert spaces._enumerate_cached.cache_info().misses == 3
 
 
 def test_dbar_is_built_once_per_bound(monkeypatch):

@@ -2,12 +2,15 @@
 
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
 
 from cohdiff import web_core
+from cohdiff.lawcheck import gen_space
 from cohdiff.spaces import (
+    KINDS,
     Bang,
     BaseSpace,
     DualSp,
@@ -29,6 +32,8 @@ from cohdiff.spaces import (
     one,
     parse_space,
     parse_space_expr,
+    web_of,
+    _enumerate_cached,
 )
 from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag
 
@@ -250,3 +255,33 @@ def test_unreferenced_spaces_leave_the_table():
     gc.collect()
     assert all(r() is None for r in refs)
     assert len(web_core._TABLE) == before
+
+
+def _shapes(E, F):
+    """Each constructor over E and F, and a nested !."""
+    return [E, Tensor(E, F), With(E, F), PlusSp(E, F), Limpl(E, F), DualSp(E), SFun(E), Bang(E), Bang(Tensor(E, Bang(F)))]
+
+
+@pytest.mark.parametrize("degree", (2, 3))
+@pytest.mark.parametrize("kind", KINDS)
+def test_web_of_has_the_web_of_its_space(kind, degree):
+    """web_of keeps the web: enumeration and membership, also of atoms outside it.
+
+    The candidates outside the web come from the same shape over REL
+    spaces with one atom more: atoms over the extra point, and multisets
+    that are not cliques.
+    """
+    budget, rng, z = Budget(degree), random.Random(degree), Base("z")
+    wider = lambda G: BaseSpace("rel", G.atoms + (z,))
+    for _ in range(3):
+        E, F = gen_space(rng, kind), gen_space(rng, kind)
+        N, C = gen_space(rng, "nucs"), gen_space(rng, "coh")
+        pairs = list(zip(_shapes(E, F), _shapes(wider(E), wider(F))))
+        pairs.append((Tensor(N, Bang(C)), Tensor(wider(N), Bang(wider(C)))))  # a COH ! inside a NUCS ⊗
+        for space, around in pairs:
+            web = enumerate_web(space, budget)
+            assert web == list(_enumerate_cached.__wrapped__(space, budget))
+            candidates = set(web) | set(enumerate_web(web_of(space), budget)) | set(enumerate_web(around, budget))
+            for x in candidates:
+                assert contains(space, x) == contains(web_of(space), x), (space, x)
+            assert len(candidates) > sum(contains(space, x) for x in candidates) == len(web)
