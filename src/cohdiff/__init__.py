@@ -49,7 +49,6 @@ from .spaces import (
     is_clique,
     is_morphism,
     ispace,
-    matapp,
     one,
     parse_space,
     parse_space_expr,
@@ -71,8 +70,6 @@ from .differential import (
     dpartial,
     dpartial_via_dbar,
     dtilde,
-    fun_apply,
-    local_derivative,
 )
 from .lawcheck import (
     CheckResult,

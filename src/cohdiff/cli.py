@@ -74,6 +74,7 @@ def check_laws(model, trials, seed, budget, only, summary):
                     "ok": r.ok,
                     "trials": r.trials,
                     "instances": r.instances,
+                    "webs": r.webs,
                     "witness": r.witness,
                 }
                 for r in results

@@ -150,20 +150,3 @@ def dhat(E: Space, F: Space, s: Rel, budget) -> Rel:
     pairs = [(p, b) for p, b in s.pairs if within_budget(p, budget.max_degree)]
     return Rel(frozenset(dhat_graph(E, pairs, budget.max_degree)), "dhat", "")
 
-
-def local_derivative(s: Rel, x) -> Rel:
-    """∂s(x)/∂x = {(a, b) | (m + [a], b) ∈ s, Supp m ⊆ x}."""
-    xs = set(x)
-    pairs = set()
-    for m, b in s.pairs:
-        for a in m.support:
-            rest = m - Multiset.of([a])
-            if all(c in xs for c in rest.support):
-                pairs.add((a, b))
-    return Rel(frozenset(pairs), "local", "")
-
-
-def fun_apply(s: Rel, x) -> frozenset:
-    """Fun s(x) = {b | ∃ m with Supp m ⊆ x, (m, b) ∈ s}."""
-    xs = set(x)
-    return frozenset(b for m, b in s.pairs if all(a in xs for a in m.support))

@@ -7,10 +7,14 @@ budget (both sides are filtered to the same window, so the comparison
 is exact on that window).
 
 Most laws quantify over spaces only: their checks take the spaces as
-arguments, and ``run_check`` memoizes each verdict in the MapCtx, so a
-space tuple that repeats across trials is checked once.  ∂ is fetched
-through the MapCtx so tests can swap in a deliberately broken map and
-watch the right law fail.
+arguments, and ``run_check`` memoizes each verdict in the MapCtx keyed
+by the webs of the drawn spaces (``spaces.web_of``), so every space
+tuple with one web tuple is decided once.  A space-drawing law must
+therefore read only webs, never coherence; the oracle test
+``test_space_laws_read_only_webs`` enforces this.  ∂ is fetched through
+the MapCtx so tests can swap in a deliberately broken map and watch the
+right law fail; a MapCtx with overrides keys its verdicts by the spaces
+themselves, since a mutant may read coherence.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .spaces import (
     is_morphism,
     one,
     top,
+    web_of,
 )
 from .summability import (
     L_map,
@@ -135,8 +140,9 @@ def gen_summable_pair(rng: random.Random, E: Space, F: Space, budget: Budget):
 class MapCtx:
     """A model kind and budget; ``overrides["dpartial"]`` swaps in another ∂.
 
-    ``verdicts`` maps (law, spaces) to (ok, witness): a verdict holds only
-    for this kind, budget and override set.
+    ``verdicts`` maps (law, webs) to (ok, witness), where webs are the
+    ``web_of`` of the drawn spaces, or (law, spaces) when overrides are
+    set.  A verdict holds only for this kind, budget and override set.
     """
 
     kind: str
@@ -708,6 +714,8 @@ def chk_sfun_iso(ctx, rng):
 # law name -> (check, web cap of each space it draws).  Caps None mark the
 # laws that also draw morphisms: their checks take the generator and run
 # uncached.  A law that draws nothing, caps (), is checked in one trial.
+# A law with caps is decided once per web tuple, so it must read only
+# webs (tests/test_lawcheck.py::test_space_laws_read_only_webs).
 REGISTRY = {
     "joint-monicity": (chk_joint_monicity, None),
     "sum-zero": (chk_sum_zero, None),
@@ -765,32 +773,38 @@ class CheckResult:
     ok: bool
     trials: int
     instances: int
+    webs: int
     witness: str | None = None
 
 
 def run_check(name: str, ctx: MapCtx, seed: int, trials: int) -> CheckResult:
     """Check one law on up to ``trials`` draws; stop at the first failure.
 
-    ``instances`` counts the distinct space tuples checked, or the trials
-    run for a law that draws morphisms.
+    ``instances`` counts the distinct space tuples drawn and ``webs`` the
+    verdicts they needed: one per web tuple, or per space tuple when
+    ``ctx.overrides`` is set.  For a law that draws morphisms both count
+    the trials run.
     """
     fn, caps = REGISTRY[name]
     rng = random.Random(f"{seed}:{name}:{ctx.kind}")
     n = 1 if caps == () else trials
-    seen = set()
+    seen, keys = set(), set()
     for t in range(n):
         if caps is None:  # morphisms drawn: every trial is a new instance
             seen.add(t)
+            keys.add(t)
             ok, wit = fn(ctx, rng)
         else:
             spaces = tuple(gen_space(rng, ctx.kind, cap) for cap in caps)
+            key = name, spaces if ctx.overrides else tuple(map(web_of, spaces))
             seen.add(spaces)
-            if (name, spaces) not in ctx.verdicts:
-                ctx.verdicts[name, spaces] = fn(ctx, *spaces)
-            ok, wit = ctx.verdicts[name, spaces]
+            keys.add(key)
+            if key not in ctx.verdicts:
+                ctx.verdicts[key] = fn(ctx, *spaces)
+            ok, wit = ctx.verdicts[key]
         if not ok:
-            return CheckResult(name, ctx.kind, False, t + 1, len(seen), wit)
-    return CheckResult(name, ctx.kind, True, n, len(seen))
+            return CheckResult(name, ctx.kind, False, t + 1, len(seen), len(keys), wit)
+    return CheckResult(name, ctx.kind, True, n, len(seen), len(keys))
 
 
 def run_all(

@@ -344,12 +344,6 @@ def is_morphism(E: Space, F: Space, s: Rel) -> bool:
     return is_clique(hom, atoms)
 
 
-def matapp(s: Rel, x) -> frozenset:
-    """Apply a morphism to a clique: the image set."""
-    xs = set(x)
-    return frozenset(b for (a, b) in s.pairs if a in xs)
-
-
 # ---------------------------------------------------------------------------
 # Web enumeration
 # ---------------------------------------------------------------------------

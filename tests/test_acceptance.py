@@ -13,7 +13,7 @@ import cohdiff.calculus as cal
 from cohdiff.calculus import alpha_eq, parse, step, typecheck
 from cohdiff.corpus import make_corpus
 from cohdiff.denot import SemEnv, soundness_check
-from cohdiff.differential import dbar, dhat, dpartial, fun_apply, local_derivative
+from cohdiff.differential import dbar, dhat, dpartial
 from cohdiff.exponential import contr, der, weak
 from cohdiff.lawcheck import MapCtx, gen_morphism, gen_space, run_all, run_check
 from cohdiff.maps import PointMap
@@ -25,10 +25,10 @@ from cohdiff.spaces import (
     is_clique,
     is_morphism,
     ispace,
-    matapp,
 )
 from cohdiff.summability import L_map, msum, nary_summable, pr0, summable
 from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag, degree
+from relfun import fun_apply, local_derivative, matapp
 
 BUD = Budget(3)
 a, b = Base("a"), Base("b")

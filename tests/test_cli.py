@@ -83,6 +83,8 @@ def test_check_laws_writes_summary(tmp_path):
     assert data["results"][0]["name"] == "d-local"
     assert data["results"][0]["ok"] is True
     assert 1 <= data["results"][0]["instances"] <= 2
+    # COH draws are their own webs, so each instance is decided on its own
+    assert data["results"][0]["webs"] == data["results"][0]["instances"]
 
 
 def test_typecheck_demo():

@@ -11,12 +11,11 @@ from cohdiff.differential import (
     dhat,
     dpartial,
     dpartial_via_dbar,
-    fun_apply,
-    local_derivative,
 )
 from cohdiff.lawcheck import gen_morphism, gen_space
-from cohdiff.spaces import Bang, BaseSpace, SFun, enumerate_web, is_clique, matapp
+from cohdiff.spaces import Bang, BaseSpace, SFun, enumerate_web, is_clique
 from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag, rel_compose
+from relfun import fun_apply, local_derivative, matapp
 
 a, b = Base("a"), Base("b")
 BUD = Budget(3)

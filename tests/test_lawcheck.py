@@ -19,7 +19,7 @@ from cohdiff.lawcheck import (
 )
 from cohdiff.exponential import der, dig, m2
 from cohdiff.maps import PointMap, pm_bang, pm_compose, pm_id, pm_tensor
-from cohdiff.spaces import Bang, BaseSpace, Tensor, With, enumerate_web, is_morphism
+from cohdiff.spaces import Bang, BaseSpace, Tensor, With, enumerate_web, is_morphism, web_of
 from cohdiff.web_core import Base, Budget, Tag, within_budget
 
 BUD = Budget(3)
@@ -318,3 +318,68 @@ def test_every_diagram_law_sees_atoms_at_budget_1(monkeypatch):
             if sizes and not any(sizes):
                 vacuous.append((name, kind))
     assert not vacuous
+
+
+SPACE_LAWS = [n for n, (_, caps) in REGISTRY.items() if caps]
+
+
+@pytest.mark.parametrize("name", SPACE_LAWS)
+def test_space_laws_read_only_webs(monkeypatch, name):
+    """A space-drawing law is decided once per web, so it must not read coherence.
+
+    On every distinct NUCS draw of seeds 0 and 7, the check gives the same
+    verdict, and hands run_diagram the same graphs, on the drawn spaces as
+    on their webs.
+    """
+    fn, caps = REGISTRY[name]
+    sides = []
+
+    def record(lhs, rhs, budget):
+        sides.append((lhs.materialize(budget).pairs, rhs.materialize(budget).pairs))
+        return run_diagram(lhs, rhs, budget)
+
+    monkeypatch.setattr(lawcheck, "run_diagram", record)
+    ctx = MapCtx("nucs", BUD)
+    draws = set()
+    for seed in (0, 7):
+        rng = random.Random(f"{seed}:{name}:nucs")
+        draws |= {tuple(gen_space(rng, "nucs", cap) for cap in caps) for _ in range(20)}
+    assert any(spaces != tuple(map(web_of, spaces)) for spaces in draws)
+    for spaces in sorted(draws, key=repr):
+        sides.clear()
+        got = fn(ctx, *spaces)
+        drawn = list(sides)
+        sides.clear()
+        assert fn(ctx, *map(web_of, spaces)) == got, spaces
+        assert sides == drawn, spaces
+
+
+def _counted(monkeypatch, name):
+    """Rebind the law's check to one that records the spaces it is called on."""
+    fn, caps = REGISTRY[name]
+    calls = []
+
+    def counted(ctx, *spaces):
+        calls.append(spaces)
+        return fn(ctx, *spaces)
+
+    monkeypatch.setitem(REGISTRY, name, (counted, caps))
+    return calls
+
+
+def test_nucs_check_runs_once_per_distinct_web(monkeypatch):
+    calls = _counted(monkeypatch, "bang-counit-left")
+    res = run_check("bang-counit-left", MapCtx("nucs", BUD), seed=7, trials=100)
+    webs = {tuple(map(web_of, spaces)) for spaces in calls}
+    assert res.ok and res.trials == 100
+    assert len(calls) == len(webs) == res.webs < res.instances
+
+
+def test_overrides_keep_one_verdict_per_space_tuple(monkeypatch):
+    """A mutant passed as an override may read coherence, so no draws share a verdict."""
+    calls = _counted(monkeypatch, "bang-counit-left")
+    ctx = MapCtx("nucs", BUD, {"dpartial": dpartial})
+    res = run_check("bang-counit-left", ctx, seed=7, trials=100)
+    webs = {tuple(map(web_of, spaces)) for spaces in calls}
+    assert res.ok and res.trials == 100
+    assert len(calls) == len(set(calls)) == res.instances == res.webs > len(webs)

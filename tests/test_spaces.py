@@ -28,7 +28,6 @@ from cohdiff.spaces import (
     is_clique,
     is_morphism,
     ispace,
-    matapp,
     one,
     parse_space,
     parse_space_expr,
@@ -36,6 +35,7 @@ from cohdiff.spaces import (
     _enumerate_cached,
 )
 from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag
+from relfun import matapp
 
 a, b, c = Base("a"), Base("b"), Base("c")
 BUD = Budget(3)
