@@ -10,6 +10,13 @@ pi1^d M0 + pi0^d M1 when M0 + M1 is typeable one level up) plus
 closure under inverting one linear-commutation step; anything else —
 like x + y for distinct variables — is rejected.
 
+Terms and types are tuples: each constructor subclasses a ``namedtuple``
+of its fields and one last item, ``tag``, that holds the constructor's
+name.  ``hash`` and ``==`` are tuple's, so they run in C and compare
+structurally, and the tag keeps apart constructors with equal fields
+(``Nat(0) != Num(0)``, ``App(m, n) != Plus(m, n)``).  Instances are
+immutable and have no ``__dict__``.
+
 Terms are walked through one table, ``_SUBTERMS``: the subterm fields
 of each constructor, in the order reduction visits them; every other
 field is data.  ``free_vars``, ``subst``, ``alpha_eq`` and ``step``
@@ -26,7 +33,6 @@ syntactic rules do not type is typed through the normal forms of its
 summands, and one call keeps a table from (sum, environment) to the
 type or the TypeError_ that gave, so its nested attempts type each such
 sum once.  That table is made on entry and dropped on return.
-Everything else is typed afresh, which costs less than hashing it.
 
 ``normalize`` keeps the one table that lives across calls, ``_NF``:
 from (term, frozenset of environment items) to (normal form, steps to
@@ -41,7 +47,12 @@ depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
+
+
+def _node(name: str, fields: str = "", *defaults):
+    """The tuple base of the constructor ``name``: its fields, then ``tag``, holding ``name``."""
+    return namedtuple(name, fields + " tag", defaults=(*defaults, name))
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +60,10 @@ from dataclasses import dataclass, fields
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Ty:
     """A type; ``str`` and ``repr`` both print it in the input syntax."""
+
+    __slots__ = ()
 
     def __str__(self):
         return ty_to_text(self)
@@ -59,15 +71,12 @@ class Ty:
     __repr__ = __str__
 
 
-@dataclass(frozen=True, repr=False)
-class Nat(Ty):
-    depth: int = 0
+class Nat(Ty, _node("Nat", "depth", 0)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class Arrow(Ty):
-    src: Ty
-    tgt: Ty
+class Arrow(Ty, _node("Arrow", "src tgt")):
+    __slots__ = ()
 
 
 def dtype(t: Ty) -> Ty:
@@ -103,91 +112,66 @@ def nat_depth(t: Ty) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Term:
-    pass
+    """A term: an instance of one of the constructors below."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
+class Var(Term, _node("Var", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lam(Term):
-    var: str
-    ty: Ty
-    body: Term
+class Lam(Term, _node("Lam", "var ty body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class App(Term):
-    fun: Term
-    arg: Term
+class App(Term, _node("App", "fun arg")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DTerm(Term):
-    body: Term
+class DTerm(Term, _node("DTerm", "body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Proj(Term):
-    index: int
-    depth: int
-    body: Term
+class Proj(Term, _node("Proj", "index depth body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Inj(Term):
-    index: int
-    depth: int
-    body: Term
+class Inj(Term, _node("Inj", "index depth body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SigmaT(Term):
-    depth: int
-    body: Term
+class SigmaT(Term, _node("SigmaT", "depth body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CTerm(Term):
-    depth: int
-    body: Term
+class CTerm(Term, _node("CTerm", "depth body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Zero(Term):
-    ty: Ty | None = None
+class Zero(Term, _node("Zero", "ty", None)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Plus(Term):
-    left: Term
-    right: Term
+class Plus(Term, _node("Plus", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Num(Term):
-    value: int
+class Num(Term, _node("Num", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Succ(Term):
-    pass
+class Succ(Term, _node("Succ")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class If0(Term):
-    cond: Term
-    then: Term
-    other: Term
+class If0(Term, _node("If0", "cond then other")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fix(Term):
-    body: Term
+class Fix(Term, _node("Fix", "body")):
+    __slots__ = ()
 
 
 # The subterm fields of each constructor, in the order reduction visits
@@ -204,7 +188,7 @@ _SUBTERMS = {
 
 # The data fields of each constructor: all fields that are not subterms.
 _DATA = {
-    cls: tuple(f.name for f in fields(cls) if f.name not in kids)
+    cls: tuple(f for f in cls._fields[:-1] if f not in kids)
     for cls, kids in _SUBTERMS.items()
 }
 
@@ -490,6 +474,8 @@ def subst(m: Term, name: str, val: Term) -> Term:
 
 
 def alpha_eq(m: Term, n: Term, env: tuple = ()) -> bool:
+    if not env and m == n:  # structurally equal terms are α-equal
+        return True
     if type(m) is not type(n):
         return False
     if isinstance(m, Var):
@@ -539,11 +525,12 @@ class _Memo(dict):
     """One ``typecheck`` call's table: (sum, frozenset of env items) -> type or TypeError_.
 
     It holds the outcomes of ``_ty_normal_sum`` and is dropped when the
-    call returns; only ``_NF`` outlives it.  Terms and types compare
-    structurally, so an entry serves every equal sum met under an equal
-    environment.  An outcome whose evaluation absorbed a RecursionError
-    (counted process-wide in ``_unstable``, nested calls included) is
-    not stored: it may depend on stack depth.
+    call returns; only ``_NF`` outlives it.  Terms and types are tuples,
+    so a key is hashed and compared by tuple's C code, structurally, and
+    an entry serves every equal sum met under an equal environment.  An
+    outcome whose evaluation absorbed a RecursionError (counted
+    process-wide in ``_unstable``, nested calls included) is not
+    stored: it may depend on stack depth.
     """
 
 

@@ -16,7 +16,7 @@ from .denot import SemEnv, interp_closed
 from .differential import dhat
 from .lawcheck import REGISTRY, run_all
 from .spaces import Bang, BaseSpace, is_morphism, parse_space, parse_space_expr
-from .web_core import Base, Budget, Multiset, Rel, atom_to_text, rel_from_text, rel_to_text
+from .web_core import Base, Budget, Multiset, Rel, atom_to_text, rel_from_text, rel_to_text, within_budget
 
 ALL_KINDS = ("coh", "nucs", "rel")
 
@@ -154,8 +154,10 @@ def eval_cmd(file, kind, budget, nmax):
         click.echo(f"type error: {e}", err=True)
         sys.exit(1)
     sem = SemEnv(kind=kind, nmax=nmax, budget=Budget(budget))
-    den = interp_closed(m, sem)
-    if not den:
+    # a closed term's context multisets are empty; points above the
+    # budget are dropped, as PointMap.materialize drops such pairs
+    points = [b for _, b in interp_closed(m, sem) if within_budget(b, budget)]
+    if not points:
         # an empty denotation is also what truncation leaves of a numeral
         # above nmax or of an atom above the budget
         click.echo(
@@ -163,7 +165,7 @@ def eval_cmd(file, kind, budget, nmax):
             "it may be truncated, so raise them to see more",
             err=True,
         )
-    for line in sorted(atom_to_text(b) for _, b in den):
+    for line in sorted(map(atom_to_text, points)):
         click.echo(line)
 
 

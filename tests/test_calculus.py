@@ -436,6 +436,49 @@ def test_corpus_normal_forms_do_not_depend_on_hashing(hash_seed):
         assert out == fh.read()
 
 
+# -- representation --------------------------------------------------------
+
+
+def test_constructors_with_equal_fields_are_unequal():
+    x, y = cal.Var("x"), cal.Var("y")
+    assert cal.App(x, y) != cal.Plus(x, y)
+    assert Nat(0) != cal.Num(0)
+    assert cal.DTerm(x) != cal.Fix(x)
+    assert cal.SigmaT(0, x) != cal.CTerm(0, x)
+    assert cal.Proj(0, 0, x) != cal.Inj(0, 0, x)
+    assert len({cal.App(x, y), cal.Plus(x, y), Nat(0), cal.Num(0)}) == 4
+
+
+def test_defaults_fill_trailing_fields():
+    assert cal.Zero() == cal.Zero(None)
+    assert Nat() == Nat(0)
+
+
+def test_terms_and_types_are_immutable():
+    m = parse("\\x:nat. x")
+    with pytest.raises(AttributeError):
+        m.var = "y"
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    with pytest.raises(AttributeError):
+        m.ty.depth = 1
+
+
+def test_hashing_a_deep_term_calls_no_python_code():
+    m = cal.Var("x")
+    for _ in range(1000):
+        m = cal.DTerm(m)
+    twin = cal.DTerm(m.body)
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name) if event == "call" else None)
+    try:
+        hash(m)
+        same = m == twin
+    finally:
+        sys.setprofile(None)
+    assert same and calls == []
+
+
 def test_types_print_in_the_input_syntax():
     for src in ["nat", "D D nat", "(nat => D nat) => nat", "nat => nat => D nat"]:
         t = ty(src)

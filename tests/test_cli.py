@@ -157,6 +157,18 @@ def test_eval_notes_an_empty_denotation(tmp_path):
     assert (r.exit_code, r.stdout, r.stderr) == (0, "8\n", "")
 
 
+def test_eval_shows_only_points_within_the_budget(tmp_path):
+    """Each point of the identity on nat holds a multiset of degree 1: none is shown at --budget 0."""
+    f = tmp_path / "id.cdl"
+    f.write_text("\\x:nat. x\n")
+    r = run("eval", str(f), "--budget", "0")
+    assert (r.exit_code, r.stdout) == (0, "")
+    assert "empty denotation at --nmax 3 --budget 0" in r.stderr
+    r = run("eval", str(f), "--budget", "1")
+    assert (r.exit_code, r.stderr) == (0, "")
+    assert r.stdout.splitlines() == ["([0],0)", "([1],1)", "([2],2)", "([3],3)"]
+
+
 def test_derive_linear_demo():
     r = run("derive", demo_path("linear.rel"))
     assert r.exit_code == 0

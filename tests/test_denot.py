@@ -2,6 +2,10 @@
 
 import hashlib
 import os
+import subprocess
+import sys
+
+import pytest
 
 import cohdiff.calculus as cal
 from cohdiff import denot, differential
@@ -14,6 +18,7 @@ from cohdiff.spaces import SFun, enumerate_web
 from cohdiff.web_core import Budget, Tag, atom_to_text
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 SEM = SemEnv(kind="coh", nmax=3, budget=Budget(3))
 
@@ -127,6 +132,32 @@ def test_corpus_denotations_match_golden():
             lines.append(f"{kind}\t{i}\t{hashlib.sha256(text.encode()).hexdigest()[:16]}\n")
     with open(os.path.join(GOLDEN, "corpus-den-0-200.txt")) as fh:
         assert lines == fh.readlines()
+
+
+CORPUS_DEN_SCRIPT = """
+import hashlib
+
+from cohdiff.corpus import make_corpus
+from cohdiff.denot import SemEnv, interp_closed
+from cohdiff.web_core import Budget, atom_to_text
+
+terms = make_corpus(seed=0, count=200)
+for kind in ("coh", "nucs", "rel"):
+    sem = SemEnv(kind=kind, nmax=3, budget=Budget(3))
+    for i, (m, _t) in enumerate(terms):
+        text = "\\n".join(sorted(f"{atom_to_text(a)}|{atom_to_text(b)}" for a, b in interp_closed(m, sem)))
+        print(f"{kind}\\t{i}\\t{hashlib.sha256(text.encode()).hexdigest()[:16]}")
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "12345"])
+def test_corpus_denotations_do_not_depend_on_hashing(hash_seed):
+    """Terms, types and variable names hash by PYTHONHASHSEED: the golden must hold under any seed."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+    cmd = [sys.executable, "-c", CORPUS_DEN_SCRIPT]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+    with open(os.path.join(GOLDEN, "corpus-den-0-200.txt")) as fh:
+        assert out == fh.read()
 
 
 # -- the corpus soundness pass sees the structural maps ---------------------
