@@ -79,7 +79,7 @@ from .summability import (
     w0,
     witness,
 )
-from .web_core import Base, Budget, Pair, Rel, Tag
+from .web_core import Base, Budget, Pair, Rel
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +126,12 @@ def gen_morphism(rng: random.Random, E: Space, F: Space, budget: Budget) -> Rel:
 def gen_summable_pair(rng: random.Random, E: Space, F: Space, budget: Budget):
     """Two summable morphisms E → F, via a random witness E → SF."""
     w = gen_morphism(rng, E, SFun(F), budget)
-    f0 = Rel(frozenset((a, b.inner) for a, b in w.pairs if b.index == 0), "f0", "")
-    f1 = Rel(frozenset((a, b.inner) for a, b in w.pairs if b.index == 1), "f1", "")
-    return f0, f1
+    return Rel(_summand(w, 0), "f0", ""), Rel(_summand(w, 1), "f1", "")
+
+
+def _summand(w: Rel, i: int) -> frozenset:
+    """The pairs of w : E → SF in layer i, untagged: the i-th summand w witnesses."""
+    return frozenset((a, b.inner) for a, b in w.pairs if b.index == i)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +230,7 @@ def chk_joint_monicity(ctx, rng):
     E, F = gen_space(rng, ctx.kind), gen_space(rng, ctx.kind)
     w1 = gen_morphism(rng, E, SFun(F), ctx.budget)
     w2 = gen_morphism(rng, E, SFun(F), ctx.budget)
-    split = lambda w, i: frozenset((a, b.inner) for a, b in w.pairs if b.index == i)
-    if split(w1, 0) == split(w2, 0) and split(w1, 1) == split(w2, 1):
+    if _summand(w1, 0) == _summand(w2, 0) and _summand(w1, 1) == _summand(w2, 1):
         if w1.pairs != w2.pairs:
             return False, "projections agree but maps differ"
     return True, None
@@ -264,8 +266,7 @@ def chk_sum_wit(ctx, rng):
     if not is_morphism(E, SFun(F), w):
         return False, "witness of summable pair is not a morphism"
     for i, f in ((0, f0), (1, f1)):
-        back = frozenset((a, b.inner) for a, b in w.pairs if b.index == i)
-        if back != f.pairs:
+        if _summand(w, i) != f.pairs:
             return False, f"projection {i} does not recover the summand"
     return True, None
 
@@ -323,16 +324,12 @@ def chk_sum_with(ctx, rng):
     F, G = gen_space(rng, ctx.kind, 3), gen_space(rng, ctx.kind, 3)
     f0, f1 = gen_summable_pair(rng, E, F, ctx.budget)
     g0, g1 = gen_summable_pair(rng, E, G, ctx.budget)
-    pair = lambda f, g: frozenset(
-        {(a, Tag(0, b)) for a, b in f.pairs} | {(a, Tag(1, b)) for a, b in g.pairs}
-    )
-    p0 = Rel(pair(f0, g0), "p0", "")
-    p1 = Rel(pair(f1, g1), "p1", "")
+    p0, p1 = witness(f0, g0), witness(f1, g1)  # ⟨f, g⟩ : E → F & G has the pairs of witness(f, g)
     W = With(F, G)
     if not summable(E, W, p0, p1):
         return False, "paired morphisms not summable"
     s = msum(E, W, p0, p1)
-    expect = pair(msum(E, F, f0, f1), msum(E, G, g0, g1))
+    expect = witness(msum(E, F, f0, f1), msum(E, G, g0, g1)).pairs
     if s.pairs != expect:
         return False, "<f0,g0> + <f1,g1> != <f0+f1, g0+g1>"
     return True, None

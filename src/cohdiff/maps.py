@@ -15,14 +15,12 @@ powers of the value point) cut it there.
 
 Evaluation is staged.  ``materialize`` calls ``at`` once, with the
 budget's degree; the combinators pass each part its own bound (f runs
-at g.pre(b) under g ∘ f), so every ``pre`` and every per-bound table is
-fixed once per diagram side.  What runs per source atom is only the
-function ``at`` returned.
+at g.pre(b) under g ∘ f), so every ``pre`` is fixed once per diagram
+side.  What runs per source atom is only the function ``at`` returned.
 
-No combinator here caches a map's images, except ``pm_bang``'s table of
-pointwise images per bound.  The structural maps cache their own, each
-in one ``lru_cache`` on the function that computes an atom's image
-(``exponential``, ``differential``).
+No combinator here caches a map's images.  The structural maps cache
+their own, each in one ``lru_cache`` on the function that computes an
+atom's image (``exponential``, ``differential``).
 """
 
 from __future__ import annotations
@@ -50,9 +48,9 @@ class PointMap:
     def materialize(self, budget: Budget) -> Rel:
         """Pairs (a, b) with both sides within the degree budget.
 
-        ``at`` runs once, at the budget's degree: it fixes every bound,
-        ``pre`` and per-bound table of the map.  The loop over the source
-        web then runs only the function it returns.
+        ``at`` runs once, at the budget's degree: it fixes every bound
+        and ``pre`` of the map.  The loop over the source web then runs
+        only the function it returns.
         """
         fn = self.at(budget.max_degree)
         pairs = set()
@@ -161,25 +159,22 @@ def pm_bang(f: PointMap, label: str = "") -> PointMap:
 
     f runs at the bound of !f, and pointwise images are pruned where
     the accumulated degree of the output passes it, which keeps products
-    of decomposition maps (dig, m0) finite and fast.  The pointwise
-    images are cached per bound, keyed by the atom, and read once per
-    entry of the input multiset.  Outputs are kept inside the web of
-    !(f.tgt), tested against ``web_of`` of it.
+    of decomposition maps (dig, m0) finite and fast.  f's image of each
+    distinct entry of the input multiset is computed once per input; the
+    structural maps' own image caches serve repeats across inputs.
+    Outputs are kept inside the web of !(f.tgt), tested against
+    ``web_of`` of it.
     """
     tgt = Bang(f.tgt)
     web = web_of(tgt)
-    img_caches: dict = {}  # bound -> atom -> its images under f, sorted by degree
 
     def at(bound):
         f_at = f.at(bound)
-        img_cache = img_caches.setdefault(bound, {})
 
         def fn(a):
             images = []  # one list of options per occurrence in a
             for x, k in a.entries:
-                opts = img_cache.get(x)
-                if opts is None:
-                    opts = img_cache[x] = sorted(set(f_at(x)), key=degree)
+                opts = sorted(set(f_at(x)), key=degree)
                 if not opts:
                     return
                 images += [opts] * k

@@ -13,19 +13,19 @@ incoherent = strictly incoherent or neutral.
 
 Spaces are hash-consed like atoms, in the same weak table
 (``web_core._TABLE``): two structurally equal spaces are one object, so
-the caches keyed on spaces (``web_of``, ``contains``, ``_verdict``, the
-enumeration cache, the map factories ``dig``, ``contr``, ``seely2``,
-``m2`` and ``dpartial``, and ∂'s image cache) hash them by identity.
-Those ``lru_cache``s keep every space they have seen alive.
+the caches keyed on spaces (``contains``, the enumeration cache, the map
+factories ``dig``, ``contr``, ``seely2``, ``m2`` and ``dpartial``, and
+∂'s image cache) hash them by identity.  Those ``lru_cache``s keep every
+space they have seen alive.  Coherence verdicts and ``web_of`` are not
+cached, so they keep no space alive.
 
 Only the uniform (COH) ``!`` reads coherence to decide its web, so
 ``web_of(E)`` gives one canonical space for every space with E's web.
 Questions that read only the web are keyed by it: the enumeration
 cache, ∂'s image cache and the membership tests of ``pm_bang`` and
 ``dhat_graph`` (``contains`` itself answers for whatever space it is
-given).  ``_verdict`` reads coherence and stays keyed by the space.
-The other structural maps' images never read the space, so their
-caches are keyed by the atom alone.
+given).  The other structural maps' images never read the space, so
+their caches are keyed by the atom alone.
 """
 
 from __future__ import annotations
@@ -180,7 +180,6 @@ def dual(E: Space) -> Space:
     return DualSp(E)
 
 
-@lru_cache(maxsize=None)
 def web_of(E: Space) -> Space:
     """A canonical space with E's web, shared by every space with that web.
 
@@ -233,12 +232,10 @@ def contains(E: Space, a: Atom) -> bool:
     if isinstance(E, Bang):
         if not isinstance(a, Multiset):
             return False
-        if not all(contains(E.inner, x) for x in a.support):
-            return False
         if E.kind == COH:
             # uniform exponential: the support must be a clique
             return is_clique(E.inner, a.support)
-        return True
+        return all(contains(E.inner, x) for x in a.support)
     raise TypeError(f"not a space: {E!r}")
 
 
@@ -249,7 +246,6 @@ def coherent(E: Space, a: Atom, b: Atom) -> Verdict:
     return _verdict(E, a, b)
 
 
-@lru_cache(maxsize=None)
 def _verdict(E: Space, a: Atom, b: Atom) -> Verdict:
     if isinstance(E, BaseSpace):
         if E.kind == COH:
@@ -324,24 +320,18 @@ def _neutral_matching(E: Space, xs: list, ys: list) -> bool:
 
 
 def is_clique(E: Space, xs) -> bool:
-    """Pairwise coherence (diagonal included)."""
+    """Atoms of E's web, pairwise coherent (diagonal included)."""
     xs = list(xs)
+    if not all(contains(E, x) for x in xs):
+        return False
     if E.kind == REL:
-        return all(contains(E, x) for x in xs)
-    for i, x in enumerate(xs):
-        for y in xs[i:]:
-            if not coherent(E, x, y).coherent:
-                return False
-    return True
+        return True
+    return all(coherent(E, x, y).coherent for i, x in enumerate(xs) for y in xs[i:])
 
 
 def is_morphism(E: Space, F: Space, s: Rel) -> bool:
     """s is a morphism E → F iff it is a clique of E ⊸ F."""
-    atoms = [Pair(a, b) for a, b in s.pairs]
-    hom = Limpl(E, F)
-    if not all(contains(hom, p) for p in atoms):
-        return False
-    return is_clique(hom, atoms)
+    return is_clique(Limpl(E, F), [Pair(a, b) for a, b in s.pairs])
 
 
 # ---------------------------------------------------------------------------

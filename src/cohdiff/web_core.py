@@ -29,9 +29,9 @@ hit runs no Python frame; a ref's callback drops its entry as soon as
 nothing else refers to the value, unless a new value has taken the key
 since.  Keys hold the children themselves, never their ``id()``, so an
 address freed by one value cannot be mistaken for another.  (The
-``lru_cache``s on ``atom_key``, ``degree`` and ``within_budget``, on the
-structural maps' image functions and on those keyed on spaces do keep
-every value they have seen alive.)
+``lru_cache``s on ``atom_key``, ``degree``, ``within_budget`` and
+``spaces.contains``, and on the structural maps' factories and image
+functions, do keep every value they have seen alive.)
 Interned values are immutable: setting or deleting an attribute raises.
 
 Webs of ``!E`` are infinite, so enumeration is controlled by a
@@ -311,21 +311,8 @@ class Rel:
     src_label: str = ""
     tgt_label: str = ""
 
-    @staticmethod
-    def of(pairs: Iterable, src_label: str = "", tgt_label: str = "") -> "Rel":
-        return Rel(frozenset(tuple(p) for p in pairs), src_label, tgt_label)
-
-    def codomain(self) -> frozenset:
-        return frozenset(b for _, b in self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in self.pairs
-
     def __iter__(self):
         return iter(sorted(self.pairs, key=lambda p: (atom_key(p[0]), atom_key(p[1]))))
-
-    def __len__(self):
-        return len(self.pairs)
 
     def __or__(self, other: "Rel") -> "Rel":
         return Rel(self.pairs | other.pairs, self.src_label, self.tgt_label)
@@ -460,4 +447,4 @@ def rel_from_text(text: str) -> Rel:
         else:
             raise AtomParseError(f"line {lineno}: expected 'a ↦ b'")
         pairs.append((atom_from_text(lhs.strip()), atom_from_text(rhs.strip())))
-    return Rel.of(pairs)
+    return Rel(frozenset(pairs))

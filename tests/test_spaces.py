@@ -34,7 +34,7 @@ from cohdiff.spaces import (
     web_of,
     _enumerate_cached,
 )
-from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag
+from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag, atom_key
 from relfun import matapp
 
 a, b, c = Base("a"), Base("b"), Base("c")
@@ -240,21 +240,47 @@ def test_constructed_spaces_take_spaces(build):
 
 
 def test_unreferenced_spaces_leave_the_table():
-    """Spaces share the atoms' weak table; nothing here reaches a cache keyed on spaces."""
+    """Spaces share the atoms' weak table; verdicts and webs keep no space alive.
+
+    ``atom_key``'s lru_cache keeps the atoms it has keyed alive (the
+    singleton multiset's entries are sorted by it), so it is cleared
+    before each count.
+    """
 
     def build():
         x = Base("space-built-here")
         E = BaseSpace("nucs", (x,), {(x, x)}, name="S")
+        m = Multiset.of([x])
         spaces = [E, Bang(E), Tensor(E, Bang(E)), SFun(E), dual(E)]
-        return [weakref.ref(v) for v in spaces + [x]], len(web_core._TABLE)
+        atoms = [x, m, Pair(x, m), Tag(0, x)]
+        verdicts = [coherent(space, atom, atom) for space, atom in zip(spaces, atoms + [x])]
+        assert verdicts == [Verdict.SCOH] * 4 + [Verdict.SINCOH]
+        webs = [web_of(space) for space in spaces]  # the same constructors over BaseSpace("rel", (x,))
+        values = spaces + webs + atoms
+        return [weakref.ref(v) for v in values], len(web_core._TABLE)
 
+    atom_key.cache_clear()
     gc.collect()
     before = len(web_core._TABLE)
     refs, during = build()
-    assert during == before + len(refs)  # the atom and the five spaces, in one table
+    assert during == before + len(refs)  # the atoms, the five spaces and their five webs, in one table
+    atom_key.cache_clear()
     gc.collect()
     assert all(r() is None for r in refs)
     assert len(web_core._TABLE) == before
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_atoms_outside_the_web_are_in_no_clique(kind):
+    """Every kind tests web membership before coherence, also of pair and tag atoms."""
+    z = Base("z")
+    E = BaseSpace(kind, (a, b), {(a, b)})
+    assert is_clique(E, [a, b])
+    assert not is_clique(E, [z])
+    assert not is_clique(E, [a, z])
+    assert is_clique(Tensor(E, E), [Pair(a, b)])
+    assert not is_clique(Tensor(E, E), [a])
+    assert not is_clique(SFun(E), [a])
 
 
 def _shapes(E, F):
