@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import calculus as cal
 from .differential import dhat_graph
-from .maps import PointMap
 from .spaces import Bang, Limpl, SFun, Space, BaseSpace, With, contains, enumerate_web, top
-from .summability import flip, inj, proj, theta
+from .summability import flip_image, inj_image, proj_image, theta_image
 from .web_core import Atom, Base, Budget, Multiset, Pair, Tag, within_budget
 
 
@@ -78,44 +77,33 @@ def _var_path(ctx: list, name: str, a: Atom) -> Atom:
     return out
 
 
-# -- S-tag plumbing at the codomain leaf of a type -------------------------
+# -- S-tag plumbing at the codomain leaf of an atom ------------------------
 
 
-def add_s(t: cal.Ty, i: int, a: Atom) -> Atom:
-    """View an atom of ⟦T⟧ as an atom of ⟦DT⟧ tagged i."""
-    if isinstance(t, cal.Arrow):
-        return Pair(a.left, add_s(t.tgt, i, a.right))
-    return Tag(i, a)
+def add_s(i: int, a: Atom) -> Atom:
+    """View an atom of ⟦T⟧ as an atom of ⟦DT⟧ tagged i: the tag goes on at its codomain leaf."""
+    return Pair(a.left, add_s(i, a.right)) if isinstance(a, Pair) else Tag(i, a)
 
 
-def descend(a: Atom, d: int, t: cal.Ty):
-    """Navigate d S-layers of ⟦D^{≥d}...⟧, arrows recursing on codomains.
-
-    Returns (zipper, core) where zipper rebuilds the atom from a
-    replacement core.
-    """
-    if isinstance(t, cal.Arrow):
-        z, core = descend(a.right, d, t.tgt)
-        return (lambda x, _a=a, _z=z: Pair(_a.left, _z(x))), core
-    if d == 0:
-        return (lambda x: x), a
-    z, core = descend(a.inner, d - 1, cal.Nat(t.depth - 1))
-    return (lambda x, _a=a, _z=z: Tag(_a.index, _z(x))), core
+def _at_leaf(a: Atom, depth: int, fn):
+    """fn's images at a's codomain leaf, below its ``depth`` outer tags, each put back in a's place."""
+    if isinstance(a, Pair):
+        for c in _at_leaf(a.right, depth, fn):
+            yield Pair(a.left, c)
+    elif depth:
+        for c in _at_leaf(a.inner, depth - 1, fn):
+            yield Tag(a.index, c)
+    else:
+        yield from fn(a)
 
 
-def _tag_map(m: cal.Term, t: cal.Ty, sem: SemEnv) -> PointMap:
-    """The summability map a tag operator denotes, on the S-layers it acts on.
-
-    t is the type of the operator's argument; its codomain leaf holds
-    the layers, the map's source being those below depth ``m.depth``.
-    """
-    depth = cal.nat_depth(t) - m.depth
+def _tag_image(m: cal.Term):
+    """The point function of the summability map a tag operator denotes."""
     if isinstance(m, cal.Proj):
-        return proj(interp_type(cal.Nat(depth - 1), sem), m.index)
+        return partial(proj_image, m.index)
     if isinstance(m, cal.Inj):
-        return inj(interp_type(cal.Nat(depth), sem), m.index)
-    X = interp_type(cal.Nat(depth - 2), sem)
-    return theta(X) if isinstance(m, cal.SigmaT) else flip(X)
+        return partial(inj_image, m.index)
+    return theta_image if isinstance(m, cal.SigmaT) else flip_image
 
 
 # -- term interpretation ----------------------------------------------------
@@ -190,24 +178,18 @@ def interp_term(m: cal.Term, ctx: list, sem: SemEnv) -> frozenset:
         return frozenset(out)
 
     if isinstance(m, (cal.Proj, cal.Inj, cal.SigmaT, cal.CTerm)):
-        arg_ty = cal.typecheck(m.body, tyenv)
-        fn = _tag_map(m, arg_ty, sem).at(budget.max_degree)
-        out = set()
-        for mm, b in interp_term(m.body, ctx, sem):
-            z, core = descend(b, m.depth, arg_ty)
-            for c in fn(core):
-                out.add((mm, z(c)))
-        return frozenset(out)
+        fn = _tag_image(m)
+        return frozenset((mm, c) for mm, b in interp_term(m.body, ctx, sem) for c in _at_leaf(b, m.depth, fn))
 
     if isinstance(m, cal.DTerm):
         fty = cal.typecheck(m.body, tyenv)
-        A, E = fty.src, interp_type(fty.src, sem)
+        E = interp_type(fty.src, sem)
         out = set()
         for mm, fa in interp_term(m.body, ctx, sem):
             for dm, db in dhat_graph(E, [(fa.left, fa.right)], budget.max_degree):
-                if isinstance(A, cal.Arrow):  # S⟦A⟧ ≅ ⟦DA⟧ moves each tag to A's codomain leaf
-                    dm = Multiset.from_counts((add_s(A, x.index, x.inner), k) for x, k in dm.entries)
-                out.add((mm, Pair(dm, add_s(fty.tgt, db.index, db.inner))))
+                # S⟦A⟧ ≅ ⟦DA⟧ and S⟦B⟧ ≅ ⟦DB⟧ move each tag to the codomain leaf
+                dm = Multiset.from_counts((add_s(x.index, x.inner), k) for x, k in dm.entries)
+                out.add((mm, Pair(dm, add_s(db.index, db.inner))))
         return frozenset(out)
 
     if isinstance(m, cal.Fix):

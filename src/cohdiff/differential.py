@@ -27,7 +27,7 @@ from .spaces import Bang, SFun, Space, contains, ispace, web_of
 from .web_core import Multiset, Rel, STAR, Tag, within_budget
 
 
-def dbar(kind: str, max_degree: int) -> Rel:
+def dbar(max_degree: int) -> Rel:
     """The coalgebra map ∂̄ : I → !I.
 
     (0, *) goes to every power of the value point; (1, *) goes to every
@@ -50,7 +50,7 @@ def dbar_pm(kind: str) -> PointMap:
     degree 0, so the identity ``pre`` holds.
     """
     I = ispace(kind)
-    at = lru_cache(maxsize=None)(lambda bound: pm_from_rel(I, Bang(I), dbar(kind, bound)).at(bound))
+    at = lru_cache(maxsize=None)(lambda bound: pm_from_rel(I, Bang(I), dbar(bound)).at(bound))
     return PointMap(I, Bang(I), at, "dbar")
 
 

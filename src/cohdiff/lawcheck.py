@@ -615,7 +615,7 @@ def chk_dbar_coassoc(ctx):
 def chk_dbar_local(ctx):
     kind = ctx.kind
     I = ispace(kind)
-    w0pm = pm_from_rel(one(kind), I, w0(kind), "w0")
+    w0pm = pm_from_rel(one(kind), I, w0(), "w0")
     lhs = pm_compose(dbar_pm(kind), w0pm)
     rhs = pm_compose(pm_bang(w0pm), m0(kind))
     return run_diagram(lhs, rhs, ctx.budget)
@@ -624,7 +624,7 @@ def chk_dbar_local(ctx):
 def chk_dbar_lin_proj(ctx):
     kind = ctx.kind
     I = ispace(kind)
-    pr = pm_from_rel(I, one(kind), pr0(kind), "pr0")
+    pr = pm_from_rel(I, one(kind), pr0(), "pr0")
     lhs = pm_compose(pm_bang(pr), dbar_pm(kind))
     rhs = pm_compose(m0(kind), pr)
     return run_diagram(lhs, rhs, ctx.budget)
@@ -633,7 +633,7 @@ def chk_dbar_lin_proj(ctx):
 def chk_dbar_lin_L(ctx):
     kind = ctx.kind
     I, db = ispace(kind), dbar_pm(kind)
-    Lp = pm_from_rel(I, Tensor(I, I), L_map(kind), "L")
+    Lp = pm_from_rel(I, Tensor(I, I), L_map(), "L")
     lhs = pm_compose(pm_bang(Lp), db)
     rhs = pm_compose(m2(I, I), pm_compose(pm_tensor(db, db), Lp))
     return run_diagram(lhs, rhs, ctx.budget)
@@ -642,8 +642,8 @@ def chk_dbar_lin_L(ctx):
 def chk_dbar_comonoid_mor(ctx):
     kind = ctx.kind
     I, db = ispace(kind), dbar_pm(kind)
-    pr = pm_from_rel(I, one(kind), pr0(kind), "pr0")
-    Lp = pm_from_rel(I, Tensor(I, I), L_map(kind), "L")
+    pr = pm_from_rel(I, one(kind), pr0(), "pr0")
+    Lp = pm_from_rel(I, Tensor(I, I), L_map(), "L")
     ok, w = run_diagram(pm_compose(weak(I), db), pr, ctx.budget)
     if not ok:
         return False, f"weak . dbar != pr0: {w}"
@@ -655,8 +655,8 @@ def chk_dbar_comonoid_mor(ctx):
 def chk_i_comonoid(ctx):
     kind = ctx.kind
     I = ispace(kind)
-    pr = pm_from_rel(I, one(kind), pr0(kind), "pr0")
-    Lp = pm_from_rel(I, Tensor(I, I), L_map(kind), "L")
+    pr = pm_from_rel(I, one(kind), pr0(), "pr0")
+    Lp = pm_from_rel(I, Tensor(I, I), L_map(), "L")
     counit = pm_compose(_lunit(I, kind), pm_compose(pm_tensor(pr, pm_id(I)), Lp))
     ok, w = run_diagram(counit, pm_id(I), ctx.budget)
     if not ok:

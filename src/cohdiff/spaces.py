@@ -64,10 +64,6 @@ class Verdict(enum.Enum):
         return self is not Verdict.SINCOH
 
     @property
-    def incoherent(self) -> bool:
-        return self is not Verdict.SCOH
-
-    @property
     def neutral(self) -> bool:
         return self is Verdict.NEU
 
@@ -408,11 +404,8 @@ def _enum_msets(inner_space: Space, inner: list, max_degree: int, uniform: bool)
             cost = 1 + degree(a)
             if cost > left:
                 continue
-            if uniform:
-                if not coherent(inner_space, a, a).coherent:
-                    continue
-                if any(not coherent(inner_space, a, c).coherent for c in chosen):
-                    continue
+            if uniform and any(not coherent(inner_space, a, c).coherent for c in chosen):
+                continue
             chosen.append(a)
             yield from rec(j, left - cost, chosen)
             chosen.pop()

@@ -5,9 +5,16 @@ SE has web {0,1} × Web E.  An atom (0, a) is the "value" component and
 pairing them through these tags is itself a morphism, and then their
 sum is plain union.  The canonical presentation identifies S with
 (1 & 1) ⊸ – via the dual-numbers object I = 1 & 1.
+
+π_i, ι_i, θ and c are each one module-level point function
+(``proj_image``, ``inj_image``, ``theta_image``, ``flip_image``) that
+their factory wraps; ``denot`` applies the same functions at the
+codomain leaf of a term's atoms.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .maps import PointMap
 from .spaces import (
@@ -18,21 +25,39 @@ from .spaces import (
     is_morphism,
     ispace,
 )
-from .web_core import Pair, Rel, STAR, Tag
+from .web_core import Atom, Pair, Rel, STAR, Tag
 
 
 class NotSummable(ValueError):
     pass
 
 
+def proj_image(i: int, a: Tag):
+    """π_i at a: a's inner atom if a is tagged i."""
+    if a.index == i:
+        yield a.inner
+
+
+def inj_image(i: int, a: Atom):
+    """ι_i at a: a tagged i."""
+    yield Tag(i, a)
+
+
+def theta_image(a: Tag):
+    """θ at a = (i, (j, b)): (i ∨ j, b) unless i = j = 1."""
+    i, j = a.index, a.inner.index
+    if (i, j) != (1, 1):
+        yield Tag(i | j, a.inner.inner)
+
+
+def flip_image(a: Tag):
+    """c at a = (i, (j, b)): (j, (i, b))."""
+    yield Tag(a.inner.index, Tag(a.index, a.inner.inner))
+
+
 def proj(E: Space, i: int) -> PointMap:
     """π_i : SE → E."""
-
-    def fn(a):
-        if a.index == i:
-            yield a.inner
-
-    return PointMap.pointwise(SFun(E), E, fn, f"proj{i}")
+    return PointMap.pointwise(SFun(E), E, partial(proj_image, i), f"proj{i}")
 
 
 def sigma(E: Space) -> PointMap:
@@ -46,31 +71,17 @@ def sigma(E: Space) -> PointMap:
 
 def inj(E: Space, i: int) -> PointMap:
     """ι_i : E → SE."""
-
-    def fn(a):
-        yield Tag(i, a)
-
-    return PointMap.pointwise(E, SFun(E), fn, f"inj{i}")
+    return PointMap.pointwise(E, SFun(E), partial(inj_image, i), f"inj{i}")
 
 
 def flip(E: Space) -> PointMap:
     """c : SSE → SSE, swap the two tag layers."""
-
-    def fn(a):
-        yield Tag(a.inner.index, Tag(a.index, a.inner.inner))
-
-    return PointMap.pointwise(SFun(SFun(E)), SFun(SFun(E)), fn, "flip")
+    return PointMap.pointwise(SFun(SFun(E)), SFun(SFun(E)), flip_image, "flip")
 
 
 def theta(E: Space) -> PointMap:
-    """θ : SSE → SE, (i, (j, a)) ↦ (i ∨ j, a) unless i = j = 1."""
-
-    def fn(a):
-        i, j = a.index, a.inner.index
-        if (i, j) != (1, 1):
-            yield Tag(i | j, a.inner.inner)
-
-    return PointMap.pointwise(SFun(SFun(E)), SFun(E), fn, "theta")
+    """θ : SSE → SE."""
+    return PointMap.pointwise(SFun(SFun(E)), SFun(E), theta_image, "theta")
 
 
 def strength(E: Space, F: Space) -> PointMap:
@@ -145,17 +156,17 @@ def nary_summable(E: Space, F: Space, fs) -> Rel | None:
 # ---------------------------------------------------------------------------
 
 
-def w0(kind: str) -> Rel:
+def w0() -> Rel:
     """1 → I picking the value component."""
     return Rel(frozenset({(STAR, Tag(0, STAR))}), "w0", "")
 
 
-def pr0(kind: str) -> Rel:
+def pr0() -> Rel:
     """I → 1 projecting the value component."""
     return Rel(frozenset({(Tag(0, STAR), STAR)}), "pr0", "")
 
 
-def L_map(kind: str) -> Rel:
+def L_map() -> Rel:
     """I → I ⊗ I, the comultiplication of dual numbers."""
     z, u = Tag(0, STAR), Tag(1, STAR)
     return Rel(

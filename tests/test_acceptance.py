@@ -99,7 +99,7 @@ def test_criterion_2_exact_differential_formulas():
         {(z, Multiset.of([z] * k)) for k in range(4)}
         | {(o, Multiset.of([z] * k + [o])) for k in range(3)}
     )
-    ok = got_dp == want_dp and dbar("coh", 3).pairs == want_db
+    ok = got_dp == want_dp and dbar(3).pairs == want_db
     report("criterion 2: dpartial four-pair example and dbar at degree 3, exact", ok)
 
 
@@ -182,8 +182,8 @@ def test_criterion_5_lafont_uniqueness():
     derR = der(I).materialize(bud).pairs
     weakR = weak(I).materialize(bud).pairs
     contrR = contr(I).materialize(bud).pairs
-    LR = L_map("coh").pairs
-    pr0R = pr0("coh").pairs
+    LR = L_map().pairs
+    pr0R = pr0().pairs
     id_I = frozenset((x, x) for x in webI)
 
     def compose(h, r):
@@ -208,7 +208,7 @@ def test_criterion_5_lafont_uniqueness():
         )
         if lhs == rhs:
             sols.append(h)
-    want = frozenset(dbar("coh", 2).pairs)
+    want = frozenset(dbar(2).pairs)
     ok = len(sols) == 1 and sols[0] == want
     report(
         f"criterion 5: brute force over {2 ** len(cand_pairs)} relations I→!I "

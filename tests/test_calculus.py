@@ -162,6 +162,31 @@ def test_derivative_application_preserves_type():
         m = n
 
 
+def test_substitution_renames_a_capturing_binder():
+    assert cal.subst(parse("\\y:nat. x"), "x", cal.Var("y")) == parse("\\y_0:nat. y")
+    assert cal.fresh("y", {"y", "y_0"}) == "y_1"
+
+
+def test_alpha_equivalence_under_binders():
+    assert alpha_eq(parse("\\x:nat. x"), parse("\\y:nat. y"))
+    assert not alpha_eq(parse("\\x:nat. \\y:nat. x"), parse("\\x:nat. \\y:nat. y"))
+
+
+def test_sum_of_projected_functions_types():
+    assert typecheck(parse("pi0 (\\x:nat. iota0 x) + pi1 (\\y:nat. iota0 y)")) == ty("nat => nat")
+
+
+def test_derivative_through_fix_keeps_its_type():
+    m = parse("D (\\x:nat. fix (\\z:nat. x))")
+    n = step(m)
+    assert n is not None and typecheck(n) == typecheck(m) == ty("D nat => D nat")
+
+
+def test_derivative_through_if0_does_not_step():
+    """The linear substitution is undefined through if0: the derivative is stuck, not an error."""
+    assert step(parse("D (\\x:nat. if0 x 1 2)")) is None
+
+
 def test_sum_reduces_by_components():
     m = parse("pi0^0 (iota0^0 2) + pi1^0 (iota0^0 2)")
     typecheck(m)

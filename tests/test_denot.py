@@ -121,7 +121,7 @@ def test_full_normalization_is_sound_on_small_corpus():
         assert ok, f"{cal.to_text(m)}: {info}"
 
 
-def test_corpus_denotations_match_golden():
+def corpus_den_matches_golden() -> bool:
     """One line per model and term of make_corpus(0, 200): a digest of its sorted denotation."""
     terms = make_corpus(seed=0, count=200)
     lines = []
@@ -131,7 +131,11 @@ def test_corpus_denotations_match_golden():
             text = "\n".join(sorted(f"{atom_to_text(a)}|{atom_to_text(b)}" for a, b in interp_closed(m, sem)))
             lines.append(f"{kind}\t{i}\t{hashlib.sha256(text.encode()).hexdigest()[:16]}\n")
     with open(os.path.join(GOLDEN, "corpus-den-0-200.txt")) as fh:
-        assert lines == fh.readlines()
+        return lines == fh.readlines()
+
+
+def test_corpus_denotations_match_golden():
+    assert corpus_den_matches_golden()
 
 
 CORPUS_DEN_SCRIPT = """
@@ -210,8 +214,27 @@ def test_dpartial_without_increments_is_flagged_by_corpus_and_registry(monkeypat
 
 
 def test_theta_keeping_the_1_1_case_is_flagged_by_corpus(monkeypatch):
-    def theta(E):
-        return PointMap.pointwise(SFun(SFun(E)), SFun(E), lambda a: (Tag(a.index | a.inner.index, a.inner.inner),))
-
-    monkeypatch.setattr(denot, "theta", theta)
+    monkeypatch.setattr(denot, "theta_image", lambda a: (Tag(a.index | a.inner.index, a.inner.inner),))
     assert set(unsound_terms()) > set(TRUNCATED)
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [
+        ("proj_image", lambda i, a: (a.inner,)),  # π that ignores its index
+        ("inj_image", lambda i, a: (Tag(0, a),)),  # ι that always tags 0
+        ("flip_image", lambda a: (a,)),  # c as the identity
+    ],
+)
+def test_tag_operator_mutants_are_flagged_by_corpus(monkeypatch, name, mutant):
+    """Each mutant of a tag operator's point function, where denot reads it, is caught by the corpus.
+
+    The π and ι mutants make reducts unsound.  c as the identity leaves
+    the reducts of make_corpus(0, 400) sound; the golden denotations
+    catch it.
+    """
+    monkeypatch.setattr(denot, name, mutant)
+    if name == "flip_image":
+        assert not corpus_den_matches_golden()
+    else:
+        assert set(unsound_terms()) > set(TRUNCATED)

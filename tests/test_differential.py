@@ -31,7 +31,7 @@ def tag1(x):
 
 def test_dbar_degree_3_exact():
     """∂̄ = {(0, k·[0]) : k ≤ 3} ∪ {(1, k·[0] + [1]) : k ≤ 2} exactly."""
-    got = dbar("coh", 3).pairs
+    got = dbar(3).pairs
     z, o = tag0(Base("*")), tag1(Base("*"))
     want = frozenset(
         {(z, Multiset.of([z] * k)) for k in range(4)}
@@ -40,14 +40,9 @@ def test_dbar_degree_3_exact():
     assert got == want
 
 
-def test_dbar_same_shape_in_all_kinds():
-    for kind in ("coh", "nucs", "rel"):
-        assert dbar(kind, 3).pairs == dbar("coh", 3).pairs
-
-
 def test_dbar_excludes_two_increments():
     o = tag1(Base("*"))
-    for x, m in dbar("coh", 6).pairs:
+    for x, m in dbar(6).pairs:
         assert sum(n for y, n in m.entries if y == o) <= 1
 
 
@@ -123,9 +118,9 @@ def test_dbar_is_built_once_per_bound(monkeypatch):
     """∂̄'s relation is built once for each bound it is fixed at, not once per atom."""
     built = []
 
-    def counted(kind, max_degree):
+    def counted(max_degree):
         built.append(max_degree)
-        return dbar(kind, max_degree)
+        return dbar(max_degree)
 
     monkeypatch.setattr(differential, "dbar", counted)
     E = BaseSpace("coh", (a, b), name="E")
@@ -199,7 +194,7 @@ def test_d_of_first_order_corpus_functions_is_the_dhat_oracle():
         for f, t in fs:
             graph = Rel(frozenset((fa.left, fa.right) for _, fa in interp_closed(f, sem)))
             want = {
-                (Multiset(), Pair(Multiset.of(add_s(t.src, x.index, x.inner) for x in m), add_s(t.tgt, y.index, y.inner)))
+                (Multiset(), Pair(Multiset.of(add_s(x.index, x.inner) for x in m), add_s(y.index, y.inner)))
                 for m, y in dhat_oracle(interp_type(t.src, sem), graph, BUD).pairs
             }
             assert interp_closed(DTerm(f), sem) == want

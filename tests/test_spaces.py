@@ -191,12 +191,22 @@ def test_parse_space_rejects_garbage():
 
 
 def test_parse_space_expr():
-    env = {"E": coh_space({(a, b)})}
+    E, F = coh_space({(a, b)}), nucs_space()
+    env = {"E": E, "F": F}
     t = parse_space_expr("!E (x) E", env)
     assert isinstance(t, Tensor)
     assert isinstance(t.left, Bang)
     s = parse_space_expr("E -o E", env)
     assert isinstance(s, Limpl)
+    assert parse_space_expr("E (+) F", env) is PlusSp(E, F)
+    assert parse_space_expr("E & F", env) is With(E, F)
+    assert parse_space_expr("S E", env) is SFun(E)
+    assert parse_space_expr("~E", env) is DualSp(E)
+    assert parse_space_expr("~~E", env) is E
+    assert parse_space_expr("E (x) (F & E)", env) is Tensor(E, With(F, E))
+    assert parse_space_expr("!(E -o S F)", env) is Bang(Limpl(E, SFun(F)))
+    with pytest.raises(SpaceParseError):
+        parse_space_expr("(E & F", env)
 
 
 def test_equal_spaces_are_one_object():
@@ -286,6 +296,19 @@ def test_atoms_outside_the_web_are_in_no_clique(kind):
 def _shapes(E, F):
     """Each constructor over E and F, and a nested !."""
     return [E, Tensor(E, F), With(E, F), PlusSp(E, F), Limpl(E, F), DualSp(E), SFun(E), Bang(E), Bang(Tensor(E, Bang(F)))]
+
+
+@pytest.mark.parametrize("degree", (2, 3))
+def test_coh_web_atoms_are_neutral_with_themselves(degree):
+    """Base atoms are, every constructor keeps neutrality on equal parts, and a ! support is a clique.
+
+    So the COH ! enumeration needs no self-coherence test of a candidate.
+    """
+    budget, rng = Budget(degree), random.Random(degree)
+    for _ in range(3):
+        for space in _shapes(gen_space(rng, "coh"), gen_space(rng, "coh")):
+            for x in enumerate_web(space, budget):
+                assert coherent(space, x, x) is Verdict.NEU, (space, x)
 
 
 @pytest.mark.parametrize("degree", (2, 3))
