@@ -1,10 +1,14 @@
 """Randomized machine-checking of the categorical laws.
 
-Every law is a pair of composite maps built from the closed-form
-structural morphisms; a check materializes both sides on randomly
-generated finite spaces and compares the graphs restricted to a degree
-budget (both sides are filtered to the same window, so the comparison
-is exact on that window).
+Most laws are commuting diagrams.  Such a law returns its diagrams, a
+list of ``(label, lhs, rhs)`` whose sides are composites of the
+closed-form structural morphisms, and ``run_check`` alone compares
+them: ``run_diagram`` materializes both sides on the degree window of
+the budget (both are filtered to the same window, so the comparison is
+exact on that window).  The first diagram that differs fails the law
+with the witness ``"label: pair"``, or the bare pair when the label is
+empty.  The laws about sums of morphisms compare relations directly and
+return their verdict ``(ok, witness)``.
 
 Most laws quantify over spaces only: their checks take the spaces as
 arguments, and ``run_check`` memoizes each verdict in the MapCtx keyed
@@ -221,8 +225,10 @@ def _sym23(A, B, C, D) -> PointMap:
 
 
 # ---------------------------------------------------------------------------
-# Law checks.  Each returns (ok, witness | None).  A law that draws only
-# spaces takes (ctx, *spaces); one that draws morphisms takes (ctx, rng).
+# Law checks.  A diagram law returns its diagrams, a list of (label, lhs,
+# rhs); a law on sums of morphisms returns (ok, witness | None).  A law
+# that draws only spaces takes (ctx, *spaces); one that draws morphisms
+# takes (ctx, rng).
 # ---------------------------------------------------------------------------
 
 
@@ -336,32 +342,24 @@ def chk_sum_with(ctx, rng):
 
 
 def chk_monad_unit_left(ctx, E):
-    return run_diagram(
-        pm_compose(theta(E), inj(SFun(E), 0)), pm_id(SFun(E)), ctx.budget
-    )
+    return [("", pm_compose(theta(E), inj(SFun(E), 0)), pm_id(SFun(E)))]
 
 
 def chk_monad_unit_right(ctx, E):
-    return run_diagram(
-        pm_compose(theta(E), pm_sfun(inj(E, 0))), pm_id(SFun(E)), ctx.budget
-    )
+    return [("", pm_compose(theta(E), pm_sfun(inj(E, 0))), pm_id(SFun(E)))]
 
 
 def chk_monad_assoc(ctx, E):
-    return run_diagram(
-        pm_compose(theta(E), pm_sfun(theta(E))),
-        pm_compose(theta(E), theta(SFun(E))),
-        ctx.budget,
-    )
+    return [("", pm_compose(theta(E), pm_sfun(theta(E))), pm_compose(theta(E), theta(SFun(E))))]
 
 
 def chk_theta_flip(ctx, E):
-    return run_diagram(pm_compose(theta(E), flip(E)), theta(E), ctx.budget)
+    return [("", pm_compose(theta(E), flip(E)), theta(E))]
 
 
 def chk_strength_unit(ctx, E, F):
     lhs = pm_compose(strength(E, F), pm_tensor(pm_id(E), inj(F, 0)))
-    return run_diagram(lhs, inj(Tensor(E, F), 0), ctx.budget)
+    return [("", lhs, inj(Tensor(E, F), 0))]
 
 
 def chk_strength_mult(ctx, E, F):
@@ -370,7 +368,7 @@ def chk_strength_mult(ctx, E, F):
         pm_compose(pm_sfun(strength(E, F)), strength(E, SFun(F))),
     )
     rhs = pm_compose(strength(E, F), pm_tensor(pm_id(E), theta(F)))
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_strength_comm(ctx, E, F):
@@ -382,10 +380,10 @@ def chk_strength_comm(ctx, E, F):
         theta(Tensor(E, F)),
         pm_compose(pm_sfun(strength(E, F)), strength_sym(E, SFun(F))),
     )
-    ok1, w1 = run_diagram(route1, smont(E, F), ctx.budget)
-    if not ok1:
-        return False, f"theta.S(strength').strength != smont: {w1}"
-    return run_diagram(route2, smont(E, F), ctx.budget)
+    return [
+        ("theta.S(strength').strength != smont", route1, smont(E, F)),
+        ("", route2, smont(E, F)),
+    ]
 
 
 def chk_strength_flip(ctx, E, F):
@@ -394,36 +392,32 @@ def chk_strength_flip(ctx, E, F):
         flip(Tensor(E, F)),
         pm_compose(pm_sfun(strength(E, F)), strength_sym(E, SFun(F))),
     )
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_smont_sym(ctx, E, F):
     lhs = pm_compose(smont(F, E), _sym(SFun(E), SFun(F)))
     rhs = pm_compose(pm_sfun(_sym(E, F)), smont(E, F))
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_bang_counit_left(ctx, E):
-    return run_diagram(pm_compose(der(Bang(E)), dig(E)), pm_id(Bang(E)), ctx.budget)
+    return [("", pm_compose(der(Bang(E)), dig(E)), pm_id(Bang(E)))]
 
 
 def chk_bang_counit_right(ctx, E):
-    return run_diagram(pm_compose(pm_bang(der(E)), dig(E)), pm_id(Bang(E)), ctx.budget)
+    return [("", pm_compose(pm_bang(der(E)), dig(E)), pm_id(Bang(E)))]
 
 
 def chk_bang_coassoc(ctx, E):
-    return run_diagram(
-        pm_compose(dig(Bang(E)), dig(E)),
-        pm_compose(pm_bang(dig(E)), dig(E)),
-        ctx.budget,
-    )
+    return [("", pm_compose(dig(Bang(E)), dig(E)), pm_compose(pm_bang(dig(E)), dig(E)))]
 
 
 def chk_comonoid_counit(ctx, E):
     lhs = pm_compose(
         _lunit(Bang(E), ctx.kind), pm_tensor(weak(E), pm_id(Bang(E)))
     )
-    return run_diagram(pm_compose(lhs, contr(E)), pm_id(Bang(E)), ctx.budget)
+    return [("", pm_compose(lhs, contr(E)), pm_id(Bang(E)))]
 
 
 def chk_comonoid_coassoc(ctx, E):
@@ -432,43 +426,31 @@ def chk_comonoid_coassoc(ctx, E):
     rhs = pm_compose(
         _assoc_inv(B, B, B), pm_compose(pm_tensor(pm_id(B), contr(E)), contr(E))
     )
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_comonoid_cocomm(ctx, E):
     B = Bang(E)
-    return run_diagram(pm_compose(_sym(B, B), contr(E)), contr(E), ctx.budget)
+    return [("", pm_compose(_sym(B, B), contr(E)), contr(E))]
 
 
 def chk_seely_iso(ctx, E, F):
-    ok, w = run_diagram(
-        pm_compose(seely2_inv(E, F), seely2(E, F)),
-        pm_id(Tensor(Bang(E), Bang(F))),
-        ctx.budget,
-    )
-    if not ok:
-        return False, f"seely2 not split mono: {w}"
-    ok, w = run_diagram(
-        pm_compose(seely2(E, F), seely2_inv(E, F)), pm_id(Bang(With(E, F))), ctx.budget
-    )
-    if not ok:
-        return False, f"seely2 not split epi: {w}"
-    return run_diagram(
-        pm_compose(seely0_inv(ctx.kind), seely0(ctx.kind)), pm_id(one(ctx.kind)), ctx.budget
-    )
+    kind = ctx.kind
+    mono = pm_compose(seely2_inv(E, F), seely2(E, F))
+    epi = pm_compose(seely2(E, F), seely2_inv(E, F))
+    return [
+        ("seely2 not split mono", mono, pm_id(Tensor(Bang(E), Bang(F)))),
+        ("seely2 not split epi", epi, pm_id(Bang(With(E, F)))),
+        ("", pm_compose(seely0_inv(kind), seely0(kind)), pm_id(one(kind))),
+    ]
 
 
 def chk_seely_dig_comm(ctx, E):
-    ok, w = run_diagram(
-        pm_compose(seely2_inv(E, E), pm_bang(_diag(E))),
-        contr(E),
-        ctx.budget,
-    )
-    if not ok:
-        return False, f"contr != seely2_inv . !<id,id>: {w}"
-    return run_diagram(
-        pm_compose(seely0_inv(ctx.kind), pm_bang(_to_top(E))), weak(E), ctx.budget
-    )
+    contr_via_diag = pm_compose(seely2_inv(E, E), pm_bang(_diag(E)))
+    return [
+        ("contr != seely2_inv . !<id,id>", contr_via_diag, contr(E)),
+        ("", pm_compose(seely0_inv(ctx.kind), pm_bang(_to_top(E))), weak(E)),
+    ]
 
 
 def chk_seelyt_mont_0(ctx, F):
@@ -482,7 +464,7 @@ def chk_seelyt_mont_0(ctx, F):
         pm_bang(_to_top(Tensor(top(kind), F))),
         pm_compose(m2(top(kind), F), pm_tensor(seely0(kind), pm_id(Bang(F)))),
     )
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_seelyt_mont_2(ctx, X0, X1, Y):
@@ -506,7 +488,7 @@ def chk_seelyt_mont_2(ctx, X0, X1, Y):
             m2(With(X0, X1), Y), pm_tensor(seely2(X0, X1), pm_id(BY))
         ),
     )
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 # -- differential laws -------------------------------------------------------
@@ -514,12 +496,12 @@ def chk_seelyt_mont_2(ctx, X0, X1, Y):
 
 def chk_d_local(ctx, E):
     lhs = pm_compose(proj(Bang(E), 0), ctx.dpartial(E))
-    return run_diagram(lhs, pm_bang(proj(E, 0)), ctx.budget)
+    return [("", lhs, pm_bang(proj(E, 0)))]
 
 
 def chk_d_lin_unit(ctx, E):
     lhs = pm_compose(ctx.dpartial(E), pm_bang(inj(E, 0)))
-    return run_diagram(lhs, inj(Bang(E), 0), ctx.budget)
+    return [("", lhs, inj(Bang(E), 0))]
 
 
 def chk_d_lin_mult(ctx, E):
@@ -527,12 +509,12 @@ def chk_d_lin_mult(ctx, E):
         theta(Bang(E)), pm_compose(pm_sfun(ctx.dpartial(E)), ctx.dpartial(SFun(E)))
     )
     rhs = pm_compose(ctx.dpartial(E), pm_bang(theta(E)))
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_d_chain_der(ctx, E):
     lhs = pm_compose(pm_sfun(der(E)), ctx.dpartial(E))
-    return run_diagram(lhs, der(SFun(E)), ctx.budget)
+    return [("", lhs, der(SFun(E)))]
 
 
 def chk_d_chain_dig(ctx, E):
@@ -540,7 +522,7 @@ def chk_d_chain_dig(ctx, E):
     rhs = pm_compose(
         ctx.dpartial(Bang(E)), pm_compose(pm_bang(ctx.dpartial(E)), dig(SFun(E)))
     )
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_d_with_0(ctx):
@@ -548,7 +530,7 @@ def chk_d_with_0(ctx):
     T = top(kind)
     lhs = pm_compose(ctx.dpartial(T), seely0(kind))
     rhs = pm_compose(pm_sfun(seely0(kind)), inj(one(kind), 0))
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_d_with_2(ctx, X0, X1):
@@ -564,13 +546,13 @@ def chk_d_with_2(ctx, X0, X1):
             ),
         ),
     )
-    return run_diagram(lhs, ctx.dpartial(W), ctx.budget)
+    return [("", lhs, ctx.dpartial(W))]
 
 
 def chk_leibniz_weak(ctx, E):
     lhs = pm_compose(pm_sfun(weak(E)), ctx.dpartial(E))
     rhs = pm_compose(inj(one(ctx.kind), 0), weak(SFun(E)))
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_leibniz_contr(ctx, E):
@@ -579,7 +561,7 @@ def chk_leibniz_contr(ctx, E):
         smont(Bang(E), Bang(E)),
         pm_compose(pm_tensor(ctx.dpartial(E), ctx.dpartial(E)), contr(SFun(E))),
     )
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_d_schwarz(ctx, E):
@@ -590,11 +572,11 @@ def chk_d_schwarz(ctx, E):
         pm_sfun(ctx.dpartial(E)),
         pm_compose(ctx.dpartial(SFun(E)), pm_bang(flip(E))),
     )
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_d_consistency(ctx, E):
-    return run_diagram(ctx.dpartial(E), dpartial_via_dbar(E), ctx.budget)
+    return [("", ctx.dpartial(E), dpartial_via_dbar(E))]
 
 
 # -- dbar laws ----------------------------------------------------------------
@@ -602,14 +584,14 @@ def chk_d_consistency(ctx, E):
 
 def chk_dbar_counit(ctx):
     I = ispace(ctx.kind)
-    return run_diagram(pm_compose(der(I), dbar_pm(ctx.kind)), pm_id(I), ctx.budget)
+    return [("", pm_compose(der(I), dbar_pm(ctx.kind)), pm_id(I))]
 
 
 def chk_dbar_coassoc(ctx):
     I, db = ispace(ctx.kind), dbar_pm(ctx.kind)
     lhs = pm_compose(dig(I), db)
     rhs = pm_compose(pm_bang(db), db)
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_dbar_local(ctx):
@@ -618,7 +600,7 @@ def chk_dbar_local(ctx):
     w0pm = pm_from_rel(one(kind), I, w0(), "w0")
     lhs = pm_compose(dbar_pm(kind), w0pm)
     rhs = pm_compose(pm_bang(w0pm), m0(kind))
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_dbar_lin_proj(ctx):
@@ -627,7 +609,7 @@ def chk_dbar_lin_proj(ctx):
     pr = pm_from_rel(I, one(kind), pr0(), "pr0")
     lhs = pm_compose(pm_bang(pr), dbar_pm(kind))
     rhs = pm_compose(m0(kind), pr)
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_dbar_lin_L(ctx):
@@ -636,7 +618,7 @@ def chk_dbar_lin_L(ctx):
     Lp = pm_from_rel(I, Tensor(I, I), L_map(), "L")
     lhs = pm_compose(pm_bang(Lp), db)
     rhs = pm_compose(m2(I, I), pm_compose(pm_tensor(db, db), Lp))
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_dbar_comonoid_mor(ctx):
@@ -644,12 +626,10 @@ def chk_dbar_comonoid_mor(ctx):
     I, db = ispace(kind), dbar_pm(kind)
     pr = pm_from_rel(I, one(kind), pr0(), "pr0")
     Lp = pm_from_rel(I, Tensor(I, I), L_map(), "L")
-    ok, w = run_diagram(pm_compose(weak(I), db), pr, ctx.budget)
-    if not ok:
-        return False, f"weak . dbar != pr0: {w}"
-    lhs = pm_compose(contr(I), db)
-    rhs = pm_compose(pm_tensor(db, db), Lp)
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [
+        ("weak . dbar != pr0", pm_compose(weak(I), db), pr),
+        ("", pm_compose(contr(I), db), pm_compose(pm_tensor(db, db), Lp)),
+    ]
 
 
 def chk_i_comonoid(ctx):
@@ -658,15 +638,13 @@ def chk_i_comonoid(ctx):
     pr = pm_from_rel(I, one(kind), pr0(), "pr0")
     Lp = pm_from_rel(I, Tensor(I, I), L_map(), "L")
     counit = pm_compose(_lunit(I, kind), pm_compose(pm_tensor(pr, pm_id(I)), Lp))
-    ok, w = run_diagram(counit, pm_id(I), ctx.budget)
-    if not ok:
-        return False, f"counit: {w}"
     lhs = pm_compose(pm_tensor(Lp, pm_id(I)), Lp)
     rhs = pm_compose(_assoc_inv(I, I, I), pm_compose(pm_tensor(pm_id(I), Lp), Lp))
-    ok, w = run_diagram(lhs, rhs, ctx.budget)
-    if not ok:
-        return False, f"coassoc: {w}"
-    return run_diagram(pm_compose(_sym(I, I), Lp), Lp, ctx.budget)
+    return [
+        ("counit", counit, pm_id(I)),
+        ("coassoc", lhs, rhs),
+        ("", pm_compose(_sym(I, I), Lp), Lp),
+    ]
 
 
 def chk_sdiffst_mon_tens(ctx, X0, X1):
@@ -681,18 +659,12 @@ def chk_sdiffst_mon_tens(ctx, X0, X1):
         pm_bang(_assoc(X0, X1, I)),
         pm_compose(dtilde(Tensor(X0, X1)), pm_tensor(m2(X0, X1), pm_id(I))),
     )
-    return run_diagram(lhs, rhs, ctx.budget)
+    return [("", lhs, rhs)]
 
 
 def chk_sfun_iso(ctx, rng):
     E, F = gen_space(rng, ctx.kind), gen_space(rng, ctx.kind)
     fwd, bwd = canonical_iso(E)
-    ok, w = run_diagram(pm_compose(bwd, fwd), pm_id(SFun(E)), ctx.budget)
-    if not ok:
-        return False, f"roundtrip 1: {w}"
-    ok, w = run_diagram(pm_compose(fwd, bwd), pm_id(fwd.tgt), ctx.budget)
-    if not ok:
-        return False, f"roundtrip 2: {w}"
     # naturality: (I -o f) . fwd = fwd . Sf for a random morphism f
     f = gen_morphism(rng, E, F, ctx.budget)
     fpm = pm_from_rel(E, F, f, "f")
@@ -703,16 +675,19 @@ def chk_sfun_iso(ctx, rng):
         return lambda a: (Pair(a.left, b) for b in f_at(a.right))
 
     hom_map = PointMap(fwd.tgt, fwdF.tgt, homf_at, "I-of")
-    return run_diagram(
-        pm_compose(hom_map, fwd), pm_compose(fwdF, pm_sfun(fpm)), ctx.budget
-    )
+    return [
+        ("roundtrip 1", pm_compose(bwd, fwd), pm_id(SFun(E))),
+        ("roundtrip 2", pm_compose(fwd, bwd), pm_id(fwd.tgt)),
+        ("", pm_compose(hom_map, fwd), pm_compose(fwdF, pm_sfun(fpm))),
+    ]
 
 
-# law name -> (check, web cap of each space it draws).  Caps None mark the
-# laws that also draw morphisms: their checks take the generator and run
-# uncached.  A law that draws nothing, caps (), is checked in one trial.
-# A law with caps is decided once per web tuple, so it must read only
-# webs (tests/test_lawcheck.py::test_space_laws_read_only_webs).
+# law name -> (check, web cap of each space it draws).  A check returns
+# its labelled diagrams or, for the sum laws, its verdict (see ``_decide``).
+# Caps None mark the laws that also draw morphisms: their checks take the
+# generator and run uncached.  A law that draws nothing, caps (), is
+# checked in one trial.  A law with caps is decided once per web tuple, so
+# it must read only webs (tests/test_lawcheck.py::test_space_laws_read_only_webs).
 REGISTRY = {
     "joint-monicity": (chk_joint_monicity, None),
     "sum-zero": (chk_sum_zero, None),
@@ -774,8 +749,25 @@ class CheckResult:
     witness: str | None = None
 
 
+def _decide(result, budget: Budget):
+    """The verdict (ok, witness) of a law's result: its own, or its diagrams' in order."""
+    if isinstance(result, tuple):
+        return result
+    for label, lhs, rhs in result:
+        ok, w = run_diagram(lhs, rhs, budget)
+        if not ok:
+            return False, f"{label}: {w}" if label else w
+    return True, None
+
+
 def run_check(name: str, ctx: MapCtx, seed: int, trials: int) -> CheckResult:
     """Check one law on up to ``trials`` draws; stop at the first failure.
+
+    On each draw the law returns either its verdict (ok, witness) or its
+    diagrams, a list of (label, lhs, rhs).  The diagrams are compared in
+    order by ``run_diagram``, and the first that differs fails the law
+    with the witness "label: pair", or the bare pair when the label is
+    empty.
 
     ``instances`` counts the distinct space tuples drawn and ``webs`` the
     verdicts they needed: one per web tuple, or per space tuple when
@@ -790,14 +782,14 @@ def run_check(name: str, ctx: MapCtx, seed: int, trials: int) -> CheckResult:
         if caps is None:  # morphisms drawn: every trial is a new instance
             seen.add(t)
             keys.add(t)
-            ok, wit = fn(ctx, rng)
+            ok, wit = _decide(fn(ctx, rng), ctx.budget)
         else:
             spaces = tuple(gen_space(rng, ctx.kind, cap) for cap in caps)
             key = name, spaces if ctx.overrides else tuple(map(web_of, spaces))
             seen.add(spaces)
             keys.add(key)
             if key not in ctx.verdicts:
-                ctx.verdicts[key] = fn(ctx, *spaces)
+                ctx.verdicts[key] = _decide(fn(ctx, *spaces), ctx.budget)
             ok, wit = ctx.verdicts[key]
         if not ok:
             return CheckResult(name, ctx.kind, False, t + 1, len(seen), len(keys), wit)

@@ -183,8 +183,6 @@ def pm_bang(f: PointMap, label: str = "") -> PointMap:
             dedup = set()
 
             def rec(i, acc, deg):
-                if deg > bound:
-                    return
                 if i == n:
                     dedup.add(Multiset.of(acc))
                     return

@@ -15,7 +15,6 @@ from cohdiff.lawcheck import (
     gen_summable_pair,
     run_all,
     run_check,
-    run_diagram,
 )
 from cohdiff.exponential import der, dig, m2
 from cohdiff.maps import PointMap, pm_bang, pm_compose, pm_id, pm_tensor
@@ -131,6 +130,100 @@ def test_mutated_dpartial_still_passes_unrelated_law():
     assert res.ok
 
 
+def _true_once(real):
+    """summable that answers truly on its first call and False after: not symmetric."""
+    calls = []
+
+    def mutant(*args):
+        calls.append(args)
+        return len(calls) == 1 and real(*args)
+
+    return mutant
+
+
+def _base_only(real):
+    """msum that adds across base spaces only and returns its first summand elsewhere."""
+
+    def mutant(E, F, f0, f1):
+        return real(E, F, f0, f1) if isinstance(E, BaseSpace) and isinstance(F, BaseSpace) else f0
+
+    return mutant
+
+
+# mutant -> (the name lawcheck reads, a factory that builds the mutant from the real function)
+SUM_MUTANTS = {
+    "summable-never": ("summable", lambda real: lambda *args: False),
+    "summable-once": ("summable", _true_once),
+    "nary-never": ("nary_summable", lambda real: lambda *args: None),
+    "nary-refuses-three": ("nary_summable", lambda real: lambda E, F, fs: None if len(fs) > 2 else real(E, F, fs)),
+    "nary-refuses-two": ("nary_summable", lambda real: lambda E, F, fs: None if len(fs) == 2 else real(E, F, fs)),
+    "nary-first": ("nary_summable", lambda real: lambda E, F, fs: fs[0]),
+    "is-morphism-never": ("is_morphism", lambda real: lambda *args: False),
+    "witness-swapped": ("witness", lambda real: lambda f0, f1: real(f1, f0)),
+    "summand-empty": ("_summand", lambda real: lambda w, i: frozenset()),
+    "msum-first": ("msum", lambda real: lambda E, F, f0, f1: f0),
+    "msum-second": ("msum", lambda real: lambda E, F, f0, f1: f1),
+    "msum-base-only": ("msum", _base_only),
+}
+ALL_KINDS = ("coh", "nucs", "rel")
+# (mutant, law, models where it must fail, witness): one row per failure return
+SUM_FAILURES = [
+    ("summable-never", "sum-zero", ALL_KINDS, "f and 0 not summable"),
+    ("summable-never", "sum-com", ALL_KINDS, "generated pair not summable"),
+    ("summable-never", "sum-tensor", ALL_KINDS, "tensored pair not summable"),
+    ("summable-never", "sum-with", ALL_KINDS, "paired morphisms not summable"),
+    ("summable-once", "sum-com", ALL_KINDS, "summability not symmetric"),
+    ("nary-never", "sum-assoc", ("coh", "rel"), "slices of one morphism must be summable"),
+    ("nary-refuses-three", "sum-assoc", ("nucs",), "grouped fold succeeded where flat fold failed"),
+    ("nary-refuses-two", "sum-assoc", ALL_KINDS, "flat fold succeeded but grouped fold failed"),
+    ("nary-first", "sum-assoc", ALL_KINDS, "regrouped sums differ"),
+    ("is-morphism-never", "sum-wit", ALL_KINDS, "witness of summable pair is not a morphism"),
+    ("witness-swapped", "sum-wit", ALL_KINDS, "projection 0 does not recover the summand"),
+    ("summand-empty", "joint-monicity", ALL_KINDS, "projections agree but maps differ"),
+    ("msum-first", "sum-com", ALL_KINDS, "sum not commutative"),
+    ("msum-second", "sum-zero", ALL_KINDS, "f + 0 != f"),
+    ("msum-base-only", "sum-tensor", ALL_KINDS, "(f0+f1)⊗g mismatch"),
+    ("msum-base-only", "sum-with", ALL_KINDS, "<f0,g0> + <f1,g1> != <f0+f1, g0+g1>"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutant, law, kinds, witness", [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in SUM_FAILURES]
+)
+def test_each_morphism_drawing_law_can_fail(monkeypatch, mutant, law, kinds, witness):
+    """A broken sum, summability test or projection fails the law with its witness."""
+    name, make = SUM_MUTANTS[mutant]
+    real = getattr(lawcheck, name)
+    for kind in kinds:
+        monkeypatch.setattr(lawcheck, name, make(real))
+        res = run_check(law, MapCtx(kind, BUD), seed=0, trials=10)
+        assert not res.ok and res.witness == witness, kind
+
+
+def _drop_one_image(factory):
+    """The factory's maps with the least image of every input dropped."""
+
+    def mutant(*spaces):
+        pm = factory(*spaces)
+
+        def at(bound):
+            fn = pm.at(bound)
+            return lambda a: sorted(fn(a), key=repr)[1:]
+
+        return replace(pm, at=at)
+
+    return mutant
+
+
+@pytest.mark.parametrize("kind", ["coh", "nucs", "rel"])
+def test_failing_diagram_reports_its_label(monkeypatch, kind):
+    """The witness of a labelled diagram that differs starts with the label."""
+    monkeypatch.setattr(lawcheck, "seely2_inv", _drop_one_image(lawcheck.seely2_inv))
+    res = run_check("seely-iso", MapCtx(kind, BUD), seed=0, trials=10)
+    assert not res.ok and res.trials == 1
+    assert res.witness.startswith("seely2 not split mono: ")
+
+
 @pytest.mark.parametrize("name", [n for n, (_, caps) in REGISTRY.items() if caps == ()])
 def test_single_trial_for_deterministic_checks(name):
     """A law that draws nothing is one instance, so one trial checks it."""
@@ -186,20 +279,30 @@ def _graph_under(pm, budget, bound):
     )
 
 
+def _law_diagrams(name, ctx, seed, trials):
+    """The diagrams the law returns on run_check's draws, once per web tuple."""
+    fn, caps = REGISTRY[name]
+    rng = random.Random(f"{seed}:{name}:{ctx.kind}")
+    diagrams, webs = [], set()
+    for _ in range(1 if caps == () else trials):
+        if caps is None:
+            diagrams += fn(ctx, rng)
+            continue
+        spaces = tuple(gen_space(rng, ctx.kind, cap) for cap in caps)
+        key = tuple(map(web_of, spaces))
+        if key not in webs:
+            webs.add(key)
+            diagrams += fn(ctx, *spaces)
+    return diagrams
+
+
 def _law_sides(monkeypatch, name, kind, budget, trials, compose):
-    """Every side the law hands run_diagram, its composites built by ``compose``."""
-    sides = []
-
-    def record(lhs, rhs, budget):
-        sides.extend((lhs, rhs))
-        return True, None
-
+    """Every side of the law's diagrams, its composites built by ``compose``."""
     with monkeypatch.context() as mp:
-        mp.setattr(lawcheck, "run_diagram", record)
         mp.setattr(lawcheck, "pm_compose", compose)
         mp.setattr(differential, "pm_compose", compose)
-        run_check(name, MapCtx(kind, budget), seed=0, trials=trials)
-    return sides
+        diagrams = _law_diagrams(name, MapCtx(kind, budget), 0, trials)
+    return [side for _, lhs, rhs in diagrams for side in (lhs, rhs)]
 
 
 def _inexact_sides(monkeypatch, name, kind, budget, trials):
@@ -216,9 +319,15 @@ def _inexact_sides(monkeypatch, name, kind, budget, trials):
     ]
 
 
-# laws that compare morphisms directly and never call run_diagram
-_NO_DIAGRAM = {"joint-monicity", "sum-zero", "sum-com", "sum-wit", "sum-assoc", "sum-tensor", "sum-with"}
-DIAGRAM_LAWS = [n for n in REGISTRY if n not in _NO_DIAGRAM]
+def _returns_verdict(name):
+    """Whether the law returns its verdict (ok, witness) rather than its diagrams."""
+    fn, caps = REGISTRY[name]
+    rng = random.Random(0)
+    args = (rng,) if caps is None else tuple(gen_space(rng, "coh", cap) for cap in caps)
+    return isinstance(fn(MapCtx("coh", BUD), *args), tuple)
+
+
+DIAGRAM_LAWS = [n for n in REGISTRY if not _returns_verdict(n)]
 
 
 @pytest.mark.parametrize("kind", ["coh", "nucs", "rel"])
@@ -299,23 +408,17 @@ def test_registry_passes_at_higher_budgets(degree):
     assert not bad
 
 
-def test_every_diagram_law_sees_atoms_at_budget_1(monkeypatch):
+def test_every_diagram_law_sees_atoms_at_budget_1():
     """At the smallest budget the CLI accepts, no diagram law compares two empty relations."""
     budget = Budget(1)
-    sizes = []
-
-    def recorded(lhs, rhs, budget):
-        sizes.append(max(len(side.materialize(budget).pairs) for side in (lhs, rhs)))
-        return run_diagram(lhs, rhs, budget)
-
-    monkeypatch.setattr(lawcheck, "run_diagram", recorded)
     vacuous = []
     for kind in ("coh", "nucs", "rel"):
         ctx = MapCtx(kind, budget)
         for name in REGISTRY:
-            sizes.clear()
             assert run_check(name, ctx, seed=0, trials=3).ok
-            if sizes and not any(sizes):
+        for name in DIAGRAM_LAWS:
+            sides = [side for _, lhs, rhs in _law_diagrams(name, ctx, 0, 3) for side in (lhs, rhs)]
+            if not any(side.materialize(budget).pairs for side in sides):
                 vacuous.append((name, kind))
     assert not vacuous
 
@@ -323,22 +426,20 @@ def test_every_diagram_law_sees_atoms_at_budget_1(monkeypatch):
 SPACE_LAWS = [n for n, (_, caps) in REGISTRY.items() if caps]
 
 
+def _graphs(diagrams, budget):
+    """Each diagram's label and the graphs of its two sides on the budget's window."""
+    return [(label, lhs.materialize(budget).pairs, rhs.materialize(budget).pairs) for label, lhs, rhs in diagrams]
+
+
 @pytest.mark.parametrize("name", SPACE_LAWS)
-def test_space_laws_read_only_webs(monkeypatch, name):
+def test_space_laws_read_only_webs(name):
     """A space-drawing law is decided once per web, so it must not read coherence.
 
-    On every distinct NUCS draw of seeds 0 and 7, the check gives the same
-    verdict, and hands run_diagram the same graphs, on the drawn spaces as
-    on their webs.
+    On every distinct NUCS draw of seeds 0 and 7, the law returns diagrams
+    with the same labels and the same graphs on the drawn spaces as on
+    their webs, so its verdict is the same on both.
     """
     fn, caps = REGISTRY[name]
-    sides = []
-
-    def record(lhs, rhs, budget):
-        sides.append((lhs.materialize(budget).pairs, rhs.materialize(budget).pairs))
-        return run_diagram(lhs, rhs, budget)
-
-    monkeypatch.setattr(lawcheck, "run_diagram", record)
     ctx = MapCtx("nucs", BUD)
     draws = set()
     for seed in (0, 7):
@@ -346,12 +447,8 @@ def test_space_laws_read_only_webs(monkeypatch, name):
         draws |= {tuple(gen_space(rng, "nucs", cap) for cap in caps) for _ in range(20)}
     assert any(spaces != tuple(map(web_of, spaces)) for spaces in draws)
     for spaces in sorted(draws, key=repr):
-        sides.clear()
-        got = fn(ctx, *spaces)
-        drawn = list(sides)
-        sides.clear()
-        assert fn(ctx, *map(web_of, spaces)) == got, spaces
-        assert sides == drawn, spaces
+        drawn = _graphs(fn(ctx, *spaces), BUD)
+        assert _graphs(fn(ctx, *map(web_of, spaces)), BUD) == drawn, spaces
 
 
 def _counted(monkeypatch, name):

@@ -156,6 +156,14 @@ def test_enumerate_web_respects_degree():
         assert len(m) <= 2
 
 
+def test_enumerate_web_stops_at_max_atoms():
+    """! of a 3-atom REL space has 20 atoms within degree 3, over a cap of 10."""
+    E = BaseSpace("rel", (a, b, c), name="E")
+    with pytest.raises(web_core.BudgetExceeded):
+        enumerate_web(Bang(E), Budget(3, 10))
+    assert len(enumerate_web(Bang(E), Budget(3, 20))) == 20
+
+
 def test_is_morphism():
     E = coh_space({(a, b)})
     ok = Rel(frozenset({(a, a), (b, b)}), "f", "")
@@ -188,6 +196,16 @@ def test_parse_space_rejects_garbage():
         parse_space("space E kind=wat atoms{a}")
     with pytest.raises(SpaceParseError):
         parse_space("nonsense")
+    with pytest.raises(SpaceParseError, match="expected '{' after 'atoms'"):
+        parse_space("space E kind=coh atoms")
+    with pytest.raises(SpaceParseError, match="missing atoms"):
+        parse_space("space E kind=coh scoh{(a,b)}")
+    with pytest.raises(SpaceParseError, match="expected a pair, got 'a'"):
+        parse_space("space E kind=coh atoms{a b} scoh{a}")
+    with pytest.raises(ValueError, match="unknown kind 'wat'"):
+        BaseSpace("wat", (a,))
+    with pytest.raises(ValueError, match="overlap"):
+        BaseSpace("nucs", (a, b), frozenset({(a, b)}), frozenset({(b, a)}))
 
 
 def test_parse_space_expr():
@@ -207,6 +225,12 @@ def test_parse_space_expr():
     assert parse_space_expr("!(E -o S F)", env) is Bang(Limpl(E, SFun(F)))
     with pytest.raises(SpaceParseError):
         parse_space_expr("(E & F", env)
+    with pytest.raises(SpaceParseError, match="trailing tokens"):
+        parse_space_expr("E F", env)
+    with pytest.raises(SpaceParseError, match="bad character '\\$'"):
+        parse_space_expr("E $ F", env)
+    with pytest.raises(SpaceParseError, match="unexpected end"):
+        parse_space_expr("E (x)", env)
 
 
 def test_equal_spaces_are_one_object():

@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from cohdiff.maps import pm_compose
 from cohdiff.spaces import (
     BaseSpace,
@@ -13,6 +15,7 @@ from cohdiff.spaces import (
     ispace,
 )
 from cohdiff.summability import (
+    NotSummable,
     canonical_iso,
     inj,
     msum,
@@ -72,6 +75,8 @@ def test_summable_in_coh_requires_target_coherence():
     # same morphism twice: witness hits (0·a, 1·a), neutral inner with
     # mixed tags is incoherent in SF
     assert not summable(E, F, rel_of((a, a)), rel_of((a, a)))
+    with pytest.raises(NotSummable):
+        msum(E, F, rel_of((a, a)), rel_of((a, a)))
 
 
 def test_summable_in_rel_is_unconditional():
@@ -94,6 +99,15 @@ def test_zero_is_neutral_for_sums():
     f = rel_of((a, b))
     assert summable(E, F, f, zero) and summable(E, F, zero, f)
     assert msum(E, F, f, zero).pairs == f.pairs
+    assert nary_summable(E, F, []).pairs == frozenset()  # the empty sum
+
+
+def test_nary_sum_refuses_a_member_that_is_not_a_morphism():
+    E, F = coh(atoms=(a,)), coh()  # a and b incoherent in F
+    good, bad = rel_of((a, a)), rel_of((a, a), (a, b))
+    assert is_morphism(E, F, good) and not is_morphism(E, F, bad)
+    assert nary_summable(E, F, [bad, good]) is None
+    assert nary_summable(E, F, [good, bad]) is None
 
 
 def _all_morphisms(E, F):
