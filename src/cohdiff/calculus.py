@@ -28,26 +28,22 @@ free, else the base name with the smallest free suffix ``_0``, ``_1``,
 and so on.  A normal form thus depends only on its term, never on what
 was reduced before it in the process.
 
-``typecheck`` memoizes the costly part of sum typing.  A sum that the
-syntactic rules do not type is typed through the normal forms of its
-summands, and one call keeps a table from (sum, environment) to the
-type or the TypeError_ that gave, so its nested attempts type each such
-sum once.  That table is made on entry and dropped on return.
-
-``normalize`` keeps the one table that lives across calls, ``_NF``:
-from (term, frozenset of environment items) to (normal form, steps to
-it), filled from the trajectories it completes and capped at
-``_NF_CAP`` entries, oldest out first.  A walk uses an entry only when
-the steps it has taken plus the entry's distance stay within its fuel,
-so every outcome, ``FuelExhausted`` and its message included, is the
-same with the table full or empty.  Neither table stores an outcome
-computed while a RecursionError was absorbed: it may depend on stack
-depth.
+A sum that the syntactic rules do not type is typed through the normal
+forms of its summands, the costly part of typing, shared across calls by
+two bounded ``lru_cache``s.  ``_sum_outcome`` maps (sum, frozenset of
+environment items) to the type, or to a copy of the TypeError_, for the
+256 sums used last; ``normalize`` walks through ``_cached_step``, which
+maps (term, frozenset of environment items) to ``step``'s reduct or
+None, for the 1024 terms used last.  Both wrap functions of their keys
+alone, so no type, error, normal form or ``FuelExhausted`` depends on
+what the caches hold.  They store only returned values: a RecursionError
+leaves nothing behind.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 
 def _node(name: str, fields: str = "", *defaults):
@@ -513,28 +509,13 @@ class TypeError_(TypeError):
 def typecheck(m: Term, env: dict | None = None) -> Ty:
     """m's type under env (free variables to types); raises TypeError_.
 
-    The call types each sum through normal forms at most once per
-    environment, in a ``_Memo`` that lives for this call only.  The
-    normal forms themselves come from ``normalize``, whose ``_NF`` table
-    lives across calls (see the module docstring).
+    Sums are typed through caches shared across calls, ``_sum_outcome``
+    and ``normalize``'s ``_cached_step`` (see the module docstring).
     """
-    return _ty(m, env or {}, _Memo())
+    return _ty(m, env or {})
 
 
-class _Memo(dict):
-    """One ``typecheck`` call's table: (sum, frozenset of env items) -> type or TypeError_.
-
-    It holds the outcomes of ``_ty_normal_sum`` and is dropped when the
-    call returns; only ``_NF`` outlives it.  Terms and types are tuples,
-    so a key is hashed and compared by tuple's C code, structurally, and
-    an entry serves every equal sum met under an equal environment.  An
-    outcome whose evaluation absorbed a RecursionError (counted
-    process-wide in ``_unstable``, nested calls included) is not
-    stored: it may depend on stack depth.
-    """
-
-
-def _ty(m: Term, env: dict, memo: _Memo) -> Ty:
+def _ty(m: Term, env: dict) -> Ty:
     if isinstance(m, Var):
         if m.name not in env:
             raise TypeError_("unbound variable {}", m.name)
@@ -548,94 +529,88 @@ def _ty(m: Term, env: dict, memo: _Memo) -> Ty:
             raise TypeError_("unannotated 0")
         return m.ty
     if isinstance(m, Lam):
-        body = _ty(m.body, {**env, m.var: m.ty}, memo)
+        body = _ty(m.body, {**env, m.var: m.ty})
         return Arrow(m.ty, body)
     if isinstance(m, App):
-        f = _ty(m.fun, env, memo)
+        f = _ty(m.fun, env)
         if not isinstance(f, Arrow):
             raise TypeError_("applying a non-function: {} : {}", m.fun, f)
-        a = _ty(m.arg, env, memo)
+        a = _ty(m.arg, env)
         if a != f.src:
             raise TypeError_("argument type {} does not match {}", a, f.src)
         return f.tgt
     if isinstance(m, DTerm):
-        f = _ty(m.body, env, memo)
+        f = _ty(m.body, env)
         if not isinstance(f, Arrow):
             raise TypeError_("D of a non-function type {}", f)
         return Arrow(dtype(f.src), dtype(f.tgt))
     if isinstance(m, Proj):
-        t = _ty(m.body, env, memo)
+        t = _ty(m.body, env)
         out = strip_d(t, m.depth)
         if out is None:
             raise TypeError_("pi{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth + 1, t)
         return out
     if isinstance(m, Inj):
-        t = _ty(m.body, env, memo)
+        t = _ty(m.body, env)
         if nat_depth(t) < m.depth:
             raise TypeError_("iota{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth, t)
         return dtype(t)
     if isinstance(m, SigmaT):
-        t = _ty(m.body, env, memo)
+        t = _ty(m.body, env)
         out = strip_d(t, m.depth + 1)
         if out is None or strip_d(t, m.depth) is None:
             raise TypeError_("sigma^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
         return out
     if isinstance(m, CTerm):
-        t = _ty(m.body, env, memo)
+        t = _ty(m.body, env)
         if nat_depth(t) < m.depth + 2:
             raise TypeError_("c^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
         return t
     if isinstance(m, Fix):
-        f = _ty(m.body, env, memo)
+        f = _ty(m.body, env)
         if not isinstance(f, Arrow) or f.src != f.tgt:
             raise TypeError_("fix needs A => A, got {}", f)
         return f.src
     if isinstance(m, If0):
-        c = _ty(m.cond, env, memo)
+        c = _ty(m.cond, env)
         if c != Nat(0):
             raise TypeError_("if0 condition must be nat, got {}", c)
-        t1 = _ty(m.then, env, memo)
-        t2 = _ty(m.other, env, memo)
+        t1 = _ty(m.then, env)
+        t2 = _ty(m.other, env)
         if t1 != t2:
             raise TypeError_("if0 branches disagree: {} vs {}", t1, t2)
         return t1
     if isinstance(m, Plus):
-        return _ty_plus(m, env, memo)
+        return _ty_plus(m, env)
     raise TypeError_("not a term: {!r}", m)
 
 
-def _ty_plus(m: Plus, env: dict, memo: _Memo) -> Ty:
-    t = _plus_direct(m.left, m.right, env, memo)
+def _ty_plus(m: Plus, env: dict) -> Ty:
+    t = _plus_direct(m.left, m.right, env)
     if t is not None:
         return t
-    # Typing of sums is closed under reduction, so a sum produced
-    # mid-rewrite is typed by running each summand to (bounded) normal
-    # form under the standard strategy and re-matching the schemas on
-    # the results.  Reducing inside one summand of a schema-typed sum
-    # then never loses the type: both sides still meet at the common
-    # normal form.  That search is the costly part of sum typing, and the
-    # nested attempts of one typecheck call meet the same sums again, so
-    # memo keeps its outcome per (sum, env), failures included.  A
-    # failure by stack depth is not kept: it may not recur at another
-    # depth.
-    key = (m, frozenset(env.items()))
-    hit = memo.get(key)
-    if hit is None:
-        mark = _unstable
-        try:
-            hit = _ty_normal_sum(m, env, memo)
-        except TypeError_ as e:
-            hit = TypeError_(*e.args)  # a copy: e's traceback holds frames
-        if _unstable == mark:
-            memo[key] = hit
-    if isinstance(hit, TypeError_):
-        raise TypeError_(*hit.args)
-    return hit
+    # Typing of sums is closed under reduction: a sum produced mid-rewrite
+    # is typed by normalizing each summand (bounded) and re-matching the
+    # schemas on the results, so reducing inside one summand of a
+    # schema-typed sum never loses the type.  That search is the costly
+    # part; nested attempts and successive reducts meet the same sums.
+    out = _sum_outcome(m, frozenset(env.items()))
+    if isinstance(out, TypeError_):
+        raise TypeError_(*out.args)
+    return out
 
 
-def _ty_normal_sum(m: Plus, env: dict, memo: _Memo) -> Ty:
+@lru_cache(maxsize=256)
+def _sum_outcome(m: Plus, env_items: frozenset) -> Ty | TypeError_:
+    """_ty_normal_sum's type for m, or a never-raised copy (no traceback) of its TypeError_."""
+    try:
+        return _ty_normal_sum(m, dict(env_items))
+    except TypeError_ as e:
+        return TypeError_(*e.args)
+
+
+def _ty_normal_sum(m: Plus, env: dict) -> Ty:
     """Type the sum m from the normal forms of its summands."""
-    global _unstable
     parts: list[Term] = []
     zero_tys: list[Ty | None] = []
     try:
@@ -647,15 +622,12 @@ def _ty_normal_sum(m: Plus, env: dict, memo: _Memo) -> Ty:
                     parts.append(p)
     except FuelExhausted:
         raise TypeError_("sum not typeable: {}", m)
-    except RecursionError:
-        _unstable += 1
-        raise TypeError_("sum not typeable: {}", m)
     if not parts:
         known = {t for t in zero_tys if t is not None}
         if len(known) == 1:
             return known.pop()
         raise TypeError_("sum of zeros needs one annotation: {}", m)
-    t = _parts_type(parts, env, memo)
+    t = _parts_type(parts, env)
     if t is None:
         raise TypeError_("sum not typeable: {}", m)
     for zt in zero_tys:
@@ -664,7 +636,7 @@ def _ty_normal_sum(m: Plus, env: dict, memo: _Memo) -> Ty:
     return t
 
 
-def _plus_direct(l: Term, r: Term, env: dict, memo: _Memo) -> Ty | None:
+def _plus_direct(l: Term, r: Term, env: dict) -> Ty | None:
     """The displayed sum rules, matched syntactically on l + r."""
     # schema: pi0^d M + pi1^d M
     if (
@@ -675,7 +647,7 @@ def _plus_direct(l: Term, r: Term, env: dict, memo: _Memo) -> Ty | None:
         and l.depth == r.depth
         and alpha_eq(l.body, r.body)
     ):
-        return _ty(l, env, memo)
+        return _ty(l, env)
     # schema: pi1^d M0 + pi0^d M1 where M0 + M1 is typeable
     if (
         isinstance(l, Proj)
@@ -685,7 +657,7 @@ def _plus_direct(l: Term, r: Term, env: dict, memo: _Memo) -> Ty | None:
         and l.depth == r.depth
     ):
         try:
-            t = _ty(Plus(l.body, r.body), env, memo)
+            t = _ty(Plus(l.body, r.body), env)
         except TypeError_:
             t = None
         if t is not None:
@@ -695,7 +667,7 @@ def _plus_direct(l: Term, r: Term, env: dict, memo: _Memo) -> Ty | None:
     # zero absorption (reducts like 0 + pi0 pi1 M arise during rewriting)
     for z, other in ((l, r), (r, l)):
         if isinstance(z, Zero):
-            t = _ty(other, env, memo)
+            t = _ty(other, env)
             if z.ty is not None and z.ty != t:
                 raise TypeError_("0 annotated {} summed with {}", z.ty, t)
             return t
@@ -703,7 +675,7 @@ def _plus_direct(l: Term, r: Term, env: dict, memo: _Memo) -> Ty | None:
     inv = _factor_head(l, r)
     if inv is not None:
         try:
-            return _ty(inv, env, memo)
+            return _ty(inv, env)
         except TypeError_:
             return None
     return None
@@ -715,15 +687,15 @@ def _summands(m: Term) -> list:
     return [m]
 
 
-def _parts_type(parts: list, env: dict, memo: _Memo) -> Ty | None:
+def _parts_type(parts: list, env: dict) -> Ty | None:
     """Type a flattened family of (normal) summands, or None."""
     if len(parts) == 1:
         try:
-            return _ty(parts[0], env, memo)
+            return _ty(parts[0], env)
         except TypeError_:
             return None
     if len(parts) == 2:
-        return _plus_direct(parts[0], parts[1], env, memo)
+        return _plus_direct(parts[0], parts[1], env)
     # the pi1/sigma rule unfolds pi_i(sigma M) sums into three summands;
     # recognize the unfold and fold it back
     for i, p in enumerate(parts):
@@ -751,7 +723,7 @@ def _parts_type(parts: list, env: dict, memo: _Memo) -> Ty | None:
                 Proj(0, d, SigmaT(d, z)),
                 Proj(1, d, SigmaT(d, z)),
             ]
-            t = _parts_type(folded + remaining, env, memo)
+            t = _parts_type(folded + remaining, env)
             if t is not None:
                 return t
     # factor any pair sharing a head and retry
@@ -760,7 +732,7 @@ def _parts_type(parts: list, env: dict, memo: _Memo) -> Ty | None:
             inv = _factor_head(parts[i], parts[j])
             if inv is not None:
                 rest = [q for k, q in enumerate(parts) if k not in (i, j)]
-                t = _parts_type([inv] + rest, env, memo)
+                t = _parts_type([inv] + rest, env)
                 if t is not None:
                     return t
     return None
@@ -956,44 +928,18 @@ class FuelExhausted(RuntimeError):
     pass
 
 
-# The normal-form table (see the module docstring).  On the corpus pass,
-# 128 entries already save 86% of the step calls and 256 come within 2%
-# of no cap, which would hold 13,403 entries and add 26% to peak RSS.
-_NF: dict = {}
-_NF_CAP = 256
-
-# RecursionErrors absorbed so far in this process (by _ty_normal_sum).
-# An outcome computed while one was absorbed may depend on stack depth,
-# so neither _Memo nor _NF stores it.
-_unstable = 0
-
-
 def normalize(m: Term, fuel: int = 1000, env: dict | None = None) -> Term:
-    """m's normal form within fuel steps, else FuelExhausted.
-
-    A term of the walk found in _NF after k steps ends it only when
-    k + its distance + 1 <= fuel, so hits never change the outcome.
-    """
-    env_key = frozenset((env or {}).items())
-    mark = _unstable
-    path = []
-    for k in range(fuel):
-        path.append(m)
-        hit = _NF.get((m, env_key))
-        if hit is not None and k + hit[1] + 1 <= fuel:
-            break
-        n = step(m, env)
+    """m's normal form within fuel steps, else FuelExhausted."""
+    env_items = frozenset((env or {}).items())
+    for _ in range(fuel):
+        n = _cached_step(m, env_items)
         if n is None:
-            hit = (m, 0)
-            break
+            return m
         m = n
-    else:
-        raise FuelExhausted(f"no normal form within {fuel} steps: {to_text(m)}")
-    nf, dist = hit
-    if _unstable == mark:
-        last = len(path) - 1
-        for i, t in enumerate(path):
-            _NF.setdefault((t, env_key), (nf, dist + last - i))
-        while len(_NF) > _NF_CAP:
-            del _NF[next(iter(_NF))]
-    return nf
+    raise FuelExhausted(f"no normal form within {fuel} steps: {to_text(m)}")
+
+
+@lru_cache(maxsize=1024)
+def _cached_step(m: Term, env_items: frozenset) -> Term | None:
+    """``step`` under the environment with these items: normalize's shared walks."""
+    return step(m, dict(env_items))

@@ -75,6 +75,7 @@ from .summability import (
     nary_summable,
     pr0,
     proj,
+    proj_image,
     smont,
     strength,
     strength_sym,
@@ -267,13 +268,17 @@ def chk_sum_com(ctx, rng):
 
 def chk_sum_wit(ctx, rng):
     E, F = gen_space(rng, ctx.kind), gen_space(rng, ctx.kind)
-    f0, f1 = gen_summable_pair(rng, E, F, ctx.budget)
-    w = witness(f0, f1)
-    if not is_morphism(E, SFun(F), w):
-        return False, "witness of summable pair is not a morphism"
-    for i, f in ((0, f0), (1, f1)):
-        if _summand(w, i) != f.pairs:
+    w = gen_morphism(rng, E, SFun(F), ctx.budget)
+    # f_i = π_i ∘ w, read from π_i's image, not from _summand
+    fs = [frozenset((a, b) for a, t in w.pairs for b in proj_image(i, t)) for i in (0, 1)]
+    for i, f in enumerate(fs):
+        if _summand(w, i) != f:
             return False, f"projection {i} does not recover the summand"
+    v = witness(Rel(fs[0], "f0", ""), Rel(fs[1], "f1", ""))
+    if not is_morphism(E, SFun(F), v):
+        return False, "witness of summable pair is not a morphism"
+    if v.pairs != w.pairs:
+        return False, "witness of the projections is not the drawn witness"
     return True, None
 
 

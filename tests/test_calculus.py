@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 
 import pytest
 
@@ -53,6 +52,12 @@ def test_parse_rejects_garbage():
     for bad in ["(", "\\x. x", "pi2^0 x", "x +", "0["]:
         with pytest.raises(ParseError):
             parse(bad)
+    with pytest.raises(ParseError, match="bad type token 'foo'"):
+        parse("\\x:foo. x")
+    with pytest.raises(ParseError, match="trailing tokens at '\\)'"):
+        parse("x )")
+    with pytest.raises(ParseError, match="trailing tokens at 'nat'"):
+        parse_type("nat nat")
 
 
 def test_parse_precedence():
@@ -120,6 +125,41 @@ def test_if0_and_fix():
         typecheck(parse("if0 (\\x:nat. x) 1 2"))
 
 
+SUM_OF_ZEROS = "(pi1 (iota0 1)) + (pi1 (iota0 (\\x:nat. x)))"
+SUM_WITHOUT_NORMAL_FORM = "(pi0 (iota0 (fix (\\x:nat. x)))) + (pi1 (iota0 1))"
+
+
+@pytest.mark.parametrize(
+    "term, error",
+    [
+        ("x", "unbound variable x"),
+        (cal.Zero(), "unannotated 0"),
+        ("1 2", "applying a non-function: 1 : nat"),
+        ("succ (\\x:nat. x)", "argument type nat => nat does not match nat"),
+        ("D 3", "D of a non-function type nat"),
+        ("pi0 1", "pi0^0 needs depth >= 1, got nat"),
+        ("iota0^1 1", "iota0^1 needs depth >= 1, got nat"),
+        ("sigma 1", "sigma^0 needs depth >= 2, got nat"),
+        ("c 1", "c^0 needs depth >= 2, got nat"),
+        ("fix 1", "fix needs A => A, got nat"),
+        ("if0 (\\x:nat. x) 1 2", "if0 condition must be nat, got nat => nat"),
+        ("if0 0 1 (\\x:nat. x)", "if0 branches disagree: nat vs nat => nat"),
+        (3, "not a term: 3"),
+        ("(pi0 (iota0 1)) + (pi1 (iota0 (\\x:nat. x)))", "0 annotated nat => nat summed with nat"),
+        (SUM_OF_ZEROS, f"sum of zeros needs one annotation: {SUM_OF_ZEROS}"),
+        (SUM_WITHOUT_NORMAL_FORM, f"sum not typeable: {SUM_WITHOUT_NORMAL_FORM}"),
+    ],
+)
+def test_every_typing_rejection_is_reached(term, error):
+    """Each rejection of the typing rules, with its text; the sums typed through
+    normal forms are typed twice, so a cached error repeats its text."""
+    m = parse(term) if isinstance(term, str) else term
+    for _ in range(2 if isinstance(m, cal.Plus) else 1):
+        with pytest.raises(TypeError_) as e:
+            typecheck(m)
+        assert str(e.value) == error
+
+
 # -- reduction -------------------------------------------------------------
 
 
@@ -139,6 +179,9 @@ def test_derivative_of_identity_is_identity():
 def test_projection_of_injection():
     assert norm("pi0^0 (iota0^0 2)") == parse("2")
     assert norm("pi1^0 (iota0^0 2)") == parse("0[nat]")
+    m = parse("pi1 (iota0 y)")
+    assert step(m) == normalize(m) == cal.Zero(None)  # y is unbound: no type to annotate with
+    assert normalize(m, env={"y": Nat(0)}) == parse("0[nat]")  # normal forms key on the environment
 
 
 def test_if0_branches():
@@ -238,7 +281,7 @@ def test_showcase_terms_typecheck():
         typecheck(parse(src))
 
 
-# -- sum typing is memoized per typecheck call ------------------------------
+# -- sum typing and normal forms are shared across calls, exactly and boundedly --
 
 
 def reducts(m, steps=60):
@@ -260,11 +303,25 @@ def outcome(m):
         return str(e)
 
 
+CACHES = ("_sum_outcome", "_cached_step")
+
+
+def cache_sizes():
+    return [getattr(cal, name).cache_info().currsize for name in CACHES]
+
+
+def clear_caches():
+    for name in CACHES:
+        getattr(cal, name).cache_clear()
+
+
 def test_memo_types_each_sum_once_per_call(monkeypatch):
-    """Corpus term 1530's reducts: without the memo, typing them applies 372,078
-    typing rules and normalizes 371,580 summands."""
+    """Corpus term 1530's reducts, from empty caches: successive reducts share their
+    sums.  A table per typecheck call took 6,354 typing rules and 840 normalizations;
+    no table at all took 372,078 typing rules and normalized 371,580 summands."""
     m, t = make_corpus(seed=0, count=1600)[1530]
     rs = reducts(m)
+    clear_caches()
     counts = {"_ty": 0, "normalize": 0}
     for name in counts:
         def counting(*args, name=name, fn=getattr(cal, name), **kwargs):
@@ -275,73 +332,14 @@ def test_memo_types_each_sum_once_per_call(monkeypatch):
     for r in rs:
         assert typecheck(r) == t, to_text(r)
     assert len(rs) == 30
-    assert counts["_ty"] <= 10_000
-    assert counts["normalize"] <= 2_000
-
-
-class Forgetful(cal._Memo):
-    """A memo that stores nothing: typing without memoization."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def test_memo_agrees_with_unmemoized_typing(monkeypatch):
-    """Oracle: the memo changes no type and no error text on corpus reducts."""
-    terms = [r for m, _ in make_corpus(seed=0, count=400) for r in [m, *reducts(m)]]
-    memoized = [outcome(r) for r in terms]
-    monkeypatch.setattr(cal, "_Memo", Forgetful)
-    assert [outcome(r) for r in terms] == memoized
-    assert len(terms) > 2000
-
-
-def test_no_memo_outlives_its_call(monkeypatch):
-    m, t = make_corpus(seed=0, count=1600)[1530]
-    made = []
-
-    class Recorded(cal._Memo):
-        def __init__(self):
-            super().__init__()
-            made.append(weakref.ref(self))
-
-    monkeypatch.setattr(cal, "_Memo", Recorded)
-    assert typecheck(m) == t
-    with pytest.raises(TypeError_):
-        typecheck(parse("\\x:nat. \\y:nat. x + y"))
-    gc.collect()
-    assert len(made) >= 2
-    assert [r() for r in made if r() is not None] == []
+    assert counts["_ty"] <= 1_000
+    assert counts["normalize"] <= 200
 
 
 def test_memo_keys_on_the_environment():
     # the sum s, typed through normal forms, is met under x : D D nat, then under x : D nat
     s = "pi0 ((\\y:D nat. y) x) + pi1 x"
     assert has_type(f"(\\f:D nat => nat. \\x:D D nat. {s}) (\\x:D nat. {s})", "D D nat => D nat")
-
-
-@pytest.mark.parametrize("error, stored", [(RecursionError, False), (FuelExhausted, True)])
-def test_only_depth_independent_failures_are_stored(monkeypatch, error, stored):
-    """A sum whose typing fails by stack depth is typed afresh when met again in the same call."""
-    s = "pi0 (iota0 1) + pi1 ((\\x:D nat. x) (iota0 1))"  # typed by normalizing its summands
-    m = parse(f"succ ({s})")
-    memo = cal._Memo()
-
-    def failing(*args, **kwargs):
-        raise error
-
-    with monkeypatch.context() as mp:
-        mp.setattr(cal, "normalize", failing)
-        with pytest.raises(TypeError_, match="sum not typeable"):
-            cal._ty(m, {}, memo)
-    if stored:
-        with pytest.raises(TypeError_, match="sum not typeable"):
-            cal._ty(m, {}, memo)
-    else:
-        assert cal._ty(m, {}, memo) == Nat(0)
-    assert typecheck(parse(s)) == Nat(0)
-
-
-# -- normal forms are shared across calls, exactly and within a bound -------
 
 
 FUELS = (1, 2, 3, 5, 8, 13, 40)
@@ -360,64 +358,45 @@ def nf_outcome(m, fuel):
         return str(e)
 
 
-def keep_table_empty(monkeypatch):
-    """Disable the normal-form table: a cap of 0 evicts every entry on storing it."""
-    monkeypatch.setattr(cal, "_NF", {})
-    monkeypatch.setattr(cal, "_NF_CAP", 0)
+def test_caches_agree_with_uncached_typing_and_normalizing(monkeypatch):
+    """Oracle: the caches change no type, no error text, no normal form and no
+    FuelExhausted message, at any fuel."""
+    terms = [r for path in corpus_trajectories() for r in path]
+    cases = [(r, fuel) for r in terms for fuel in FUELS]
+    cached = [outcome(r) for r in terms] + [nf_outcome(r, fuel) for r, fuel in cases]
+    for name in CACHES:
+        monkeypatch.setattr(cal, name, getattr(cal, name).__wrapped__)
+    uncached = [outcome(r) for r in terms] + [nf_outcome(r, fuel) for r, fuel in cases]
+    assert [i for i, (a, b) in enumerate(zip(cached, uncached)) if a != b] == []
+    assert len(terms) > 2000 and len(cases) > 20_000
 
 
-def test_normal_form_table_is_fuel_exact(monkeypatch):
-    """Oracle: a hit changes no normal form and no FuelExhausted message, at any fuel."""
-    trajectories = corpus_trajectories()
-    cases = [(r, fuel) for path in trajectories for r in path for fuel in FUELS]
-    with monkeypatch.context() as mp:
-        keep_table_empty(mp)
-        want = [nf_outcome(r, fuel) for r, fuel in cases]
-    monkeypatch.setattr(cal, "_NF", {})
-    got, stored_beyond_fuel = [], 0
-    for path in trajectories:
-        nf_outcome(path[0], 100)  # warm: stores the trajectory when it ends within 100 steps
-        for r in path:
-            for fuel in FUELS:
-                hit = cal._NF.get((r, frozenset()))
-                stored_beyond_fuel += hit is not None and hit[1] + 1 > fuel
-                got.append(nf_outcome(r, fuel))
-    assert [i for i, (a, b) in enumerate(zip(want, got)) if a != b] == []
-    assert len(cases) > 20_000
-    assert stored_beyond_fuel > 1_000  # cases where only the fuel rule keeps a hit out
-
-
-def test_walk_that_absorbs_a_recursion_error_stores_nothing(monkeypatch):
-    """A walk whose step absorbed a RecursionError may step otherwise at another stack depth."""
+def test_recursion_error_propagates_and_stores_nothing(monkeypatch):
+    """A RecursionError met while typing a sum reaches the caller, through typecheck
+    and through a walk that types a reduct, and neither cache keeps anything."""
     s = "pi0 (iota0 1) + pi1 ((\\x:D nat. x) (iota0 1))"  # typed by normalizing its summands
-    m = parse(f"pi1 (iota0 ({s}))")  # steps to a zero annotated with the sum's type
     walk = cal.normalize  # the real one: only the nested calls below meet the patch
-    monkeypatch.setattr(cal, "_NF", {})
+    clear_caches()
 
     def failing(*args, **kwargs):
         raise RecursionError
 
     with monkeypatch.context() as mp:
         mp.setattr(cal, "normalize", failing)
-        assert walk(m) == cal.Zero(None)
-    assert cal._NF == {}
-    assert normalize(m) == cal.Zero(Nat(0))
-    assert cal._NF[m, frozenset()] == (cal.Zero(Nat(0)), 1)
+        with pytest.raises(RecursionError):
+            typecheck(parse(f"succ ({s})"))
+        with pytest.raises(RecursionError):
+            walk(parse(f"pi1 (iota0 ({s}))"))  # steps to a zero annotated with the sum's type
+    assert cache_sizes() == [0, 0]
+    assert typecheck(parse(s)) == Nat(0)
+    assert normalize(parse(f"pi1 (iota0 ({s}))")) == cal.Zero(Nat(0))
 
 
-def test_memo_agrees_with_unmemoized_typing_with_the_table_empty(monkeypatch):
-    """The memo oracle holds with the normal-form table disabled, and the table changes no outcome."""
+def test_normal_form_table_stays_bounded():
+    """Two typing passes over the corpus reducts: both caches stay within their caps, memory stays flat."""
     terms = [r for path in corpus_trajectories() for r in path]
-    with_table = [outcome(r) for r in terms]
-    keep_table_empty(monkeypatch)
-    assert [outcome(r) for r in terms] == with_table
-    test_memo_agrees_with_unmemoized_typing(monkeypatch)
-
-
-def test_normal_form_table_stays_bounded(monkeypatch):
-    """Two typing passes over the corpus reducts: the table stays within its cap, memory stays flat."""
-    terms = [r for path in corpus_trajectories() for r in path]
-    monkeypatch.setattr(cal, "_NF", {})
+    caps = [getattr(cal, name).cache_info().maxsize for name in CACHES]
+    clear_caches()
     gc.collect()
     tracemalloc.start()
     try:
@@ -425,14 +404,14 @@ def test_normal_form_table_stays_bounded(monkeypatch):
         for _ in range(2):
             for r in terms:
                 outcome(r)
-                assert len(cal._NF) <= cal._NF_CAP
+                assert all(size <= cap for size, cap in zip(cache_sizes(), caps))
             gc.collect()
             traced.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-    assert len(cal._NF) == cal._NF_CAP
+    assert cache_sizes() == caps
     before, first, second = traced
-    assert first - before <= 1_000_000  # the full table
+    assert first - before <= 1_000_000  # the full caches
     assert second - first <= 50_000
 
 
@@ -453,7 +432,7 @@ for i, (m, _) in enumerate(make_corpus(seed=0, count=200)):
 
 @pytest.mark.parametrize("hash_seed", ["1", "12345"])
 def test_corpus_normal_forms_do_not_depend_on_hashing(hash_seed):
-    """Reduce and type every reduct, as the corpus benchmark does; the table's eviction order may not reach an output."""
+    """Reduce and type every reduct, as the corpus benchmark does; no output may depend on the hash seed."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
     cmd = [sys.executable, "-c", CORPUS_NF_SCRIPT]
     out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout

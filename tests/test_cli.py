@@ -116,6 +116,29 @@ def test_typecheck_prints_types_in_the_input_syntax(tmp_path):
     assert r.stderr == "type error: argument type D nat does not match nat\n"
 
 
+@pytest.mark.parametrize("command", ["reduce", "eval"])
+def test_reduce_and_eval_refuse_ill_typed_terms(tmp_path, command):
+    f = tmp_path / "bad.cdl"
+    f.write_text("succ (\\x:nat. x)\n")
+    r = run(command, str(f))
+    assert (r.exit_code, r.stdout) == (1, "")
+    assert r.stderr == "type error: argument type nat => nat does not match nat\n"
+
+
+def test_reduce_reports_running_out_of_fuel(tmp_path):
+    f = tmp_path / "loop.cdl"
+    f.write_text("fix (\\x:nat. x)\n")
+    r = run("reduce", str(f), "--fuel", "1")
+    assert (r.exit_code, r.stdout) == (1, "")
+    assert r.stderr == "no normal form within 1 steps\n"
+
+
+def test_eval_unknown_kind_is_usage_error():
+    r = run("eval", demo_path("beta.cdl"), "--kind", "wat")
+    assert r.exit_code == 2
+    assert "unknown kind 'wat'" in r.output
+
+
 @pytest.mark.parametrize("command", ["typecheck", "reduce", "eval"])
 def test_parse_errors_are_usage_errors(tmp_path, command):
     # `0[?]` is how to_text prints an unannotated zero, and it does not parse
@@ -201,6 +224,14 @@ def test_derive_rejects_bad_relation_files(tmp_path, line, why):
     r = run("derive", str(f))
     assert r.exit_code == 2
     assert f"{f}: " in r.output and why in r.output
+
+
+def test_derive_needs_source_and_target(tmp_path):
+    f = tmp_path / "s.rel"
+    f.write_text("space E kind=coh atoms{a}\n[a] -> a\n")
+    r = run("derive", str(f))
+    assert r.exit_code == 2
+    assert f"{f}: needs `source` and `target` lines" in r.output
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from cohdiff.spaces import (
     parse_space_expr,
     web_of,
     _enumerate_cached,
+    _verdict,
 )
 from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag, atom_key
 from relfun import matapp
@@ -103,6 +104,7 @@ def test_with_and_plus_cross_pairs():
     E = coh_space({(a, b)})
     w = With(E, E)
     assert coherent(w, Tag(0, a), Tag(1, c)).coherent
+    assert contains(w, Tag(1, c)) and not contains(w, a)  # an untagged atom is outside the web
     p = PlusSp(E, E)
     assert not coherent(p, Tag(0, a), Tag(1, c)).coherent
 
@@ -121,6 +123,7 @@ def test_bang_web_needs_cliques_in_coh():
     assert contains(B, Multiset.of([a, b]))
     assert not contains(B, Multiset.of([a, c]))  # a, c incoherent: not a clique
     assert contains(B, Multiset.of([a, a]))  # diagonal neutral counts as coherent
+    assert not contains(B, a)  # not a multiset
 
 
 def test_bang_web_in_nucs_is_unconstrained():
@@ -265,8 +268,11 @@ def test_constructed_spaces_take_their_kind_from_their_first_part():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: Bang(a), lambda: Tensor(coh_space()), lambda: Tensor(coh_space(), "E"), lambda: SFun()],
-    ids=["atom", "too-few", "not-a-space", "no-parts"],
+    [
+        lambda: Bang(a), lambda: Tensor(coh_space()), lambda: Tensor(coh_space(), "E"), lambda: SFun(),
+        lambda: contains(a, a), lambda: _verdict(a, a, a), lambda: _enumerate_cached(a, BUD),
+    ],
+    ids=["atom", "too-few", "not-a-space", "no-parts", "web-of-an-atom", "verdict-in-an-atom", "atoms-of-an-atom"],
 )
 def test_constructed_spaces_take_spaces(build):
     with pytest.raises(TypeError):
