@@ -358,23 +358,72 @@ def nf_outcome(m, fuel):
         return str(e)
 
 
-def test_caches_agree_with_uncached_typing_and_normalizing(monkeypatch):
-    """Oracle: the caches change no type, no error text, no normal form and no
-    FuelExhausted message, at any fuel."""
-    terms = [r for path in corpus_trajectories() for r in path]
-    cases = [(r, fuel) for r in terms for fuel in FUELS]
-    cached = [outcome(r) for r in terms] + [nf_outcome(r, fuel) for r, fuel in cases]
-    for name in CACHES:
+def uncached(monkeypatch, *names):
+    """Swap each named cache for the function it wraps."""
+    for name in names:
         monkeypatch.setattr(cal, name, getattr(cal, name).__wrapped__)
-    uncached = [outcome(r) for r in terms] + [nf_outcome(r, fuel) for r, fuel in cases]
-    assert [i for i, (a, b) in enumerate(zip(cached, uncached)) if a != b] == []
-    assert len(terms) > 2000 and len(cases) > 20_000
 
 
-def test_recursion_error_propagates_and_stores_nothing(monkeypatch):
-    """A RecursionError met while typing a sum reaches the caller, through typecheck
-    and through a walk that types a reduct, and neither cache keeps anything."""
-    s = "pi0 (iota0 1) + pi1 ((\\x:D nat. x) (iota0 1))"  # typed by normalizing its summands
+def test_memo_agrees_with_unmemoized_typing(monkeypatch):
+    """Oracle: the sum cache changes no type and no error text on corpus reducts."""
+    terms = [r for path in corpus_trajectories() for r in path]
+    cached = [outcome(r) for r in terms]
+    uncached(monkeypatch, "_sum_outcome")
+    assert [outcome(r) for r in terms] == cached
+    assert len(terms) > 2000
+
+
+def test_memo_agrees_with_unmemoized_typing_with_the_table_empty(monkeypatch):
+    """The oracle holds with the step cache off too, and the step cache alone changes no outcome."""
+    terms = [r for path in corpus_trajectories() for r in path]
+    cached = [outcome(r) for r in terms]
+    with monkeypatch.context() as mp:
+        uncached(mp, "_cached_step")
+        assert [outcome(r) for r in terms] == cached
+    uncached(monkeypatch, *CACHES)
+    assert [outcome(r) for r in terms] == cached
+
+
+def test_normal_form_table_is_fuel_exact(monkeypatch):
+    """Oracle: the step cache changes no normal form and no FuelExhausted message, at any fuel."""
+    cases = [(r, fuel) for path in corpus_trajectories() for r in path for fuel in FUELS]
+    cached = [nf_outcome(r, fuel) for r, fuel in cases]
+    uncached(monkeypatch, "_cached_step")
+    got = [nf_outcome(r, fuel) for r, fuel in cases]
+    assert [i for i, (a, b) in enumerate(zip(cached, got)) if a != b] == []
+    assert len(cases) > 20_000
+
+
+SUM_BY_NORMAL_FORMS = "pi0 (iota0 1) + pi1 ((\\x:D nat. x) (iota0 1))"
+
+
+@pytest.mark.parametrize("error, stored", [(RecursionError, False), (FuelExhausted, True)])
+def test_only_depth_independent_failures_are_stored(monkeypatch, error, stored):
+    """A summand walk's FuelExhausted is a fact about the sum, kept as its type error; a
+    RecursionError depends on the stack depth, so it reaches typecheck's caller and is kept nowhere."""
+    m = parse(f"succ ({SUM_BY_NORMAL_FORMS})")
+    clear_caches()
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise error
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cal, "normalize", failing)
+        for _ in range(2):
+            with pytest.raises(TypeError_ if stored else RecursionError):
+                typecheck(m)
+        assert cache_sizes() == [int(stored), 0]
+        assert len(calls) == (1 if stored else 2)  # a stored error is read, not recomputed
+    clear_caches()  # the stored error is the patched normalize's, not the sum's
+    assert typecheck(m) == Nat(0)
+
+
+def test_walk_that_absorbs_a_recursion_error_stores_nothing(monkeypatch):
+    """No walk absorbs a RecursionError: one met while typing a reduct reaches
+    normalize's caller, and neither cache keeps anything."""
+    m = parse(f"pi1 (iota0 ({SUM_BY_NORMAL_FORMS}))")  # steps to a zero annotated with the sum's type
     walk = cal.normalize  # the real one: only the nested calls below meet the patch
     clear_caches()
 
@@ -384,12 +433,10 @@ def test_recursion_error_propagates_and_stores_nothing(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(cal, "normalize", failing)
         with pytest.raises(RecursionError):
-            typecheck(parse(f"succ ({s})"))
-        with pytest.raises(RecursionError):
-            walk(parse(f"pi1 (iota0 ({s}))"))  # steps to a zero annotated with the sum's type
+            walk(m)
     assert cache_sizes() == [0, 0]
-    assert typecheck(parse(s)) == Nat(0)
-    assert normalize(parse(f"pi1 (iota0 ({s}))")) == cal.Zero(Nat(0))
+    assert normalize(m) == cal.Zero(Nat(0))
+    assert all(cache_sizes())
 
 
 def test_normal_form_table_stays_bounded():
