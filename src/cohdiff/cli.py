@@ -97,16 +97,21 @@ def _load_term(path):
         raise click.UsageError(f"{path}: {e}")
 
 
+def _typed_term(path):
+    """The term in a .cdl file and its type; an ill-typed term prints its type error and exits 1."""
+    m = _load_term(path)
+    try:
+        return m, cal.typecheck(m)
+    except cal.TypeError_ as e:
+        click.echo(f"type error: {e}", err=True)
+        sys.exit(1)
+
+
 @main.command()
 @click.argument("file", type=click.Path(exists=True))
 def typecheck(file):
     """Print the type of the closed term in FILE (.cdl)."""
-    m = _load_term(file)
-    try:
-        ty = cal.typecheck(m)
-    except cal.TypeError_ as e:
-        click.echo(f"type error: {e}", err=True)
-        sys.exit(1)
+    _, ty = _typed_term(file)
     click.echo(cal.ty_to_text(ty))
 
 
@@ -116,12 +121,7 @@ def typecheck(file):
 @click.option("--trace", is_flag=True, help="print every intermediate term")
 def reduce(file, fuel, trace):
     """Normalize the term in FILE (.cdl) and print the normal form."""
-    m = _load_term(file)
-    try:
-        cal.typecheck(m)
-    except cal.TypeError_ as e:
-        click.echo(f"type error: {e}", err=True)
-        sys.exit(1)
+    m, _ = _typed_term(file)
     for _ in range(fuel):
         if trace:
             click.echo(cal.to_text(m))
@@ -147,12 +147,7 @@ def eval_cmd(file, kind, budget, nmax):
     """Print the truncated denotation of the closed term in FILE."""
     if kind not in ALL_KINDS:
         raise click.UsageError(f"unknown kind {kind!r}")
-    m = _load_term(file)
-    try:
-        cal.typecheck(m)
-    except cal.TypeError_ as e:
-        click.echo(f"type error: {e}", err=True)
-        sys.exit(1)
+    m, _ = _typed_term(file)
     sem = SemEnv(kind=kind, nmax=nmax, budget=Budget(budget))
     # a closed term's context multisets are empty; points above the
     # budget are dropped, as PointMap.materialize drops such pairs
@@ -224,7 +219,7 @@ def demo(what):
     """Showcase runs; `taylor` contrasts uniform and non-uniform derivatives."""
     a, b = Base("a"), Base("b")
     budget = Budget(3)
-    s2 = Rel(frozenset({(Multiset.of([a, a]), b)}), "s'", "")
+    s2 = Rel(frozenset({(Multiset.of([a, a]), b)}))
     click.echo("s' = { [a,a] ↦ b }   (a square: the first-order term vanishes)")
     for kind, blurb in (
         ("coh", "uniform: the derivative at degree 1 vanishes"),

@@ -40,7 +40,7 @@ def dbar(max_degree: int) -> Rel:
         pairs.add((z, Multiset.from_counts([(z, k)])))
     for k in range(max_degree):
         pairs.add((u, Multiset.from_counts([(z, k), (u, 1)])))
-    return Rel(frozenset(pairs), "dbar", "")
+    return Rel(frozenset(pairs))
 
 
 def dbar_pm(kind: str) -> PointMap:
@@ -51,7 +51,7 @@ def dbar_pm(kind: str) -> PointMap:
     """
     I = ispace(kind)
     at = lru_cache(maxsize=None)(lambda bound: pm_from_rel(I, Bang(I), dbar(bound)).at(bound))
-    return PointMap(I, Bang(I), at, "dbar")
+    return PointMap(I, Bang(I), at)
 
 
 @lru_cache(maxsize=None)
@@ -81,16 +81,12 @@ def dpartial(E: Space) -> PointMap:
     the image is filtered by the web of !E, so it is cached per (web, atom)
     with the web ``web_of(E)``: spaces with one web share one image.
     """
-    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), partial(_dpartial_image, web_of(E)), "dpartial")
+    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), partial(_dpartial_image, web_of(E)))
 
 
 def dtilde(E: Space) -> PointMap:
     """∂̃ = m2 ∘ (id ⊗ ∂̄) : !E ⊗ I → !(E ⊗ I)."""
-    return pm_compose(
-        m2(E, ispace(E.kind)),
-        pm_tensor(pm_id(Bang(E)), dbar_pm(E.kind)),
-        "dtilde",
-    )
+    return pm_compose(m2(E, ispace(E.kind)), pm_tensor(pm_id(Bang(E)), dbar_pm(E.kind)))
 
 
 def dpartial_via_dbar(E: Space) -> PointMap:
@@ -121,7 +117,7 @@ def dpartial_via_dbar(E: Space) -> PointMap:
 
         return fn
 
-    return PointMap(Bang(SFun(E)), SFun(Bang(E)), at, "dpartial-via-dbar")
+    return PointMap(Bang(SFun(E)), SFun(Bang(E)), at)
 
 
 def dhat_graph(E: Space, pairs, bound: int) -> set:
@@ -148,5 +144,5 @@ def dhat_graph(E: Space, pairs, bound: int) -> set:
 def dhat(E: Space, F: Space, s: Rel, budget) -> Rel:
     """D̂s = (S s) ∘ ∂ for a Kleisli morphism s : !E → F, within the budget."""
     pairs = [(p, b) for p, b in s.pairs if within_budget(p, budget.max_degree)]
-    return Rel(frozenset(dhat_graph(E, pairs, budget.max_degree)), "dhat", "")
+    return Rel(frozenset(dhat_graph(E, pairs, budget.max_degree)))
 

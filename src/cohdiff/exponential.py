@@ -29,7 +29,7 @@ def der(E: Space) -> PointMap:
             yield m.entries[0][0]
 
     k = mset_width(E)
-    return PointMap.pointwise(Bang(E), E, fn, "der", lambda b: 1 + k * b)
+    return PointMap.pointwise(Bang(E), E, fn, pre=lambda b: 1 + k * b)
 
 
 def _mpartitions(m: Multiset, max_parts: int):
@@ -65,7 +65,7 @@ def dig(E: Space) -> PointMap:
     Empty parts are allowed, so the image is infinite; it is cut where
     the decomposition's degree would pass the bound dig is fixed at.
     """
-    return PointMap(Bang(E), Bang(Bang(E)), lambda bound: partial(_dig_image, bound), "dig")
+    return PointMap(Bang(E), Bang(Bang(E)), lambda bound: partial(_dig_image, bound))
 
 
 def weak(E: Space) -> PointMap:
@@ -75,7 +75,7 @@ def weak(E: Space) -> PointMap:
         if len(m) == 0:
             yield STAR
 
-    return PointMap.pointwise(Bang(E), one(E.kind), fn, "weak")
+    return PointMap.pointwise(Bang(E), one(E.kind), fn)
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +86,7 @@ def _halves(m: Multiset) -> tuple:
 @lru_cache(maxsize=None)
 def contr(E: Space) -> PointMap:
     """Contraction !E → !E ⊗ !E: all two-part decompositions, each half bounded apart."""
-    return PointMap.pointwise(Bang(E), Tensor(Bang(E), Bang(E)), _halves, "contr", lambda b: 2 * b)
+    return PointMap.pointwise(Bang(E), Tensor(Bang(E), Bang(E)), _halves, pre=lambda b: 2 * b)
 
 
 def seely0(kind: str) -> PointMap:
@@ -95,14 +95,14 @@ def seely0(kind: str) -> PointMap:
     def fn(a):
         yield Multiset()
 
-    return PointMap.pointwise(one(kind), Bang(top(kind)), fn, "seely0")
+    return PointMap.pointwise(one(kind), Bang(top(kind)), fn)
 
 
 def seely0_inv(kind: str) -> PointMap:
     def fn(m):
         yield STAR
 
-    return PointMap.pointwise(Bang(top(kind)), one(kind), fn, "seely0_inv")
+    return PointMap.pointwise(Bang(top(kind)), one(kind), fn)
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +114,7 @@ def _tagged(a: Pair) -> tuple:
 @lru_cache(maxsize=None)
 def seely2(E: Space, F: Space) -> PointMap:
     """!E ⊗ !F → !(E & F), (m, p) ↦ 0·m + 1·p."""
-    return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(With(E, F)), _tagged, "seely2")
+    return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(With(E, F)), _tagged)
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +127,7 @@ def _split(m: Multiset) -> tuple:
 
 def seely2_inv(E: Space, F: Space) -> PointMap:
     pre = lambda b: 2 * b  # as contr's: the two halves of an output are bounded apart
-    return PointMap.pointwise(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), _split, "seely2_inv", pre)
+    return PointMap.pointwise(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), _split, pre=pre)
 
 
 def m0(kind: str) -> PointMap:
@@ -137,7 +137,7 @@ def m0(kind: str) -> PointMap:
         image = tuple(Multiset.from_counts([(STAR, k)] if k else []) for k in range(bound + 1))
         return lambda a: image
 
-    return PointMap(one(kind), Bang(one(kind)), at, "m0")
+    return PointMap(one(kind), Bang(one(kind)), at)
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +154,7 @@ def _pairings(a: Pair) -> tuple:
 @lru_cache(maxsize=None)
 def m2(E: Space, F: Space) -> PointMap:
     """Monoidality !E ⊗ !F → !(E ⊗ F): all pairings of equal-size multisets."""
-    return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(Tensor(E, F)), _pairings, "m2")
+    return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(Tensor(E, F)), _pairings)
 
 
 def _distinct_pairings(xs, ys):

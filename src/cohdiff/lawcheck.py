@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field
+from functools import partial
 
 from .differential import dbar_pm, dpartial, dpartial_via_dbar, dtilde
 from .exponential import (
@@ -125,13 +126,13 @@ def gen_morphism(rng: random.Random, E: Space, F: Space, budget: Budget) -> Rel:
             hom, p, p
         ).coherent:
             chosen.append(p)
-    return Rel(frozenset((p.left, p.right) for p in chosen), "f", "")
+    return Rel(frozenset((p.left, p.right) for p in chosen))
 
 
 def gen_summable_pair(rng: random.Random, E: Space, F: Space, budget: Budget):
     """Two summable morphisms E → F, via a random witness E → SF."""
     w = gen_morphism(rng, E, SFun(F), budget)
-    return Rel(_summand(w, 0), "f0", ""), Rel(_summand(w, 1), "f1", "")
+    return Rel(_summand(w, 0)), Rel(_summand(w, 1))
 
 
 def _summand(w: Rel, i: int) -> frozenset:
@@ -177,41 +178,38 @@ def run_diagram(lhs: PointMap, rhs: PointMap, budget: Budget):
 
 
 def _pw(E0: Space, E1: Space, i: int) -> PointMap:
-    def fn(a):
-        if a.index == i:
-            yield a.inner
-
-    return PointMap.pointwise(With(E0, E1), E0 if i == 0 else E1, fn, f"pw{i}")
+    """The projection E0 & E1 → E_i, whose atoms are tagged as SE's."""
+    return PointMap.pointwise(With(E0, E1), E0 if i == 0 else E1, partial(proj_image, i))
 
 
 def _sym(E: Space, F: Space) -> PointMap:
-    return PointMap.pointwise(Tensor(E, F), Tensor(F, E), lambda a: (Pair(a.right, a.left),), "sym")
+    return PointMap.pointwise(Tensor(E, F), Tensor(F, E), lambda a: (Pair(a.right, a.left),))
 
 
 def _assoc(E: Space, F: Space, G: Space) -> PointMap:
     def fn(a):
         yield Pair(a.left.left, Pair(a.left.right, a.right))
 
-    return PointMap.pointwise(Tensor(Tensor(E, F), G), Tensor(E, Tensor(F, G)), fn, "assoc")
+    return PointMap.pointwise(Tensor(Tensor(E, F), G), Tensor(E, Tensor(F, G)), fn)
 
 
 def _assoc_inv(E: Space, F: Space, G: Space) -> PointMap:
     def fn(a):
         yield Pair(Pair(a.left, a.right.left), a.right.right)
 
-    return PointMap.pointwise(Tensor(E, Tensor(F, G)), Tensor(Tensor(E, F), G), fn, "assoc_inv")
+    return PointMap.pointwise(Tensor(E, Tensor(F, G)), Tensor(Tensor(E, F), G), fn)
 
 
 def _lunit(E: Space, kind: str) -> PointMap:
-    return PointMap.pointwise(Tensor(one(kind), E), E, lambda a: (a.right,), "lunit")
+    return PointMap.pointwise(Tensor(one(kind), E), E, lambda a: (a.right,))
 
 
 def _to_top(E: Space) -> PointMap:
-    return PointMap.pointwise(E, top(E.kind), lambda a: (), "0")
+    return PointMap.pointwise(E, top(E.kind), lambda a: ())
 
 
 def _diag(E: Space) -> PointMap:
-    return pm_pair(pm_id(E), pm_id(E), "diag")
+    return pm_pair(pm_id(E), pm_id(E))
 
 
 def _sym23(A, B, C, D) -> PointMap:
@@ -221,7 +219,7 @@ def _sym23(A, B, C, D) -> PointMap:
         yield Pair(Pair(a.left.left, a.right.left), Pair(a.left.right, a.right.right))
 
     return PointMap.pointwise(
-        Tensor(Tensor(A, B), Tensor(C, D)), Tensor(Tensor(A, C), Tensor(B, D)), fn, "sym23"
+        Tensor(Tensor(A, B), Tensor(C, D)), Tensor(Tensor(A, C), Tensor(B, D)), fn
     )
 
 
@@ -246,7 +244,7 @@ def chk_joint_monicity(ctx, rng):
 def chk_sum_zero(ctx, rng):
     E, F = gen_space(rng, ctx.kind), gen_space(rng, ctx.kind)
     f = gen_morphism(rng, E, F, ctx.budget)
-    z = Rel(frozenset(), "0", "")
+    z = Rel()
     if not summable(E, F, f, z):
         return False, "f and 0 not summable"
     if msum(E, F, f, z).pairs != f.pairs:
@@ -274,7 +272,7 @@ def chk_sum_wit(ctx, rng):
     for i, f in enumerate(fs):
         if _summand(w, i) != f:
             return False, f"projection {i} does not recover the summand"
-    v = witness(Rel(fs[0], "f0", ""), Rel(fs[1], "f1", ""))
+    v = witness(Rel(fs[0]), Rel(fs[1]))
     if not is_morphism(E, SFun(F), v):
         return False, "witness of summable pair is not a morphism"
     if v.pairs != w.pairs:
@@ -291,7 +289,7 @@ def chk_sum_assoc(ctx, rng):
     parts = [set(), set(), set()]
     for i, p in enumerate(pairs):
         parts[rng.randrange(3)].add(p)
-    fs = [Rel(frozenset(s), f"f{i}", "") for i, s in enumerate(parts)]
+    fs = [Rel(frozenset(s)) for s in parts]
     left = nary_summable(E, F, fs)
     pre = nary_summable(E, F, [fs[1], fs[2]])
     right = None if pre is None else nary_summable(E, F, [fs[0], pre])
@@ -320,12 +318,12 @@ def chk_sum_tensor(ctx, rng):
     tens = lambda f: frozenset(
         (Pair(a, c), Pair(b, d)) for a, b in f.pairs for c, d in g.pairs
     )
-    t0 = Rel(tens(f0), "t0", "")
-    t1 = Rel(tens(f1), "t1", "")
+    t0 = Rel(tens(f0))
+    t1 = Rel(tens(f1))
     if not summable(Tensor(E, G), Tensor(F, H), t0, t1):
         return False, "tensored pair not summable"
     s = msum(Tensor(E, G), Tensor(F, H), t0, t1)
-    if s.pairs != Rel(tens(msum(E, F, f0, f1)), "s", "").pairs:
+    if s.pairs != tens(msum(E, F, f0, f1)):
         return False, "(f0+f1)⊗g mismatch"
     return True, None
 
@@ -602,7 +600,7 @@ def chk_dbar_coassoc(ctx):
 def chk_dbar_local(ctx):
     kind = ctx.kind
     I = ispace(kind)
-    w0pm = pm_from_rel(one(kind), I, w0(), "w0")
+    w0pm = pm_from_rel(one(kind), I, w0())
     lhs = pm_compose(dbar_pm(kind), w0pm)
     rhs = pm_compose(pm_bang(w0pm), m0(kind))
     return [("", lhs, rhs)]
@@ -611,7 +609,7 @@ def chk_dbar_local(ctx):
 def chk_dbar_lin_proj(ctx):
     kind = ctx.kind
     I = ispace(kind)
-    pr = pm_from_rel(I, one(kind), pr0(), "pr0")
+    pr = pm_from_rel(I, one(kind), pr0())
     lhs = pm_compose(pm_bang(pr), dbar_pm(kind))
     rhs = pm_compose(m0(kind), pr)
     return [("", lhs, rhs)]
@@ -620,7 +618,7 @@ def chk_dbar_lin_proj(ctx):
 def chk_dbar_lin_L(ctx):
     kind = ctx.kind
     I, db = ispace(kind), dbar_pm(kind)
-    Lp = pm_from_rel(I, Tensor(I, I), L_map(), "L")
+    Lp = pm_from_rel(I, Tensor(I, I), L_map())
     lhs = pm_compose(pm_bang(Lp), db)
     rhs = pm_compose(m2(I, I), pm_compose(pm_tensor(db, db), Lp))
     return [("", lhs, rhs)]
@@ -629,8 +627,8 @@ def chk_dbar_lin_L(ctx):
 def chk_dbar_comonoid_mor(ctx):
     kind = ctx.kind
     I, db = ispace(kind), dbar_pm(kind)
-    pr = pm_from_rel(I, one(kind), pr0(), "pr0")
-    Lp = pm_from_rel(I, Tensor(I, I), L_map(), "L")
+    pr = pm_from_rel(I, one(kind), pr0())
+    Lp = pm_from_rel(I, Tensor(I, I), L_map())
     return [
         ("weak . dbar != pr0", pm_compose(weak(I), db), pr),
         ("", pm_compose(contr(I), db), pm_compose(pm_tensor(db, db), Lp)),
@@ -640,8 +638,8 @@ def chk_dbar_comonoid_mor(ctx):
 def chk_i_comonoid(ctx):
     kind = ctx.kind
     I = ispace(kind)
-    pr = pm_from_rel(I, one(kind), pr0(), "pr0")
-    Lp = pm_from_rel(I, Tensor(I, I), L_map(), "L")
+    pr = pm_from_rel(I, one(kind), pr0())
+    Lp = pm_from_rel(I, Tensor(I, I), L_map())
     counit = pm_compose(_lunit(I, kind), pm_compose(pm_tensor(pr, pm_id(I)), Lp))
     lhs = pm_compose(pm_tensor(Lp, pm_id(I)), Lp)
     rhs = pm_compose(_assoc_inv(I, I, I), pm_compose(pm_tensor(pm_id(I), Lp), Lp))
@@ -672,14 +670,14 @@ def chk_sfun_iso(ctx, rng):
     fwd, bwd = canonical_iso(E)
     # naturality: (I -o f) . fwd = fwd . Sf for a random morphism f
     f = gen_morphism(rng, E, F, ctx.budget)
-    fpm = pm_from_rel(E, F, f, "f")
+    fpm = pm_from_rel(E, F, f)
     fwdF, _ = canonical_iso(F)
 
     def homf_at(bound):
         f_at = fpm.at(bound)
         return lambda a: (Pair(a.left, b) for b in f_at(a.right))
 
-    hom_map = PointMap(fwd.tgt, fwdF.tgt, homf_at, "I-of")
+    hom_map = PointMap(fwd.tgt, fwdF.tgt, homf_at)
     return [
         ("roundtrip 1", pm_compose(bwd, fwd), pm_id(SFun(E))),
         ("roundtrip 2", pm_compose(fwd, bwd), pm_id(fwd.tgt)),
@@ -807,12 +805,11 @@ def run_all(
     trials: int = 100,
     budget: Budget = Budget(),
     only=None,
-    overrides=None,
 ):
     results = []
     names = [n for n in REGISTRY if only is None or n in only]
     for kind in kinds:
-        ctx = MapCtx(kind, budget, overrides or {})
+        ctx = MapCtx(kind, budget)
         for name in names:
             results.append(run_check(name, ctx, seed, trials))
     return results

@@ -37,13 +37,12 @@ class PointMap:
     src: Space
     tgt: Space
     at: Callable[[int], Callable[[Atom], Iterable[Atom]]]
-    label: str = ""
     pre: Callable[[int], int] = lambda b: b  # right for every map that never lowers degree
 
     @classmethod
-    def pointwise(cls, src: Space, tgt: Space, fn: Callable[[Atom], Iterable[Atom]], *rest) -> "PointMap":
-        """A map whose image does not depend on the bound: fn at every bound (rest: label, pre)."""
-        return cls(src, tgt, lambda bound: fn, *rest)
+    def pointwise(cls, src: Space, tgt: Space, fn: Callable[[Atom], Iterable[Atom]], *, pre=pre) -> "PointMap":
+        """A map whose image does not depend on the bound: fn at every bound."""
+        return cls(src, tgt, lambda bound: fn, pre)
 
     def materialize(self, budget: Budget) -> Rel:
         """Pairs (a, b) with both sides within the degree budget.
@@ -58,24 +57,24 @@ class PointMap:
             for b in fn(a):
                 if within_budget(b, budget.max_degree):
                     pairs.add((a, b))
-        return Rel(frozenset(pairs), self.label, "")
+        return Rel(frozenset(pairs))
 
 
-def pm_id(E: Space, label: str = "id") -> PointMap:
-    return PointMap.pointwise(E, E, lambda a: (a,), label)
+def pm_id(E: Space) -> PointMap:
+    return PointMap.pointwise(E, E, lambda a: (a,))
 
 
-def pm_from_rel(E: Space, F: Space, rel: Rel, label: str = "") -> PointMap:
+def pm_from_rel(E: Space, F: Space, rel: Rel) -> PointMap:
     """Wrap an extensional relation as a point map; only its sources have images."""
     index: dict = {}
     for a, b in rel.pairs:
         index.setdefault(a, []).append(b)
     index = {a: tuple(bs) for a, bs in index.items()}
     top = max(map(degree, index), default=0)
-    return PointMap.pointwise(E, F, lambda a: index.get(a, ()), label or rel.src_label, lambda b: top)
+    return PointMap.pointwise(E, F, lambda a: index.get(a, ()), pre=lambda b: top)
 
 
-def pm_compose(g: PointMap, f: PointMap, label: str = "") -> PointMap:
+def pm_compose(g: PointMap, f: PointMap) -> PointMap:
     """g after f: f runs at g.pre of the bound, and its images above that are skipped."""
 
     def at(bound):
@@ -89,10 +88,10 @@ def pm_compose(g: PointMap, f: PointMap, label: str = "") -> PointMap:
 
         return fn
 
-    return PointMap(f.src, g.tgt, at, label or f"{g.label}∘{f.label}", lambda b: f.pre(g.pre(b)))
+    return PointMap(f.src, g.tgt, at, lambda b: f.pre(g.pre(b)))
 
 
-def pm_tensor(f: PointMap, g: PointMap, label: str = "") -> PointMap:
+def pm_tensor(f: PointMap, g: PointMap) -> PointMap:
     def at(bound):
         f_at, g_at = f.at(bound), g.at(bound)
 
@@ -104,10 +103,10 @@ def pm_tensor(f: PointMap, g: PointMap, label: str = "") -> PointMap:
         return fn
 
     pre = lambda b: max(f.pre(b), g.pre(b))  # within_budget bounds each component
-    return PointMap(Tensor(f.src, g.src), Tensor(f.tgt, g.tgt), at, label or f"{f.label}⊗{g.label}", pre)
+    return PointMap(Tensor(f.src, g.src), Tensor(f.tgt, g.tgt), at, pre)
 
 
-def pm_pair(f: PointMap, g: PointMap, label: str = "") -> PointMap:
+def pm_pair(f: PointMap, g: PointMap) -> PointMap:
     """The pairing ⟨f, g⟩ into a & product (shared source)."""
 
     def at(bound):
@@ -122,10 +121,10 @@ def pm_pair(f: PointMap, g: PointMap, label: str = "") -> PointMap:
         return fn
 
     pre = lambda b: max(f.pre(b), g.pre(b))
-    return PointMap(f.src, With(f.tgt, g.tgt), at, label or f"⟨{f.label},{g.label}⟩", pre)
+    return PointMap(f.src, With(f.tgt, g.tgt), at, pre)
 
 
-def pm_sfun(f: PointMap, label: str = "") -> PointMap:
+def pm_sfun(f: PointMap) -> PointMap:
     """S f: act under the summability tag."""
 
     def at(bound):
@@ -137,7 +136,7 @@ def pm_sfun(f: PointMap, label: str = "") -> PointMap:
 
         return fn
 
-    return PointMap(SFun(f.src), SFun(f.tgt), at, label or f"S{f.label}", f.pre)
+    return PointMap(SFun(f.src), SFun(f.tgt), at, f.pre)
 
 
 def _sub_multisets(m: Multiset):
@@ -154,7 +153,7 @@ def _sub_multisets(m: Multiset):
         yield Multiset.from_counts(picked)
 
 
-def pm_bang(f: PointMap, label: str = "") -> PointMap:
+def pm_bang(f: PointMap) -> PointMap:
     """!f : send a multiset to every multiset of pointwise images.
 
     f runs at the bound of !f, and pointwise images are pruned where
@@ -204,4 +203,4 @@ def pm_bang(f: PointMap, label: str = "") -> PointMap:
     k = mset_width(f.src)
     slack = lambda b: max(f.pre(d) - d for d in range(b + 1))
     pre = lambda b: max(k * b, b + k * b * slack(b))
-    return PointMap(Bang(f.src), tgt, at, label or f"!{f.label}", pre)
+    return PointMap(Bang(f.src), tgt, at, pre)

@@ -57,7 +57,7 @@ def flip_image(a: Tag):
 
 def proj(E: Space, i: int) -> PointMap:
     """π_i : SE → E."""
-    return PointMap.pointwise(SFun(E), E, partial(proj_image, i), f"proj{i}")
+    return PointMap.pointwise(SFun(E), E, partial(proj_image, i))
 
 
 def sigma(E: Space) -> PointMap:
@@ -66,22 +66,22 @@ def sigma(E: Space) -> PointMap:
     def fn(a):
         yield a.inner
 
-    return PointMap.pointwise(SFun(E), E, fn, "sigma")
+    return PointMap.pointwise(SFun(E), E, fn)
 
 
 def inj(E: Space, i: int) -> PointMap:
     """ι_i : E → SE."""
-    return PointMap.pointwise(E, SFun(E), partial(inj_image, i), f"inj{i}")
+    return PointMap.pointwise(E, SFun(E), partial(inj_image, i))
 
 
 def flip(E: Space) -> PointMap:
     """c : SSE → SSE, swap the two tag layers."""
-    return PointMap.pointwise(SFun(SFun(E)), SFun(SFun(E)), flip_image, "flip")
+    return PointMap.pointwise(SFun(SFun(E)), SFun(SFun(E)), flip_image)
 
 
 def theta(E: Space) -> PointMap:
     """θ : SSE → SE."""
-    return PointMap.pointwise(SFun(SFun(E)), SFun(E), theta_image, "theta")
+    return PointMap.pointwise(SFun(SFun(E)), SFun(E), theta_image)
 
 
 def strength(E: Space, F: Space) -> PointMap:
@@ -90,7 +90,7 @@ def strength(E: Space, F: Space) -> PointMap:
     def fn(a):
         yield Tag(a.right.index, Pair(a.left, a.right.inner))
 
-    return PointMap.pointwise(Tensor(E, SFun(F)), SFun(Tensor(E, F)), fn, "strength")
+    return PointMap.pointwise(Tensor(E, SFun(F)), SFun(Tensor(E, F)), fn)
 
 
 def strength_sym(E: Space, F: Space) -> PointMap:
@@ -99,7 +99,7 @@ def strength_sym(E: Space, F: Space) -> PointMap:
     def fn(a):
         yield Tag(a.left.index, Pair(a.left.inner, a.right))
 
-    return PointMap.pointwise(Tensor(SFun(E), F), SFun(Tensor(E, F)), fn, "strength_sym")
+    return PointMap.pointwise(Tensor(SFun(E), F), SFun(Tensor(E, F)), fn)
 
 
 def smont(E: Space, F: Space) -> PointMap:
@@ -110,13 +110,13 @@ def smont(E: Space, F: Space) -> PointMap:
         if i + j <= 1:
             yield Tag(i + j, Pair(a.left.inner, a.right.inner))
 
-    return PointMap.pointwise(Tensor(SFun(E), SFun(F)), SFun(Tensor(E, F)), fn, "smont")
+    return PointMap.pointwise(Tensor(SFun(E), SFun(F)), SFun(Tensor(E, F)), fn)
 
 
 def witness(f0: Rel, f1: Rel) -> Rel:
     """The candidate witness {(a, (i, b)) | (a, b) ∈ f_i} : X → SY."""
     pairs = {(a, Tag(0, b)) for a, b in f0.pairs} | {(a, Tag(1, b)) for a, b in f1.pairs}
-    return Rel(frozenset(pairs), "witness", "")
+    return Rel(frozenset(pairs))
 
 
 def summable(E: Space, F: Space, f0: Rel, f1: Rel) -> bool:
@@ -138,7 +138,7 @@ def nary_summable(E: Space, F: Space, fs) -> Rel | None:
     """
     fs = list(fs)
     if not fs:
-        return Rel(frozenset(), "0", "")
+        return Rel()
     acc = fs[0]
     if not is_morphism(E, F, acc):
         return None
@@ -158,22 +158,18 @@ def nary_summable(E: Space, F: Space, fs) -> Rel | None:
 
 def w0() -> Rel:
     """1 → I picking the value component."""
-    return Rel(frozenset({(STAR, Tag(0, STAR))}), "w0", "")
+    return Rel(frozenset({(STAR, Tag(0, STAR))}))
 
 
 def pr0() -> Rel:
     """I → 1 projecting the value component."""
-    return Rel(frozenset({(Tag(0, STAR), STAR)}), "pr0", "")
+    return Rel(frozenset({(Tag(0, STAR), STAR)}))
 
 
 def L_map() -> Rel:
     """I → I ⊗ I, the comultiplication of dual numbers."""
     z, u = Tag(0, STAR), Tag(1, STAR)
-    return Rel(
-        frozenset({(z, Pair(z, z)), (u, Pair(u, z)), (u, Pair(z, u))}),
-        "L",
-        "",
-    )
+    return Rel(frozenset({(z, Pair(z, z)), (u, Pair(u, z)), (u, Pair(z, u))}))
 
 
 def canonical_iso(E: Space) -> tuple[PointMap, PointMap]:
@@ -192,6 +188,6 @@ def canonical_iso(E: Space) -> tuple[PointMap, PointMap]:
         yield Tag(p.left.index, p.right)
 
     return (
-        PointMap.pointwise(SFun(E), hom, fwd, "S≅hom"),
-        PointMap.pointwise(hom, SFun(E), bwd, "hom≅S"),
+        PointMap.pointwise(SFun(E), hom, fwd),
+        PointMap.pointwise(hom, SFun(E), bwd),
     )

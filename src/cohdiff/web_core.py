@@ -269,7 +269,10 @@ def within_budget(a: Atom, max_degree: int) -> bool:
     """True iff every nested multiset of ``a`` has degree ≤ max_degree.
 
     Pair components are checked separately (their degrees do not
-    accumulate across the pair).
+    accumulate across the pair).  Degree is monotone: a tag's equals its
+    inner atom's, a pair's is at least each component's, and a
+    multiset's is at least 1 + each element's.  So a multiset within
+    the bound bounds every multiset nested in it.
     """
     if isinstance(a, Base):
         return True
@@ -278,12 +281,7 @@ def within_budget(a: Atom, max_degree: int) -> bool:
     if isinstance(a, Pair):
         return within_budget(a.left, max_degree) and within_budget(a.right, max_degree)
     if isinstance(a, Multiset):
-        # degree of an outer multiset dominates the degree of every
-        # multiset nested inside one of its elements, except those
-        # hidden inside pairs -- recurse to be safe.
-        if degree(a) > max_degree:
-            return False
-        return all(within_budget(x, max_degree) for x, _ in a.entries)
+        return degree(a) <= max_degree
     raise TypeError(f"not an atom: {a!r}")
 
 
@@ -305,21 +303,15 @@ class Budget:
 
 @dataclass(frozen=True)
 class Rel:
-    """A morphism: a finite set of atom pairs, with diagnostic labels."""
+    """A morphism: a finite set of atom pairs, listed in ``atom_key`` order."""
 
     pairs: frozenset = frozenset()
-    src_label: str = ""
-    tgt_label: str = ""
 
     def __iter__(self):
         return iter(sorted(self.pairs, key=lambda p: (atom_key(p[0]), atom_key(p[1]))))
 
     def __or__(self, other: "Rel") -> "Rel":
-        return Rel(self.pairs | other.pairs, self.src_label, self.tgt_label)
-
-    def __repr__(self):
-        body = ", ".join(f"{a!r} ↦ {b!r}" for a, b in self)
-        return "{" + body + "}"
+        return Rel(self.pairs | other.pairs)
 
 
 def rel_compose(s: Rel, t: Rel) -> Rel:
@@ -331,7 +323,7 @@ def rel_compose(s: Rel, t: Rel) -> Rel:
     for a, b in s.pairs:
         for c in by_src.get(b, ()):
             out.add((a, c))
-    return Rel(frozenset(out), s.src_label, t.tgt_label)
+    return Rel(frozenset(out))
 
 
 # ---------------------------------------------------------------------------

@@ -29,4 +29,4 @@ def local_derivative(s: Rel, x) -> Rel:
             rest = m - Multiset.of([a])
             if all(c in xs for c in rest.support):
                 pairs.add((a, b))
-    return Rel(frozenset(pairs), "local", "")
+    return Rel(frozenset(pairs))

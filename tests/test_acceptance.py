@@ -66,7 +66,7 @@ def test_criterion_1_law_suite_green_and_mutation_sensitive():
 
             return fn
 
-        return PointMap(base.src, base.tgt, at, "mutant")
+        return PointMap(base.src, base.tgt, at)
 
     mut = run_check(
         "d-chain-der", MapCtx("coh", BUD, {"dpartial": mutant}), seed=0, trials=50
@@ -107,8 +107,8 @@ def test_criterion_2_exact_differential_formulas():
 
 
 def test_criterion_3_taylor_contrast():
-    s1 = Rel(frozenset({(Multiset.of([a]), b)}), "s", "")
-    s2 = Rel(frozenset({(Multiset.of([a, a]), b)}), "s'", "")
+    s1 = Rel(frozenset({(Multiset.of([a]), b)}))
+    s2 = Rel(frozenset({(Multiset.of([a, a]), b)}))
     Ec = BaseSpace("coh", (a,), name="E")
     Fc = BaseSpace("coh", (b,), name="F")
     En = BaseSpace("nucs", (a,), frozenset({(a, a)}), name="E")
@@ -301,7 +301,7 @@ def _all_morphisms(E, F):
     hom = [(x, y) for x in E.atoms for y in F.atoms]
     out = []
     for bits in itertools.product((0, 1), repeat=len(hom)):
-        r = Rel(frozenset(p for p, keep in zip(hom, bits) if keep), "f", "")
+        r = Rel(frozenset(p for p, keep in zip(hom, bits) if keep))
         if is_morphism(E, F, r):
             out.append(r)
     return out

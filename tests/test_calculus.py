@@ -225,6 +225,28 @@ def test_derivative_through_fix_keeps_its_type():
     assert n is not None and typecheck(n) == typecheck(m) == ty("D nat => D nat")
 
 
+def test_derivative_of_a_shadowing_lambda_is_constant():
+    """D under a λ that rebinds the differentiated variable: the body is constant in it."""
+    m = step(parse(r"D (\x:nat. \x:nat. x)"))
+    assert m == parse(r"\y:D nat. iota0 (\x:nat. x)")
+    assert typecheck(m) == ty("D nat => D (nat => nat)")
+
+
+def test_derivative_through_an_ill_typed_fix_is_undefined():
+    """dlet cannot type a fix body with an unbound variable; step then reduces inside the D."""
+    with pytest.raises(cal.DletUndefined, match="cannot type fix body"):
+        cal.dlet("x", cal.Var("y"), parse(r"fix (\y:nat. z)"), {"x": Nat(0)})
+    m = parse(r"D (\x:nat. fix (\y:nat. z))")
+    assert step(m) == parse(r"D (\x:nat. (\y:nat. z) (fix (\y:nat. z)))")
+
+
+def test_sum_of_an_unfolded_sigma_types_by_folding_it_back():
+    """The sum normalizes to pi0 (pi0 x) + pi1 (pi0 x) + pi0 (pi1 x), which no schema
+    types until ``_parts_type`` folds the three back into pi0 (sigma x) + pi1 (sigma x)."""
+    m = parse(r"\x:D D nat. pi0 (pi0 x) + pi1 (sigma x)")
+    assert typecheck(m) == ty("D D nat => nat")
+
+
 def test_derivative_through_if0_does_not_step():
     """The linear substitution is undefined through if0: the derivative is stuck, not an error."""
     assert step(parse("D (\\x:nat. if0 x 1 2)")) is None

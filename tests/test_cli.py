@@ -8,6 +8,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from cohdiff import lawcheck
 from cohdiff.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -60,6 +61,16 @@ def test_law_verdicts_do_not_depend_on_hashing(model, hash_seed):
         want = [line for line in fh.read().splitlines() if line.split()[1] == model]
     passed = sum(line.startswith("PASS") for line in want)
     assert out.splitlines() == want + [f"{passed}/{len(want)} law checks passed"]
+
+
+def test_check_laws_reports_a_failing_law_with_its_witness(monkeypatch):
+    monkeypatch.setitem(lawcheck.REGISTRY, "d-local", (lambda ctx: (False, "forced failure"), ()))
+    r = run("check-laws", "--only", "d-local", "--model", "coh")
+    assert r.exit_code == 1
+    assert r.output == (
+        "FAIL coh  d-local                  trials=1  [forced failure]\n"
+        "0/1 law checks passed\n"
+    )
 
 
 def test_check_laws_unknown_law_is_usage_error():

@@ -89,6 +89,12 @@ def test_soundness_check_flags_type_mismatch():
     assert not ok and "types differ" in info
 
 
+def test_soundness_check_flags_an_ill_typed_term():
+    ok, info = soundness_check(parse("succ (\\x:nat. x)"), parse("1"), SEM)
+    assert not ok
+    assert info == "typing failed: argument type nat => nat does not match nat"
+
+
 def test_derivative_of_identity_denotes_identity():
     lhs = den("D (\\x:nat. x)")
     rhs = den("\\y:D nat. y")
@@ -201,7 +207,7 @@ def _drop_increments(dpartial):
             base_at = base.at(bound)
             return lambda m: [x for x in base_at(m) if x.index == 0]
 
-        return PointMap(base.src, base.tgt, at, "dpartial-without-increments")
+        return PointMap(base.src, base.tgt, at)
 
     return mutant
 

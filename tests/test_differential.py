@@ -133,7 +133,7 @@ def test_dbar_is_built_once_per_bound(monkeypatch):
 def test_dhat_linear_morphism():
     E = BaseSpace("coh", (a,), name="E")
     F = BaseSpace("coh", (b,), name="F")
-    s = Rel(frozenset({(Multiset.of([a]), b)}), "s", "")
+    s = Rel(frozenset({(Multiset.of([a]), b)}))
     got = dhat(E, F, s, BUD).pairs
     want = frozenset(
         {
@@ -145,7 +145,7 @@ def test_dhat_linear_morphism():
 
 
 def test_dhat_square_taylor_contrast():
-    s2 = Rel(frozenset({(Multiset.of([a, a]), b)}), "s'", "")
+    s2 = Rel(frozenset({(Multiset.of([a, a]), b)}))
     F = {"coh": BaseSpace("coh", (b,), name="F"),
          "nucs": BaseSpace("nucs", (b,), frozenset({(b, b)}), name="F")}
     E = {"coh": BaseSpace("coh", (a,), name="E"),
@@ -245,7 +245,7 @@ def test_dhat_computes_local_derivatives():
 
 
 def test_local_derivative_concrete():
-    s = Rel(frozenset({(Multiset.of([a, a]), b)}), "s", "")
+    s = Rel(frozenset({(Multiset.of([a, a]), b)}))
     d = local_derivative(s, [a])
     assert d.pairs == frozenset({(a, b)})
     assert local_derivative(s, []).pairs == frozenset()

@@ -113,7 +113,7 @@ def _mutant_dpartial(E):
 
         return fn
 
-    return PointMap(base.src, base.tgt, at, "mutant")
+    return PointMap(base.src, base.tgt, at)
 
 
 def test_mutated_dpartial_fails_chain_law_with_witness():
@@ -259,7 +259,7 @@ def test_instances_count_distinct_space_draws():
     assert res.instances == len(distinct) < 100
 
 
-def _uniform_compose(g, f, label=""):
+def _uniform_compose(g, f):
     """g after f with one bound for every map: the oracle ignores ``pre``."""
 
     def at(bound):
@@ -272,7 +272,7 @@ def _uniform_compose(g, f, label=""):
 
         return fn
 
-    return PointMap(f.src, g.tgt, at, label)
+    return PointMap(f.src, g.tgt, at)
 
 
 def _graph_under(pm, budget, bound):
@@ -313,14 +313,14 @@ def _law_sides(monkeypatch, name, kind, budget, trials, compose):
 
 
 def _inexact_sides(monkeypatch, name, kind, budget, trials):
-    """Sides whose graph at their derived bounds differs from the graph of the
-    same side with every map run under the generous bound 3D+2."""
+    """Indices of the sides whose graph at their derived bounds differs from the
+    graph of the same side with every map run under the generous bound 3D+2."""
     derived = _law_sides(monkeypatch, name, kind, budget, trials, pm_compose)
     oracle = _law_sides(monkeypatch, name, kind, budget, trials, _uniform_compose)
     assert derived and len(derived) == len(oracle)
     generous = 3 * budget.max_degree + 2
     return [
-        (i, side.label)
+        i
         for i, (side, ref) in enumerate(zip(derived, oracle))
         if side.materialize(budget).pairs != _graph_under(ref, budget, generous)
     ]
@@ -401,7 +401,7 @@ def test_freed_override_does_not_reuse_cached_verdict():
             base_at = base.at(bound)
             return lambda x: (y for y in base_at(x) if y.index == 0)
 
-        return PointMap(base.src, base.tgt, at, "mutant")
+        return PointMap(base.src, base.tgt, at)
 
     res = run_check("d-with-2", MapCtx("coh", BUD, {"dpartial": mutant}), seed=0, trials=3)
     assert not res.ok and res.witness

@@ -27,9 +27,9 @@ def _counted_pre(calls, name):
 
 def _stages(X, calls):
     """Three maps !X → !X whose ``pre`` count their calls; the middle one is a !."""
-    h1 = PointMap.pointwise(Bang(X), Bang(X), lambda a: (a,), "h1", _counted_pre(calls, "h1"))
-    h2 = PointMap.pointwise(X, X, lambda a: (a,), "h2", _counted_pre(calls, "h2"))
-    h3 = PointMap.pointwise(Bang(X), Bang(X), lambda a: (a,), "h3", _counted_pre(calls, "h3"))
+    h1 = PointMap.pointwise(Bang(X), Bang(X), lambda a: (a,), pre=_counted_pre(calls, "h1"))
+    h2 = PointMap.pointwise(X, X, lambda a: (a,), pre=_counted_pre(calls, "h2"))
+    h3 = PointMap.pointwise(Bang(X), Bang(X), lambda a: (a,), pre=_counted_pre(calls, "h3"))
     return h1, pm_bang(h2), h3
 
 

@@ -169,14 +169,14 @@ def test_enumerate_web_stops_at_max_atoms():
 
 def test_is_morphism():
     E = coh_space({(a, b)})
-    ok = Rel(frozenset({(a, a), (b, b)}), "f", "")
+    ok = Rel(frozenset({(a, a), (b, b)}))
     assert is_morphism(E, E, ok)
-    bad = Rel(frozenset({(a, b), (b, c)}), "g", "")
+    bad = Rel(frozenset({(a, b), (b, c)}))
     assert not is_morphism(E, E, bad)
 
 
 def test_matapp_is_image():
-    f = Rel(frozenset({(a, b), (b, c), (c, a)}), "f", "")
+    f = Rel(frozenset({(a, b), (b, c), (c, a)}))
     assert matapp(f, [a, b]) == frozenset({b, c})
     assert matapp(f, []) == frozenset()
 

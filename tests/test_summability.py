@@ -36,7 +36,7 @@ def coh(atoms=(a, b), scoh=()):
 
 
 def rel_of(*pairs):
-    return Rel(frozenset(pairs), "f", "")
+    return Rel(frozenset(pairs))
 
 
 def test_sfun_web_is_two_copies():

@@ -6,12 +6,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# the package's __init__.py imports in order to re-export
 MODULES = sorted(
     str(p.relative_to(ROOT))
     for d in (ROOT / "src" / "cohdiff", ROOT / "tests", ROOT / "scripts")
     for p in d.glob("*.py")
-    if p.name != "__init__.py"
 )
 
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cohdiff import web_core
+from cohdiff.spaces import Bang, BaseSpace, SFun, Tensor, With, enumerate_web
 from cohdiff.web_core import (
     STAR,
+    AtomParseError,
     Base,
     Budget,
     Multiset,
@@ -46,6 +48,8 @@ def test_multiset_sum_matches_counter():
 def test_multiset_subtraction():
     m = Multiset.of([a, a, b])
     assert m - Multiset.of([a]) == Multiset.of([a, b])
+    with pytest.raises(ValueError, match="went negative"):
+        Multiset.of([a]) - Multiset.of([a, a])
 
 
 def test_support():
@@ -252,6 +256,47 @@ def test_degree_base_cases():
     assert degree(Multiset.of([Multiset.of([a])])) == 2
 
 
+def test_atom_text_accepts_star_and_blanks():
+    assert atom_from_text("*") is STAR
+    assert atom_from_text(" ( a , b ) ") is Pair(a, b)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("(a,", "expected an atom at position 3 in '(a,'"),
+        ("a b", "trailing input at position 2 in 'a b'"),
+    ],
+)
+def test_atom_text_errors_name_their_position(text, error):
+    with pytest.raises(AtomParseError) as e:
+        atom_from_text(text)
+    assert str(e.value) == error
+
+
+def _within_budget_by_recursion(x, d):
+    """within_budget as first written: each multiset nested in x is tested on its own."""
+    if isinstance(x, Base):
+        return True
+    if isinstance(x, Tag):
+        return _within_budget_by_recursion(x.inner, d)
+    if isinstance(x, Pair):
+        return _within_budget_by_recursion(x.left, d) and _within_budget_by_recursion(x.right, d)
+    return degree(x) <= d and all(_within_budget_by_recursion(y, d) for y, _ in x.entries)
+
+
+@pytest.mark.parametrize("kind, sizes", [("coh", (48, 185, 344, 96)), ("rel", (48, 185, 480, 96))])
+def test_within_budget_agrees_with_recursion_into_multisets(kind, sizes):
+    """A multiset within the bound bounds every multiset nested in it, under tags and pairs too."""
+    X = BaseSpace(kind, (a, b), scoh={(a, b)} if kind == "coh" else (), name="X")
+    webs = [Bang(Bang(X)), Bang(Tensor(X, Bang(X))), Bang(With(SFun(X), Bang(X))), SFun(Bang(Bang(X)))]
+    atoms = [enumerate_web(E, Budget(5)) for E in webs]
+    assert tuple(map(len, atoms)) == sizes
+    for x in (x for web in atoms for x in web):
+        for d in range(6):
+            assert within_budget(x, d) == _within_budget_by_recursion(x, d), (x, d)
+
+
 def test_within_budget():
     assert within_budget(Multiset.of([a, a, b]), 3)
     assert not within_budget(Multiset.of([a, a, b]), 2)
@@ -261,22 +306,28 @@ def test_within_budget():
 
 
 def test_rel_compose_matches_naive():
-    r = Rel(frozenset({(a, b), (a, c), (b, c)}), "r", "")
-    s = Rel(frozenset({(b, a), (c, c)}), "s", "")
+    r = Rel(frozenset({(a, b), (a, c), (b, c)}))
+    s = Rel(frozenset({(b, a), (c, c)}))
     got = rel_compose(r, s).pairs
     want = {(x, z) for x, y in r.pairs for y2, z in s.pairs if y == y2}
     assert got == frozenset(want)
 
 
 def test_rel_text_round_trip():
-    r = Rel(frozenset({(Multiset.of([a, a]), b), (Multiset.of([]), c)}), "r", "")
+    r = Rel(frozenset({(Multiset.of([a, a]), b), (Multiset.of([]), c)}))
     assert rel_from_text(rel_to_text(r)).pairs == r.pairs
 
 
 def test_rel_to_text_is_sorted():
-    r = Rel(frozenset({(b, a), (a, b)}), "r", "")
+    r = Rel(frozenset({(b, a), (a, b)}))
     lines = rel_to_text(r).splitlines()
     assert lines == sorted(lines)
+
+
+@pytest.mark.parametrize("bounds", [(-1,), (3, -1)])
+def test_negative_budget_bounds_are_rejected(bounds):
+    with pytest.raises(ValueError, match="nonnegative"):
+        Budget(*bounds)
 
 
 def test_budget_is_hashable_and_frozen():
