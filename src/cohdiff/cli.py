@@ -8,6 +8,7 @@ a machine-readable JSON summary.
 
 import json
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -15,10 +16,8 @@ from . import calculus as cal
 from .denot import SemEnv, interp_closed
 from .differential import dhat
 from .lawcheck import REGISTRY, run_all
-from .spaces import Bang, BaseSpace, is_morphism, parse_space, parse_space_expr
+from .spaces import KINDS, Bang, BaseSpace, is_morphism, parse_space, parse_space_expr
 from .web_core import Base, Budget, Multiset, Rel, atom_to_text, rel_from_text, rel_to_text, within_budget
-
-ALL_KINDS = ("coh", "nucs", "rel")
 
 
 @click.group()
@@ -39,9 +38,9 @@ def main():
 @click.option("--summary", type=click.Path(), default=None, help="write a JSON summary here")
 def check_laws(model, trials, seed, budget, only, summary):
     """Run the categorical-law registry and report PASS/FAIL per law."""
-    kinds = ALL_KINDS if model == "all" else (model,)
+    kinds = KINDS if model == "all" else (model,)
     for k in kinds:
-        if k not in ALL_KINDS:
+        if k not in KINDS:
             raise click.UsageError(f"unknown model {k!r}")
     if only is not None and only not in REGISTRY:
         raise click.UsageError(f"unknown law {only!r}; known: {', '.join(sorted(REGISTRY))}")
@@ -67,18 +66,7 @@ def check_laws(model, trials, seed, budget, only, summary):
             "seed": seed,
             "trials": trials,
             "budget": budget,
-            "results": [
-                {
-                    "name": r.name,
-                    "kind": r.kind,
-                    "ok": r.ok,
-                    "trials": r.trials,
-                    "instances": r.instances,
-                    "webs": r.webs,
-                    "witness": r.witness,
-                }
-                for r in results
-            ],
+            "results": [asdict(r) for r in results],
         }
         with open(summary, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -145,7 +133,7 @@ def reduce(file, fuel, trace):
 )
 def eval_cmd(file, kind, budget, nmax):
     """Print the truncated denotation of the closed term in FILE."""
-    if kind not in ALL_KINDS:
+    if kind not in KINDS:
         raise click.UsageError(f"unknown kind {kind!r}")
     m, _ = _typed_term(file)
     sem = SemEnv(kind=kind, nmax=nmax, budget=Budget(budget))
@@ -178,8 +166,8 @@ def _load_rel_file(path):
             line = raw.split("#", 1)[0].strip()
             try:
                 if line.startswith("space "):
-                    sp = parse_space(line)
-                    env[sp.name] = sp
+                    name, sp = parse_space(line)
+                    env[name] = sp
                 elif line.startswith("source "):
                     source = parse_space_expr(line[len("source "):], env)
                 elif line.startswith("target "):
@@ -225,8 +213,8 @@ def demo(what):
         ("coh", "uniform: the derivative at degree 1 vanishes"),
         ("nucs", "non-uniform: the cross term survives"),
     ):
-        E = BaseSpace(kind, (a,), name="E")
-        F = BaseSpace(kind, (b,), name="F")
+        E = BaseSpace(kind, (a,))
+        F = BaseSpace(kind, (b,))
         out = dhat(E, F, s2, budget)
         click.echo(f"-- D̂s' in {kind} ({blurb})")
         text = rel_to_text(out)

@@ -41,11 +41,11 @@ class SemEnv:
         """The web of nat: the numerals up to ``nmax``, built once per environment."""
         atoms = tuple(nat_atom(i) for i in range(self.nmax + 1))
         if self.kind == "coh":
-            return BaseSpace("coh", atoms, name="nat")
+            return BaseSpace("coh", atoms)
         sincoh = frozenset(
             (a, b) for a in atoms for b in atoms if a != b
         )
-        return BaseSpace(self.kind, atoms, sincoh=sincoh, name="nat")
+        return BaseSpace(self.kind, atoms, sincoh=sincoh)
 
 
 def nat_atom(n: int) -> Base:

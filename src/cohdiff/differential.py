@@ -46,12 +46,12 @@ def dbar(max_degree: int) -> Rel:
 def dbar_pm(kind: str) -> PointMap:
     """∂̄ as a point map, its image cut at the bound it is fixed at.
 
-    The relation is built and indexed once per bound.  Both inputs have
-    degree 0, so the identity ``pre`` holds.
+    The relation is built and indexed once per ``at(bound)``: at most
+    2·bound + 1 pairs.  Both inputs have degree 0, so the identity
+    ``pre`` holds.
     """
     I = ispace(kind)
-    at = lru_cache(maxsize=None)(lambda bound: pm_from_rel(I, Bang(I), dbar(bound)).at(bound))
-    return PointMap(I, Bang(I), at)
+    return PointMap(I, Bang(I), lambda bound: pm_from_rel(I, Bang(I), dbar(bound)).at(bound))
 
 
 @lru_cache(maxsize=None)

@@ -11,21 +11,23 @@ empty.  The laws about sums of morphisms compare relations directly and
 return their verdict ``(ok, witness)``.
 
 Most laws quantify over spaces only: their checks take the spaces as
-arguments, and ``run_check`` memoizes each verdict in the MapCtx keyed
-by the webs of the drawn spaces (``spaces.web_of``), so every space
-tuple with one web tuple is decided once.  A space-drawing law must
-therefore read only webs, never coherence; the oracle test
-``test_space_laws_read_only_webs`` enforces this.  ∂ is fetched through
-the MapCtx so tests can swap in a deliberately broken map and watch the
-right law fail; a MapCtx with overrides keys its verdicts by the spaces
-themselves, since a mutant may read coherence.
+arguments, and ``run_check`` memoizes each verdict, for that call only,
+keyed by the webs of the drawn spaces (``spaces.web_of``), so every
+space tuple with one web tuple is decided once.  A space-drawing law
+must therefore read only webs, never coherence; the oracle test
+``test_space_laws_read_only_webs`` enforces this.  Every law reads its
+maps, ∂ included, from this module's attributes, so a test swaps in a
+deliberately broken map by patching the attribute.  A patched map that
+reads coherence is then decided once per web tuple in NUCS and REL,
+like every other map; in COH ``web_of`` is the identity, so the web
+tuple is the space tuple.
 """
 
 from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .differential import dbar_pm, dpartial, dpartial_via_dbar, dtilde
@@ -52,6 +54,7 @@ from .maps import (
     pm_tensor,
 )
 from .spaces import (
+    KINDS,
     Bang,
     BaseSpace,
     Limpl,
@@ -110,7 +113,7 @@ def gen_space(rng: random.Random, kind: str, max_web: int = 4) -> BaseSpace:
                     scoh.add((a, b))
                 elif r < 0.7:
                     sincoh.add((a, b))
-    return BaseSpace(kind, atoms, frozenset(scoh), frozenset(sincoh), name="G")
+    return BaseSpace(kind, atoms, frozenset(scoh), frozenset(sincoh))
 
 
 def gen_morphism(rng: random.Random, E: Space, F: Space, budget: Budget) -> Rel:
@@ -147,20 +150,10 @@ def _summand(w: Rel, i: int) -> frozenset:
 
 @dataclass(frozen=True)
 class MapCtx:
-    """A model kind and budget; ``overrides["dpartial"]`` swaps in another ∂.
-
-    ``verdicts`` maps (law, webs) to (ok, witness), where webs are the
-    ``web_of`` of the drawn spaces, or (law, spaces) when overrides are
-    set.  A verdict holds only for this kind, budget and override set.
-    """
+    """The model a law is checked in: its kind and truncation budget."""
 
     kind: str
     budget: Budget = Budget()
-    overrides: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def dpartial(self, E: Space) -> PointMap:
-        return self.overrides.get("dpartial", dpartial)(E)
 
 
 def run_diagram(lhs: PointMap, rhs: PointMap, budget: Budget):
@@ -498,32 +491,32 @@ def chk_seelyt_mont_2(ctx, X0, X1, Y):
 
 
 def chk_d_local(ctx, E):
-    lhs = pm_compose(proj(Bang(E), 0), ctx.dpartial(E))
+    lhs = pm_compose(proj(Bang(E), 0), dpartial(E))
     return [("", lhs, pm_bang(proj(E, 0)))]
 
 
 def chk_d_lin_unit(ctx, E):
-    lhs = pm_compose(ctx.dpartial(E), pm_bang(inj(E, 0)))
+    lhs = pm_compose(dpartial(E), pm_bang(inj(E, 0)))
     return [("", lhs, inj(Bang(E), 0))]
 
 
 def chk_d_lin_mult(ctx, E):
     lhs = pm_compose(
-        theta(Bang(E)), pm_compose(pm_sfun(ctx.dpartial(E)), ctx.dpartial(SFun(E)))
+        theta(Bang(E)), pm_compose(pm_sfun(dpartial(E)), dpartial(SFun(E)))
     )
-    rhs = pm_compose(ctx.dpartial(E), pm_bang(theta(E)))
+    rhs = pm_compose(dpartial(E), pm_bang(theta(E)))
     return [("", lhs, rhs)]
 
 
 def chk_d_chain_der(ctx, E):
-    lhs = pm_compose(pm_sfun(der(E)), ctx.dpartial(E))
+    lhs = pm_compose(pm_sfun(der(E)), dpartial(E))
     return [("", lhs, der(SFun(E)))]
 
 
 def chk_d_chain_dig(ctx, E):
-    lhs = pm_compose(pm_sfun(dig(E)), ctx.dpartial(E))
+    lhs = pm_compose(pm_sfun(dig(E)), dpartial(E))
     rhs = pm_compose(
-        ctx.dpartial(Bang(E)), pm_compose(pm_bang(ctx.dpartial(E)), dig(SFun(E)))
+        dpartial(Bang(E)), pm_compose(pm_bang(dpartial(E)), dig(SFun(E)))
     )
     return [("", lhs, rhs)]
 
@@ -531,7 +524,7 @@ def chk_d_chain_dig(ctx, E):
 def chk_d_with_0(ctx):
     kind = ctx.kind
     T = top(kind)
-    lhs = pm_compose(ctx.dpartial(T), seely0(kind))
+    lhs = pm_compose(dpartial(T), seely0(kind))
     rhs = pm_compose(pm_sfun(seely0(kind)), inj(one(kind), 0))
     return [("", lhs, rhs)]
 
@@ -544,42 +537,42 @@ def chk_d_with_2(ctx, X0, X1):
         pm_compose(
             smont(Bang(X0), Bang(X1)),
             pm_compose(
-                pm_tensor(ctx.dpartial(X0), ctx.dpartial(X1)),
+                pm_tensor(dpartial(X0), dpartial(X1)),
                 pm_compose(seely2_inv(SFun(X0), SFun(X1)), pm_bang(split)),
             ),
         ),
     )
-    return [("", lhs, ctx.dpartial(W))]
+    return [("", lhs, dpartial(W))]
 
 
 def chk_leibniz_weak(ctx, E):
-    lhs = pm_compose(pm_sfun(weak(E)), ctx.dpartial(E))
+    lhs = pm_compose(pm_sfun(weak(E)), dpartial(E))
     rhs = pm_compose(inj(one(ctx.kind), 0), weak(SFun(E)))
     return [("", lhs, rhs)]
 
 
 def chk_leibniz_contr(ctx, E):
-    lhs = pm_compose(pm_sfun(contr(E)), ctx.dpartial(E))
+    lhs = pm_compose(pm_sfun(contr(E)), dpartial(E))
     rhs = pm_compose(
         smont(Bang(E), Bang(E)),
-        pm_compose(pm_tensor(ctx.dpartial(E), ctx.dpartial(E)), contr(SFun(E))),
+        pm_compose(pm_tensor(dpartial(E), dpartial(E)), contr(SFun(E))),
     )
     return [("", lhs, rhs)]
 
 
 def chk_d_schwarz(ctx, E):
     lhs = pm_compose(
-        flip(Bang(E)), pm_compose(pm_sfun(ctx.dpartial(E)), ctx.dpartial(SFun(E)))
+        flip(Bang(E)), pm_compose(pm_sfun(dpartial(E)), dpartial(SFun(E)))
     )
     rhs = pm_compose(
-        pm_sfun(ctx.dpartial(E)),
-        pm_compose(ctx.dpartial(SFun(E)), pm_bang(flip(E))),
+        pm_sfun(dpartial(E)),
+        pm_compose(dpartial(SFun(E)), pm_bang(flip(E))),
     )
     return [("", lhs, rhs)]
 
 
 def chk_d_consistency(ctx, E):
-    return [("", ctx.dpartial(E), dpartial_via_dbar(E))]
+    return [("", dpartial(E), dpartial_via_dbar(E))]
 
 
 # -- dbar laws ----------------------------------------------------------------
@@ -773,34 +766,32 @@ def run_check(name: str, ctx: MapCtx, seed: int, trials: int) -> CheckResult:
     empty.
 
     ``instances`` counts the distinct space tuples drawn and ``webs`` the
-    verdicts they needed: one per web tuple, or per space tuple when
-    ``ctx.overrides`` is set.  For a law that draws morphisms both count
-    the trials run.
+    verdicts they needed, one per web tuple.  For a law that draws
+    morphisms both count the trials run.
     """
     fn, caps = REGISTRY[name]
     rng = random.Random(f"{seed}:{name}:{ctx.kind}")
     n = 1 if caps == () else trials
-    seen, keys = set(), set()
+    seen, verdicts = set(), {}
     for t in range(n):
         if caps is None:  # morphisms drawn: every trial is a new instance
+            key = t
             seen.add(t)
-            keys.add(t)
-            ok, wit = _decide(fn(ctx, rng), ctx.budget)
+            verdicts[key] = _decide(fn(ctx, rng), ctx.budget)
         else:
             spaces = tuple(gen_space(rng, ctx.kind, cap) for cap in caps)
-            key = name, spaces if ctx.overrides else tuple(map(web_of, spaces))
+            key = tuple(map(web_of, spaces))
             seen.add(spaces)
-            keys.add(key)
-            if key not in ctx.verdicts:
-                ctx.verdicts[key] = _decide(fn(ctx, *spaces), ctx.budget)
-            ok, wit = ctx.verdicts[key]
+            if key not in verdicts:
+                verdicts[key] = _decide(fn(ctx, *spaces), ctx.budget)
+        ok, wit = verdicts[key]
         if not ok:
-            return CheckResult(name, ctx.kind, False, t + 1, len(seen), len(keys), wit)
-    return CheckResult(name, ctx.kind, True, n, len(seen), len(keys))
+            return CheckResult(name, ctx.kind, False, t + 1, len(seen), len(verdicts), wit)
+    return CheckResult(name, ctx.kind, True, n, len(seen), len(verdicts))
 
 
 def run_all(
-    kinds=("coh", "nucs", "rel"),
+    kinds=KINDS,
     seed: int = 0,
     trials: int = 100,
     budget: Budget = Budget(),

@@ -113,17 +113,17 @@ class BaseSpace(Space):
     space.
     """
 
-    __slots__ = ("kind", "atoms", "scoh", "sincoh", "name")
+    __slots__ = ("kind", "atoms", "scoh", "sincoh")
 
-    def __new__(cls, kind: str, atoms: tuple, scoh=frozenset(), sincoh=frozenset(), name: str = ""):
+    def __new__(cls, kind: str, atoms: tuple, scoh=frozenset(), sincoh=frozenset()):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         scoh, sincoh = _norm_pairs(scoh), _norm_pairs(sincoh)
         if scoh & sincoh:
             raise ValueError("strict coherence and strict incoherence overlap")
-        key = (cls, kind, atoms, scoh, sincoh, name)
+        key = (cls, kind, atoms, scoh, sincoh)
         E = _lookup(key)
-        return E if E is not None else _make(cls, key, kind, atoms, scoh, sincoh, name)
+        return E if E is not None else _make(cls, key, kind, atoms, scoh, sincoh)
 
 
 class Tensor(Space):
@@ -156,12 +156,12 @@ class Bang(Space):
 
 def one(kind: str) -> BaseSpace:
     """The tensor unit 1: a single neutral point."""
-    return BaseSpace(kind, (STAR,), name="1")
+    return BaseSpace(kind, (STAR,))
 
 
 def top(kind: str) -> BaseSpace:
     """The terminal object ⊤: empty web."""
-    return BaseSpace(kind, (), name="⊤")
+    return BaseSpace(kind, ())
 
 
 def ispace(kind: str) -> With:
@@ -427,8 +427,8 @@ class SpaceParseError(ValueError):
     pass
 
 
-def parse_space(text: str) -> BaseSpace:
-    """Parse the extensional `space ...` format (single declaration)."""
+def parse_space(text: str) -> tuple[str, BaseSpace]:
+    """Parse the extensional `space ...` format (single declaration): its name and space."""
     toks = text.split(None, 2)
     if len(toks) < 3 or toks[0] != "space":
         raise SpaceParseError("expected: space <name> kind=... atoms{...} ...")
@@ -466,7 +466,7 @@ def parse_space(text: str) -> BaseSpace:
         # implicit (neutral) and everything else is incoherent.
         scoh = frozenset((a, b) for a, b in scoh if a != b)
         sincoh = frozenset()
-    return BaseSpace(kind, atoms, scoh, sincoh, name=name)
+    return name, BaseSpace(kind, atoms, scoh, sincoh)
 
 
 def _parse_pair_block(block: str) -> frozenset:

@@ -23,9 +23,9 @@ key can equal (cf. the order-independent multiset hashes of Clarke et
 al., ASIACRYPT 2003).  So a multiset that exists already is found from
 its count map alone; dropping zero counts and sorting the entries by
 ``atom_key`` happen only on a miss, and ``atom_key`` runs otherwise only
-when a ``Rel`` or a web is printed or listed in order.  The table is a
-dict of ``weakref.KeyedRef``s, read by calling the ref it finds, so a
-hit runs no Python frame; a ref's callback drops its entry as soon as
+when a web is listed in order.  The table is a dict of
+``weakref.KeyedRef``s, read by calling the ref it finds, so a hit runs
+no Python frame; a ref's callback drops its entry as soon as
 nothing else refers to the value, unless a new value has taken the key
 since.  Keys hold the children themselves, never their ``id()``, so an
 address freed by one value cannot be mistaken for another.  (The
@@ -303,12 +303,9 @@ class Budget:
 
 @dataclass(frozen=True)
 class Rel:
-    """A morphism: a finite set of atom pairs, listed in ``atom_key`` order."""
+    """A morphism: a finite set of atom pairs."""
 
     pairs: frozenset = frozenset()
-
-    def __iter__(self):
-        return iter(sorted(self.pairs, key=lambda p: (atom_key(p[0]), atom_key(p[1]))))
 
     def __or__(self, other: "Rel") -> "Rel":
         return Rel(self.pairs | other.pairs)
@@ -421,7 +418,7 @@ def atom_from_text(text: str) -> Atom:
 
 def rel_to_text(r: Rel) -> str:
     lines = sorted(
-        f"{atom_to_text(a)} ↦ {atom_to_text(b)}" for a, b in r
+        f"{atom_to_text(a)} ↦ {atom_to_text(b)}" for a, b in r.pairs
     )
     return "\n".join(lines)
 

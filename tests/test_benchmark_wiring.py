@@ -1,8 +1,11 @@
-"""The traced benchmark run reaches into cohdiff by name; those names must resolve.
+"""The benchmark reaches into cohdiff by name; those names and calls must still work.
 
 ``perfbench/spans.py`` rebinds the functions in ``WRAPPED`` and reads
 ``cache_info()`` of those in ``CACHED``.  A refactor that renames or
 un-memoizes one of them would break the per-layer run, so it fails here.
+``perfbench/workloads.py`` calls ``lawcheck.MapCtx``, ``run_check``,
+``parse_space``, ``SemEnv``, ``make_corpus`` and the CLI; each workload
+is run here at tiny sizes, so a changed signature fails here too.
 """
 
 import importlib
@@ -11,17 +14,21 @@ import os
 
 import pytest
 
-SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+# the tiny sizes of perfbench/selftest.py
+TINY = {"laws-nucs": {"trials": 1}, "laws-b4": {"trials": 1}, "corpus": {"terms": 20}}
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
-spans = _spans()
+spans = _load("spans")
+workloads = _load("workloads")
 
 
 def _resolve(module, attr):
@@ -40,3 +47,11 @@ def test_wrapped_functions_resolve(module, attr):
 def test_cached_functions_expose_cache_info(module, attr):
     info = _resolve(module, attr).cache_info()
     assert info.hits >= 0 and info.currsize >= 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_at_tiny_size(name):
+    spec = dict(workloads.WORKLOADS[name], **TINY[name])
+    records, lines = workloads.run(spec, workloads.setup(spec))
+    assert records and len(lines) == len(records)
+    assert [(r["op"], r["why"]) for r in records if not r["ok"] and not r["known"]] == []

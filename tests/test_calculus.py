@@ -148,6 +148,11 @@ SUM_WITHOUT_NORMAL_FORM = "(pi0 (iota0 (fix (\\x:nat. x)))) + (pi1 (iota0 1))"
         ("(pi0 (iota0 1)) + (pi1 (iota0 (\\x:nat. x)))", "0 annotated nat => nat summed with nat"),
         (SUM_OF_ZEROS, f"sum of zeros needs one annotation: {SUM_OF_ZEROS}"),
         (SUM_WITHOUT_NORMAL_FORM, f"sum not typeable: {SUM_WITHOUT_NORMAL_FORM}"),
+        # a summand that does not type, so the normal-form fallback gives up
+        ("pi0 (iota1 x) + y", "sum not typeable: (pi0 (iota1 x)) + y"),
+        # two λs that do not factor into one: binder types differ, or a capturing binder
+        ("(\\x:nat. x) + (\\x:D nat. x)", "sum not typeable: (\\x:nat. x) + (\\x:D nat. x)"),
+        ("(\\x:nat. y) + (\\y:nat. x)", "sum not typeable: (\\x:nat. y) + (\\y:nat. x)"),
     ],
 )
 def test_every_typing_rejection_is_reached(term, error):
@@ -213,6 +218,7 @@ def test_substitution_renames_a_capturing_binder():
 def test_alpha_equivalence_under_binders():
     assert alpha_eq(parse("\\x:nat. x"), parse("\\y:nat. y"))
     assert not alpha_eq(parse("\\x:nat. \\y:nat. x"), parse("\\x:nat. \\y:nat. y"))
+    assert not alpha_eq(parse("\\x:nat. x"), parse("\\x:D nat. x"))  # binder types differ
 
 
 def test_sum_of_projected_functions_types():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import cohdiff.calculus as cal
-from cohdiff import denot, differential
+from cohdiff import denot, differential, lawcheck
 from cohdiff.calculus import normalize, parse, step
 from cohdiff.corpus import SHOWCASE, make_corpus
 from cohdiff.denot import SemEnv, interp_closed, interp_type, nat_atom, soundness_check
@@ -214,7 +214,8 @@ def _drop_increments(dpartial):
 
 def test_dpartial_without_increments_is_flagged_by_corpus_and_registry(monkeypatch):
     mutant = _drop_increments(differential.dpartial)
-    assert not run_check("d-chain-der", MapCtx("coh", Budget(3), {"dpartial": mutant}), seed=0, trials=20).ok
+    monkeypatch.setattr(lawcheck, "dpartial", mutant)
+    assert not run_check("d-chain-der", MapCtx("coh", Budget(3)), seed=0, trials=20).ok
     monkeypatch.setattr(differential, "dpartial", mutant)
     assert set(unsound_terms()) > set(TRUNCATED)
 

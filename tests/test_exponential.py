@@ -12,7 +12,7 @@ BUD = Budget(3)
 
 
 def space(kind="rel", atoms=(a, b)):
-    return BaseSpace(kind, atoms, name="E")
+    return BaseSpace(kind, atoms)
 
 
 def test_der_extracts_singletons():

@@ -14,7 +14,7 @@ BUD = Budget(3)
 
 
 def _web(n):
-    return BaseSpace("rel", tuple(Base(f"x{i}") for i in range(n)), name=f"X{n}")
+    return BaseSpace("rel", tuple(Base(f"x{i}") for i in range(n)))
 
 
 def _counted_pre(calls, name):
@@ -53,8 +53,8 @@ def test_structural_images_are_computed_once_for_every_space():
     """Spaces of two kinds over the same atoms share contr's and m2's images, and dig's per (bound, atom)."""
     x, y = Base("x"), Base("y")
     spaces = (
-        BaseSpace("coh", (x, y), name="S"),
-        BaseSpace("nucs", (x, y), scoh={(x, x)}, sincoh={(x, y)}, name="S"),
+        BaseSpace("coh", (x, y)),
+        BaseSpace("nucs", (x, y), scoh={(x, x)}, sincoh={(x, y)}),
     )
     images = {"contr": exponential._halves, "m2": exponential._pairings, "dig": exponential._dig_image}
     for fn in images.values():

@@ -43,11 +43,11 @@ BUD = Budget(3)
 
 
 def coh_space(scoh=()):
-    return BaseSpace("coh", (a, b, c), frozenset(scoh), frozenset(), name="E")
+    return BaseSpace("coh", (a, b, c), frozenset(scoh), frozenset())
 
 
 def nucs_space(scoh=(), sincoh=()):
-    return BaseSpace("nucs", (a, b, c), frozenset(scoh), frozenset(sincoh), name="N")
+    return BaseSpace("nucs", (a, b, c), frozenset(scoh), frozenset(sincoh))
 
 
 def test_coh_diagonal_is_neutral():
@@ -66,7 +66,7 @@ def test_nucs_three_verdicts():
 
 
 def test_rel_collapses_everything_to_scoh():
-    R = BaseSpace("rel", (a, b), name="R")
+    R = BaseSpace("rel", (a, b))
     assert coherent(R, a, a) is Verdict.SCOH
     assert coherent(R, a, b) is Verdict.SCOH
 
@@ -161,7 +161,7 @@ def test_enumerate_web_respects_degree():
 
 def test_enumerate_web_stops_at_max_atoms():
     """! of a 3-atom REL space has 20 atoms within degree 3, over a cap of 10."""
-    E = BaseSpace("rel", (a, b, c), name="E")
+    E = BaseSpace("rel", (a, b, c))
     with pytest.raises(web_core.BudgetExceeded):
         enumerate_web(Bang(E), Budget(3, 10))
     assert len(enumerate_web(Bang(E), Budget(3, 20))) == 20
@@ -188,10 +188,10 @@ def test_ispace_web():
 
 
 def test_parse_space_round_trip():
-    sp = parse_space("space E kind=nucs atoms{a b} scoh{(a,a) (a,b)} sincoh{(b,b)}")
+    name, sp = parse_space("space E kind=nucs atoms{a b} scoh{(a,a) (a,b)} sincoh{(b,b)}")
     assert coherent(sp, a, a) is Verdict.SCOH
     assert coherent(sp, b, b) is Verdict.SINCOH
-    assert sp.name == "E"
+    assert name == "E"
 
 
 def test_parse_space_rejects_garbage():
@@ -261,7 +261,7 @@ def test_spaces_are_immutable():
 
 
 def test_constructed_spaces_take_their_kind_from_their_first_part():
-    E, R = coh_space(), BaseSpace("rel", (a,), name="R")
+    E, R = coh_space(), BaseSpace("rel", (a,))
     assert Limpl(Bang(E), R).kind == "coh"
     assert DualSp(With(R, E)).kind == "rel"
 
@@ -289,7 +289,7 @@ def test_unreferenced_spaces_leave_the_table():
 
     def build():
         x = Base("space-built-here")
-        E = BaseSpace("nucs", (x,), {(x, x)}, name="S")
+        E = BaseSpace("nucs", (x,), {(x, x)})
         m = Multiset.of([x])
         spaces = [E, Bang(E), Tensor(E, Bang(E)), SFun(E), dual(E)]
         atoms = [x, m, Pair(x, m), Tag(0, x)]

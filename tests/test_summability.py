@@ -32,7 +32,7 @@ BUD = Budget(3)
 
 
 def coh(atoms=(a, b), scoh=()):
-    return BaseSpace("coh", atoms, frozenset(scoh), frozenset(), name="E")
+    return BaseSpace("coh", atoms, frozenset(scoh), frozenset())
 
 
 def rel_of(*pairs):
@@ -80,8 +80,8 @@ def test_summable_in_coh_requires_target_coherence():
 
 
 def test_summable_in_rel_is_unconditional():
-    E = BaseSpace("rel", (a,), name="E")
-    F = BaseSpace("rel", (a, b), name="F")
+    E = BaseSpace("rel", (a,))
+    F = BaseSpace("rel", (a, b))
     assert summable(E, F, rel_of((a, a)), rel_of((a, a)))
 
 

@@ -230,8 +230,12 @@ def test_a_stale_callback_never_evicts_a_live_object():
         lambda: Base(3),
         lambda: Multiset.of(["a"]),
         lambda: Multiset(((a, 1), ("a", 1))),
+        lambda: atom_key(5),
+        lambda: degree(5),
+        lambda: within_budget(5, 3),
+        lambda: atom_to_text(5),
     ],
-    ids=["pair-left", "pair-right", "tag", "base", "mset-atom", "mset-of"],
+    ids=["pair-left", "pair-right", "tag", "base", "mset-atom", "mset-of", "atom_key", "degree", "within_budget", "atom_to_text"],
 )
 def test_non_atoms_are_rejected(build):
     with pytest.raises(TypeError):
@@ -288,7 +292,7 @@ def _within_budget_by_recursion(x, d):
 @pytest.mark.parametrize("kind, sizes", [("coh", (48, 185, 344, 96)), ("rel", (48, 185, 480, 96))])
 def test_within_budget_agrees_with_recursion_into_multisets(kind, sizes):
     """A multiset within the bound bounds every multiset nested in it, under tags and pairs too."""
-    X = BaseSpace(kind, (a, b), scoh={(a, b)} if kind == "coh" else (), name="X")
+    X = BaseSpace(kind, (a, b), scoh={(a, b)} if kind == "coh" else ())
     webs = [Bang(Bang(X)), Bang(Tensor(X, Bang(X))), Bang(With(SFun(X), Bang(X))), SFun(Bang(Bang(X)))]
     atoms = [enumerate_web(E, Budget(5)) for E in webs]
     assert tuple(map(len, atoms)) == sizes
