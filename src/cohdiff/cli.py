@@ -16,8 +16,8 @@ from . import calculus as cal
 from .denot import SemEnv, interp_closed
 from .differential import dhat
 from .lawcheck import REGISTRY, run_all
-from .spaces import KINDS, Bang, BaseSpace, is_morphism, parse_space, parse_space_expr
-from .web_core import Base, Budget, Multiset, Rel, atom_to_text, rel_from_text, rel_to_text, within_budget
+from .spaces import KINDS, Bang, is_morphism, parse_space, parse_space_expr
+from .web_core import Budget, atom_to_text, rel_from_text, rel_to_text, within_budget
 
 
 @click.group()
@@ -155,8 +155,8 @@ def eval_cmd(file, kind, budget, nmax):
 def _load_rel_file(path):
     """A .rel file: `space` lines, `source`/`target` lines, then pairs.
 
-    Rejects, as a usage error, a malformed line and pairs that are not a
-    morphism !source → target.
+    Rejects, as a usage error, a malformed line, spaces of mixed kinds and
+    pairs that are not a morphism !source → target.
     """
     env = {}
     source = target = None
@@ -180,6 +180,8 @@ def _load_rel_file(path):
             pair_lines.append("")  # keeps rel_from_text's line numbers those of the file
     if source is None or target is None:
         raise click.UsageError(f"{path}: needs `source` and `target` lines")
+    if source.kind != target.kind:
+        raise click.UsageError(f"{path}: source is {source.kind} but target is {target.kind}")
     try:
         s = rel_from_text("\n".join(pair_lines))
     except ValueError as e:
@@ -199,27 +201,6 @@ def derive(file, budget):
     text = rel_to_text(out)
     if text:
         click.echo(text)
-
-
-@main.command()
-@click.argument("what", type=click.Choice(["taylor"]))
-def demo(what):
-    """Showcase runs; `taylor` contrasts uniform and non-uniform derivatives."""
-    a, b = Base("a"), Base("b")
-    budget = Budget(3)
-    s2 = Rel(frozenset({(Multiset.of([a, a]), b)}))
-    click.echo("s' = { [a,a] ↦ b }   (a square: the first-order term vanishes)")
-    for kind, blurb in (
-        ("coh", "uniform: the derivative at degree 1 vanishes"),
-        ("nucs", "non-uniform: the cross term survives"),
-    ):
-        E = BaseSpace(kind, (a,))
-        F = BaseSpace(kind, (b,))
-        out = dhat(E, F, s2, budget)
-        click.echo(f"-- D̂s' in {kind} ({blurb})")
-        text = rel_to_text(out)
-        if text:
-            click.echo(text)
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ class Verdict(enum.Enum):
 
 
 class Space(_Interned):
-    """Base class of the eight space constructors below.
+    """Base class of the six space constructors below.
 
     Spaces are interned in the atoms' table: structurally equal spaces
     are one object.  A constructed space's slots are its parts followed
@@ -103,7 +103,7 @@ def _norm_pairs(pairs) -> frozenset:
 
 
 class BaseSpace(Space):
-    """Extensionally given space: finite web + strict relations.
+    """Extensionally given space: a web of distinct atoms + strict relations on it.
 
     For kind "coh" the stored scoh is coherence minus the diagonal (the
     diagonal is neutral).  For kind "nucs" scoh/sincoh are the strict
@@ -116,14 +116,20 @@ class BaseSpace(Space):
     __slots__ = ("kind", "atoms", "scoh", "sincoh")
 
     def __new__(cls, kind: str, atoms: tuple, scoh=frozenset(), sincoh=frozenset()):
-        if kind not in KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
         scoh, sincoh = _norm_pairs(scoh), _norm_pairs(sincoh)
-        if scoh & sincoh:
-            raise ValueError("strict coherence and strict incoherence overlap")
         key = (cls, kind, atoms, scoh, sincoh)
         E = _lookup(key)
-        return E if E is not None else _make(cls, key, kind, atoms, scoh, sincoh)
+        if E is None:
+            if kind not in KINDS:
+                raise ValueError(f"unknown kind {kind!r}")
+            if len(set(atoms)) != len(atoms):
+                raise ValueError(f"repeated atom in {atoms!r}")
+            if not {x for x, _ in scoh | sincoh} <= set(atoms):
+                raise ValueError("a strict pair names an atom outside the web")
+            if scoh & sincoh:
+                raise ValueError("strict coherence and strict incoherence overlap")
+            E = _make(cls, key, kind, atoms, scoh, sincoh)
+        return E
 
 
 class Tensor(Space):
@@ -134,16 +140,8 @@ class With(Space):
     __slots__ = ("left", "right", "kind")
 
 
-class PlusSp(Space):
-    __slots__ = ("left", "right", "kind")
-
-
 class Limpl(Space):
     __slots__ = ("left", "right", "kind")
-
-
-class DualSp(Space):
-    __slots__ = ("inner", "kind")
 
 
 class SFun(Space):
@@ -167,13 +165,6 @@ def top(kind: str) -> BaseSpace:
 def ispace(kind: str) -> With:
     """I = 1 & 1, the dual-numbers object of canonical summability."""
     return With(one(kind), one(kind))
-
-
-def dual(E: Space) -> Space:
-    """Linear negation: web unchanged, strict relations swapped."""
-    if isinstance(E, DualSp):
-        return E.inner
-    return DualSp(E)
 
 
 def web_of(E: Space) -> Space:
@@ -200,7 +191,7 @@ def mset_width(E: Space) -> int:
         return 1
     if isinstance(E, (Tensor, Limpl)):
         return mset_width(E.left) + mset_width(E.right)
-    if isinstance(E, (With, PlusSp)):
+    if isinstance(E, With):
         return max(mset_width(E.left), mset_width(E.right))
     return mset_width(E.inner)
 
@@ -215,11 +206,9 @@ def contains(E: Space, a: Atom) -> bool:
     """Web membership (shape + COH multiclique restriction for !)."""
     if isinstance(E, BaseSpace):
         return a in E.atoms
-    if isinstance(E, DualSp):
-        return contains(E.inner, a)
     if isinstance(E, (Tensor, Limpl)):
         return isinstance(a, Pair) and contains(E.left, a.left) and contains(E.right, a.right)
-    if isinstance(E, (With, PlusSp)):
+    if isinstance(E, With):
         if not isinstance(a, Tag):
             return False
         return contains(E.left if a.index == 0 else E.right, a.inner)
@@ -253,13 +242,6 @@ def _verdict(E: Space, a: Atom, b: Atom) -> Verdict:
         if (a, b) in E.sincoh:
             return Verdict.SINCOH
         return Verdict.NEU
-    if isinstance(E, DualSp):
-        v = _verdict(E.inner, a, b)
-        if v is Verdict.SCOH:
-            return Verdict.SINCOH
-        if v is Verdict.SINCOH:
-            return Verdict.SCOH
-        return Verdict.NEU
     if isinstance(E, Tensor):
         vl = _verdict(E.left, a.left, b.left)
         vr = _verdict(E.right, a.right, b.right)
@@ -271,10 +253,6 @@ def _verdict(E: Space, a: Atom, b: Atom) -> Verdict:
     if isinstance(E, With):
         if a.index != b.index:
             return Verdict.SCOH
-        return _verdict(E.left if a.index == 0 else E.right, a.inner, b.inner)
-    if isinstance(E, PlusSp):
-        if a.index != b.index:
-            return Verdict.SINCOH
         return _verdict(E.left if a.index == 0 else E.right, a.inner, b.inner)
     if isinstance(E, Limpl):
         va = _verdict(E.left, a.left, b.left)
@@ -362,16 +340,13 @@ def _enum(E: Space, max_degree: int):
     if isinstance(E, BaseSpace):
         yield from E.atoms
         return
-    if isinstance(E, DualSp):
-        yield from _enum(E.inner, max_degree)
-        return
     if isinstance(E, (Tensor, Limpl)):
         rights = list(_enum(E.right, max_degree))
         for a in _enum(E.left, max_degree):
             for b in rights:
                 yield Pair(a, b)
         return
-    if isinstance(E, (With, PlusSp)):
+    if isinstance(E, With):
         for a in _enum(E.left, max_degree):
             yield Tag(0, a)
         for b in _enum(E.right, max_degree):
@@ -419,7 +394,7 @@ def _enum_msets(inner_space: Space, inner: list, max_degree: int, uniform: bool)
 #   space <name> kind=coh|nucs|rel atoms{a b c} scoh{(a,b) ...} [sincoh{...}]
 #
 # and constructed-space expressions over named spaces:
-#   !E   S E   E (x) F   E & F   E (+) F   E -o F   ~E   ( ... )
+#   !E   S E   E (x) F   E & F   E -o F   ( ... )
 # ---------------------------------------------------------------------------
 
 
@@ -446,11 +421,15 @@ def parse_space(text: str) -> tuple[str, BaseSpace]:
             j += 1
         word = rest[i:j]
         if word.startswith("kind="):
+            if kind is not None:
+                raise SpaceParseError("repeated kind=")
             kind = word[len("kind=") :]
             i = j
             continue
         if j >= len(rest) or rest[j] != "{":
             raise SpaceParseError(f"expected '{{' after {word!r}")
+        if word not in ("atoms", "scoh", "sincoh") or word in blocks:
+            raise SpaceParseError(f"unknown or repeated block {word!r}")
         k = rest.index("}", j)
         blocks[word] = rest[j + 1 : k]
         i = k + 1
@@ -458,6 +437,10 @@ def parse_space(text: str) -> tuple[str, BaseSpace]:
         raise SpaceParseError(f"bad or missing kind: {kind!r}")
     if "atoms" not in blocks:
         raise SpaceParseError("missing atoms{...} block")
+    if kind == COH and "sincoh" in blocks:
+        raise SpaceParseError("kind=coh takes no sincoh{...} block")
+    if kind == REL and len(blocks) > 1:
+        raise SpaceParseError("kind=rel takes no relation block")
     atoms = tuple(atom_from_text(w) for w in blocks["atoms"].split())
     scoh = _parse_pair_block(blocks.get("scoh", ""))
     sincoh = _parse_pair_block(blocks.get("sincoh", ""))
@@ -465,7 +448,6 @@ def parse_space(text: str) -> tuple[str, BaseSpace]:
         # for COH the scoh block lists coherent pairs; the diagonal is
         # implicit (neutral) and everything else is incoherent.
         scoh = frozenset((a, b) for a, b in scoh if a != b)
-        sincoh = frozenset()
     return name, BaseSpace(kind, atoms, scoh, sincoh)
 
 
@@ -498,13 +480,10 @@ def _space_tokens(text: str) -> list:
         elif text.startswith("(x)", i):
             out.append("(x)")
             i += 3
-        elif text.startswith("(+)", i):
-            out.append("(+)")
-            i += 3
         elif text.startswith("-o", i):
             out.append("-o")
             i += 2
-        elif c in "()!~&":
+        elif c in "()!&":
             out.append(c)
             i += 1
         else:
@@ -530,9 +509,6 @@ def _space_atom(toks: list, env: dict):
     if t == "!":
         inner, rest = _space_atom(toks[1:], env)
         return Bang(inner), rest
-    if t == "~":
-        inner, rest = _space_atom(toks[1:], env)
-        return dual(inner), rest
     if t == "S":
         inner, rest = _space_atom(toks[1:], env)
         return SFun(inner), rest
@@ -543,15 +519,15 @@ def _space_atom(toks: list, env: dict):
 
 def _space_expr(toks: list, env: dict):
     left, rest = _space_atom(toks, env)
-    while rest and rest[0] in ("(x)", "&", "(+)", "-o"):
+    while rest and rest[0] in ("(x)", "&", "-o"):
         op = rest[0]
         right, rest = _space_atom(rest[1:], env)
+        if right.kind != left.kind:
+            raise SpaceParseError(f"{op} joins a {left.kind} space to a {right.kind} space")
         if op == "(x)":
             left = Tensor(left, right)
         elif op == "&":
             left = With(left, right)
-        elif op == "(+)":
-            left = PlusSp(left, right)
         else:
             left = Limpl(left, right)
     return left, rest

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -224,6 +225,18 @@ def test_derive_monomial_demo_keeps_cross_term():
         ("space G kind=wat atoms{a}", "bad or missing kind"),
         ("source Q", "unknown space 'Q'"),
         ("space G kind=coh atoms{a c} scoh{(a,c}", "expected ')'"),
+        # removed connectives and malformed or mixed-kind spaces
+        ("source E (+) F", "bad character '+'"),
+        ("source ~E", "bad character '~'"),
+        ("space G kind=coh atoms{c} scho{(c,c)}", "unknown or repeated block 'scho'"),
+        ("space G kind=coh atoms{c} atoms{d}", "unknown or repeated block 'atoms'"),
+        ("space G kind=coh kind=nucs atoms{c}", "repeated kind="),
+        ("space G kind=coh atoms{c d} sincoh{(c,d)}", "kind=coh takes no sincoh"),
+        ("space G kind=rel atoms{c d} scoh{(c,d)}", "kind=rel takes no relation block"),
+        ("space G kind=coh atoms{c c}", "repeated atom"),
+        ("space G kind=coh atoms{c} scoh{(c,z)}", "outside the web"),
+        ("space G kind=nucs atoms{c}\nsource E & G", "& joins a coh space to a nucs space"),
+        ("space G kind=nucs atoms{c}\ntarget G", "source is coh but target is nucs"),
     ],
 )
 def test_derive_rejects_bad_relation_files(tmp_path, line, why):
@@ -264,12 +277,16 @@ def test_out_of_range_counts_are_usage_errors(args):
     assert r.exit_code == 2, r.output
 
 
-def test_demo_taylor_contrast():
-    r = run("demo", "taylor")
-    assert r.exit_code == 0
-    coh_part, nucs_part = r.output.split("nucs")
-    assert "[0·a,1·a] ↦ 1·b" not in coh_part
-    assert "[0·a,1·a] ↦ 1·b" in nucs_part
+def test_derive_taylor_contrast(tmp_path):
+    """The square [a,a] ↦ b keeps its first-order cross term in NUCS and loses it in COH."""
+    nucs = run("derive", demo_path("monomial.rel"))
+    f = tmp_path / "monomial-coh.rel"
+    with open(demo_path("monomial.rel")) as fh:
+        f.write_text(re.sub(r" scoh\{[^}]*\}", "", fh.read()).replace("kind=nucs", "kind=coh"))
+    coh = run("derive", str(f))
+    assert (nucs.exit_code, coh.exit_code) == (0, 0)
+    assert "[0·a,1·a] ↦ 1·b" in nucs.output
+    assert coh.output == "[0·a,0·a] ↦ 0·b\n"
 
 
 def test_missing_file_is_usage_error():

@@ -13,17 +13,15 @@ from cohdiff.spaces import (
     KINDS,
     Bang,
     BaseSpace,
-    DualSp,
     Limpl,
-    PlusSp,
     SFun,
+    Space,
     SpaceParseError,
     Tensor,
     Verdict,
     With,
     coherent,
     contains,
-    dual,
     enumerate_web,
     is_clique,
     is_morphism,
@@ -71,15 +69,9 @@ def test_rel_collapses_everything_to_scoh():
     assert coherent(R, a, b) is Verdict.SCOH
 
 
-def test_dual_swaps_strict_verdicts():
-    N = nucs_space(scoh={(a, b)}, sincoh={(b, c)})
-    D = dual(N)
-    assert coherent(D, a, b) is Verdict.SINCOH
-    assert coherent(D, b, c) is Verdict.SCOH
-    assert coherent(D, a, c) is Verdict.NEU
-    # involution
-    for x, y in itertools.product((a, b, c), repeat=2):
-        assert coherent(dual(D), x, y) is coherent(N, x, y)
+def test_spaces_are_the_six_connectives():
+    """Base spaces, ⊗, &, ⊸, S and !: the coherent differential structure needs no ⊕ and no dual."""
+    assert set(Space.__subclasses__()) == {BaseSpace, Tensor, With, Limpl, SFun, Bang}
 
 
 def test_tensor_verdict_table():
@@ -105,8 +97,6 @@ def test_with_and_plus_cross_pairs():
     w = With(E, E)
     assert coherent(w, Tag(0, a), Tag(1, c)).coherent
     assert contains(w, Tag(1, c)) and not contains(w, a)  # an untagged atom is outside the web
-    p = PlusSp(E, E)
-    assert not coherent(p, Tag(0, a), Tag(1, c)).coherent
 
 
 def test_sfun_same_index_follows_inner():
@@ -205,6 +195,22 @@ def test_parse_space_rejects_garbage():
         parse_space("space E kind=coh scoh{(a,b)}")
     with pytest.raises(SpaceParseError, match="expected a pair, got 'a'"):
         parse_space("space E kind=coh atoms{a b} scoh{a}")
+    for text, why in [
+        ("space E kind=coh atoms{a b} scho{(a,b)}", "unknown or repeated block 'scho'"),
+        ("space E kind=coh atoms{a} atoms{b}", "unknown or repeated block 'atoms'"),
+        ("space E kind=coh kind=nucs atoms{a}", "repeated kind="),
+        ("space E kind=coh atoms{a b} sincoh{(a,b)}", "kind=coh takes no sincoh"),
+        ("space E kind=rel atoms{a b} scoh{(a,b)}", "kind=rel takes no relation block"),
+        ("space E kind=rel atoms{a b} sincoh{}", "kind=rel takes no relation block"),
+    ]:
+        with pytest.raises(SpaceParseError, match=why):
+            parse_space(text)
+    with pytest.raises(ValueError, match="repeated atom"):
+        parse_space("space E kind=coh atoms{a a}")
+    with pytest.raises(ValueError, match="outside the web"):
+        parse_space("space E kind=coh atoms{a b} scoh{(a,z)}")
+    with pytest.raises(ValueError, match="outside the web"):
+        BaseSpace("nucs", (a,), sincoh=frozenset({(b, b)}))
     with pytest.raises(ValueError, match="unknown kind 'wat'"):
         BaseSpace("wat", (a,))
     with pytest.raises(ValueError, match="overlap"):
@@ -212,18 +218,15 @@ def test_parse_space_rejects_garbage():
 
 
 def test_parse_space_expr():
-    E, F = coh_space({(a, b)}), nucs_space()
+    E, F = coh_space({(a, b)}), coh_space()
     env = {"E": E, "F": F}
     t = parse_space_expr("!E (x) E", env)
     assert isinstance(t, Tensor)
     assert isinstance(t.left, Bang)
     s = parse_space_expr("E -o E", env)
     assert isinstance(s, Limpl)
-    assert parse_space_expr("E (+) F", env) is PlusSp(E, F)
     assert parse_space_expr("E & F", env) is With(E, F)
     assert parse_space_expr("S E", env) is SFun(E)
-    assert parse_space_expr("~E", env) is DualSp(E)
-    assert parse_space_expr("~~E", env) is E
     assert parse_space_expr("E (x) (F & E)", env) is Tensor(E, With(F, E))
     assert parse_space_expr("!(E -o S F)", env) is Bang(Limpl(E, SFun(F)))
     with pytest.raises(SpaceParseError):
@@ -234,6 +237,12 @@ def test_parse_space_expr():
         parse_space_expr("E $ F", env)
     with pytest.raises(SpaceParseError, match="unexpected end"):
         parse_space_expr("E (x)", env)
+    with pytest.raises(SpaceParseError, match="bad character '\\+'"):
+        parse_space_expr("E (+) F", env)
+    with pytest.raises(SpaceParseError, match="bad character '~'"):
+        parse_space_expr("~E", env)
+    with pytest.raises(SpaceParseError, match="& joins a coh space to a nucs space"):
+        parse_space_expr("E & !N", dict(env, N=nucs_space()))
 
 
 def test_equal_spaces_are_one_object():
@@ -241,10 +250,9 @@ def test_equal_spaces_are_one_object():
     assert nucs_space(scoh={(b, a)}, sincoh={(c, b)}) is N  # either orientation of a pair
     assert Bang(N) is Bang(N)
     assert Limpl(Tensor(N, N), SFun(N)) is Limpl(Tensor(N, N), SFun(N))
-    assert dual(dual(N)) is N
     assert parse_space_expr("!N (x) N", {"N": N}) is Tensor(Bang(N), N)
     assert Tensor(N, Bang(N)) is not Tensor(Bang(N), N)
-    assert With(N, N) is not PlusSp(N, N)
+    assert With(N, N) is not Tensor(N, N)
     assert nucs_space() is not nucs_space(scoh={(a, b)})
 
 
@@ -263,7 +271,7 @@ def test_spaces_are_immutable():
 def test_constructed_spaces_take_their_kind_from_their_first_part():
     E, R = coh_space(), BaseSpace("rel", (a,))
     assert Limpl(Bang(E), R).kind == "coh"
-    assert DualSp(With(R, E)).kind == "rel"
+    assert SFun(With(R, E)).kind == "rel"
 
 
 @pytest.mark.parametrize(
@@ -291,10 +299,10 @@ def test_unreferenced_spaces_leave_the_table():
         x = Base("space-built-here")
         E = BaseSpace("nucs", (x,), {(x, x)})
         m = Multiset.of([x])
-        spaces = [E, Bang(E), Tensor(E, Bang(E)), SFun(E), dual(E)]
-        atoms = [x, m, Pair(x, m), Tag(0, x)]
-        verdicts = [coherent(space, atom, atom) for space, atom in zip(spaces, atoms + [x])]
-        assert verdicts == [Verdict.SCOH] * 4 + [Verdict.SINCOH]
+        spaces = [E, Bang(E), Tensor(E, Bang(E)), SFun(E), With(E, E)]
+        atoms = [x, m, Pair(x, m), Tag(0, x), Tag(1, x)]
+        verdicts = [coherent(space, atom, atom) for space, atom in zip(spaces, atoms)]
+        assert verdicts == [Verdict.SCOH] * 5
         webs = [web_of(space) for space in spaces]  # the same constructors over BaseSpace("rel", (x,))
         values = spaces + webs + atoms
         return [weakref.ref(v) for v in values], len(web_core._TABLE)
@@ -325,7 +333,7 @@ def test_atoms_outside_the_web_are_in_no_clique(kind):
 
 def _shapes(E, F):
     """Each constructor over E and F, and a nested !."""
-    return [E, Tensor(E, F), With(E, F), PlusSp(E, F), Limpl(E, F), DualSp(E), SFun(E), Bang(E), Bang(Tensor(E, Bang(F)))]
+    return [E, Tensor(E, F), With(E, F), Limpl(E, F), SFun(E), Bang(E), Bang(Tensor(E, Bang(F)))]
 
 
 @pytest.mark.parametrize("degree", (2, 3))
