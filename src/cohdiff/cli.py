@@ -17,7 +17,7 @@ from .denot import SemEnv, interp_closed
 from .differential import dhat
 from .lawcheck import REGISTRY, run_all
 from .spaces import KINDS, Bang, is_morphism, parse_space, parse_space_expr
-from .web_core import Budget, atom_to_text, rel_from_text, rel_to_text, within_budget
+from .web_core import Budget, atom_to_text, rel_from_text, rel_to_text
 
 
 @click.group()
@@ -139,7 +139,7 @@ def eval_cmd(file, kind, budget, nmax):
     sem = SemEnv(kind=kind, nmax=nmax, budget=Budget(budget))
     # a closed term's context multisets are empty; points above the
     # budget are dropped, as PointMap.materialize drops such pairs
-    points = [b for _, b in interp_closed(m, sem) if within_budget(b, budget)]
+    points = [b for _, b in interp_closed(m, sem) if b.peak <= budget]
     if not points:
         # an empty denotation is also what truncation leaves of a numeral
         # above nmax or of an atom above the budget

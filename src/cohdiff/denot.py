@@ -27,7 +27,7 @@ from . import calculus as cal
 from .differential import dhat_graph
 from .spaces import Bang, Limpl, SFun, Space, BaseSpace, With, contains, enumerate_web, top
 from .summability import flip_image, inj_image, proj_image, theta_image
-from .web_core import Atom, Base, Budget, Multiset, Pair, Tag, within_budget
+from .web_core import Atom, Base, Budget, Multiset, Pair, Tag
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def interp_term(m: cal.Term, ctx: list, sem: SemEnv) -> frozenset:
 def _merge_ctx(parts, C: Space, sem: SemEnv):
     """The sum of the context multisets ``parts``, or None outside the budget or the web of !C."""
     tot = sum(parts[1:], parts[0])
-    if not within_budget(tot, sem.budget.max_degree):
+    if tot.peak > sem.budget.max_degree:
         return None
     if not contains(Bang(C), tot):
         return None

@@ -24,7 +24,7 @@ from functools import lru_cache, partial
 from .exponential import m2
 from .maps import PointMap, pm_compose, pm_from_rel, pm_id, pm_tensor
 from .spaces import Bang, SFun, Space, contains, ispace, web_of
-from .web_core import Multiset, Rel, STAR, Tag, within_budget
+from .web_core import Multiset, Rel, STAR, Tag
 
 
 def dbar(max_degree: int) -> Rel:
@@ -143,6 +143,6 @@ def dhat_graph(E: Space, pairs, bound: int) -> set:
 
 def dhat(E: Space, F: Space, s: Rel, budget) -> Rel:
     """D̂s = (S s) ∘ ∂ for a Kleisli morphism s : !E → F, within the budget."""
-    pairs = [(p, b) for p, b in s.pairs if within_budget(p, budget.max_degree)]
+    pairs = [(p, b) for p, b in s.pairs if p.peak <= budget.max_degree]
     return Rel(frozenset(dhat_graph(E, pairs, budget.max_degree)))
 

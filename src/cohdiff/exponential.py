@@ -18,7 +18,7 @@ from functools import lru_cache, partial
 
 from .maps import PointMap, _sub_multisets
 from .spaces import Bang, Space, Tensor, With, mset_width, one, top
-from .web_core import Multiset, Pair, STAR, Tag, degree
+from .web_core import Multiset, Pair, STAR, Tag
 
 
 def der(E: Space) -> PointMap:
@@ -51,8 +51,8 @@ def _mpartitions(m: Multiset, max_parts: int):
 def _dig_image(bound: int, m: Multiset) -> tuple:
     """Every decomposition m = m1 + ... + mn, empty parts included, within the bound."""
     out = {}
-    for split in _mpartitions(m, bound - degree(m)):
-        base = len(split) + degree(m)
+    for split in _mpartitions(m, bound - m.deg):
+        base = len(split) + m.deg
         for e in range(max(0, bound - base) + 1):
             out[Multiset.of(split + (Multiset(),) * e)] = None
     return tuple(out)

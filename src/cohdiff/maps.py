@@ -20,15 +20,19 @@ side.  What runs per source atom is only the function ``at`` returned.
 
 No combinator here caches a map's images.  The structural maps cache
 their own, each in one ``lru_cache`` on the function that computes an
-atom's image (``exponential``, ``differential``).
+atom's image (``exponential``, ``differential``).  Degree cuts read the
+atoms' ``deg`` and ``peak``, and recursions are module functions, so
+reference counting alone frees a composite's intermediate atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import attrgetter
 from typing import Callable, Iterable
 
-from .web_core import Atom, Budget, Multiset, Pair, Rel, Tag, degree, within_budget
+from .web_core import Atom, Budget, Multiset, Pair, Rel, Tag
 from .spaces import Bang, SFun, Space, Tensor, With, contains, enumerate_web, mset_width, web_of
 
 
@@ -55,7 +59,7 @@ class PointMap:
         pairs = set()
         for a in enumerate_web(self.src, budget):
             for b in fn(a):
-                if within_budget(b, budget.max_degree):
+                if b.peak <= budget.max_degree:
                     pairs.add((a, b))
         return Rel(frozenset(pairs))
 
@@ -70,7 +74,7 @@ def pm_from_rel(E: Space, F: Space, rel: Rel) -> PointMap:
     for a, b in rel.pairs:
         index.setdefault(a, []).append(b)
     index = {a: tuple(bs) for a, bs in index.items()}
-    top = max(map(degree, index), default=0)
+    top = max((a.deg for a in index), default=0)
     return PointMap.pointwise(E, F, lambda a: index.get(a, ()), pre=lambda b: top)
 
 
@@ -83,7 +87,7 @@ def pm_compose(g: PointMap, f: PointMap) -> PointMap:
 
         def fn(a):
             for b in f_at(a):
-                if within_budget(b, mid):
+                if b.peak <= mid:
                     yield from g_at(b)
 
         return fn
@@ -102,7 +106,7 @@ def pm_tensor(f: PointMap, g: PointMap) -> PointMap:
 
         return fn
 
-    pre = lambda b: max(f.pre(b), g.pre(b))  # within_budget bounds each component
+    pre = lambda b: max(f.pre(b), g.pre(b))  # peak bounds each component
     return PointMap(Tensor(f.src, g.src), Tensor(f.tgt, g.tgt), at, pre)
 
 
@@ -140,17 +144,24 @@ def pm_sfun(f: PointMap) -> PointMap:
 
 
 def _sub_multisets(m: Multiset):
-    entries = m.entries
-    def rec(i):
-        if i == len(entries):
-            yield []
-            return
-        a, k = entries[i]
-        for tail in rec(i + 1):
-            for j in range(k + 1):
-                yield ([(a, j)] if j else []) + tail
-    for picked in rec(0):
-        yield Multiset.from_counts(picked)
+    """Every sub-multiset of m; the count of m's first entry varies fastest."""
+    support = m.support[::-1]
+    for counts in product(*(range(k + 1) for _, k in reversed(m.entries))):
+        yield Multiset.from_counts(zip(support, counts))
+
+
+def _products(images: list, i: int, acc: list, deg: int, bound: int, out: set):
+    """Add to out each multiset of one option per list from i on within the bound (options by degree)."""
+    if i == len(images):
+        out.add(Multiset.of(acc))
+        return
+    for b in images[i]:
+        d2 = deg + b.deg
+        if d2 > bound:
+            break
+        acc.append(b)
+        _products(images, i + 1, acc, d2, bound, out)
+        acc.pop()
 
 
 def pm_bang(f: PointMap) -> PointMap:
@@ -173,27 +184,12 @@ def pm_bang(f: PointMap) -> PointMap:
         def fn(a):
             images = []  # one list of options per occurrence in a
             for x, k in a.entries:
-                opts = sorted(set(f_at(x)), key=degree)
+                opts = sorted(set(f_at(x)), key=attrgetter("deg"))
                 if not opts:
                     return
                 images += [opts] * k
-            n = len(images)
-
             dedup = set()
-
-            def rec(i, acc, deg):
-                if i == n:
-                    dedup.add(Multiset.of(acc))
-                    return
-                for b in images[i]:
-                    d2 = deg + degree(b)
-                    if d2 > bound:
-                        break
-                    acc.append(b)
-                    rec(i + 1, acc, d2)
-                    acc.pop()
-
-            rec(0, [], n)
+            _products(images, 0, [], len(images), bound, dedup)
             yield from (m for m in dedup if contains(web, m))
 
         return fn

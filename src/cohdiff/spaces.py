@@ -47,7 +47,6 @@ from .web_core import (
     _make,
     atom_from_text,
     atom_key,
-    degree,
 )
 
 COH, NUCS, REL = "coh", "nucs", "rel"
@@ -359,33 +358,28 @@ def _enum(E: Space, max_degree: int):
         return
     if isinstance(E, Bang):
         inner = sorted(_enum(E.inner, max_degree), key=atom_key)
-        uniform = E.kind == COH
-        yield from _enum_msets(E.inner, inner, max_degree, uniform)
+        yield from _enum_msets(E.inner if E.kind == COH else None, inner, 0, max_degree, [])
         return
     raise TypeError(f"not a space: {E!r}")
 
 
-def _enum_msets(inner_space: Space, inner: list, max_degree: int, uniform: bool):
-    """Multisets over ``inner`` with nested degree ≤ max_degree.
+def _enum_msets(clique_space, inner: list, i: int, left: int, chosen: list):
+    """Every multiset of ``chosen`` plus elements of ``inner[i:]`` that adds degree ≤ left.
 
-    Each occurrence of an element ``a`` costs ``1 + degree(a)``.  In the
-    uniform (COH) case the support must stay a clique.
+    Each occurrence of an element ``a`` costs ``1 + a.deg``.  With a ``clique_space``
+    (uniform COH) the support must stay a clique of it.  No closure, so no cycle.
     """
-
-    def rec(i: int, left: int, chosen: list):
-        yield Multiset.of(chosen)
-        for j in range(i, len(inner)):
-            a = inner[j]
-            cost = 1 + degree(a)
-            if cost > left:
-                continue
-            if uniform and any(not coherent(inner_space, a, c).coherent for c in chosen):
-                continue
-            chosen.append(a)
-            yield from rec(j, left - cost, chosen)
-            chosen.pop()
-
-    yield from rec(0, max_degree, [])
+    yield Multiset.of(chosen)
+    for j in range(i, len(inner)):
+        a = inner[j]
+        cost = 1 + a.deg
+        if cost > left:
+            continue
+        if clique_space is not None and any(not coherent(clique_space, a, c).coherent for c in chosen):
+            continue
+        chosen.append(a)
+        yield from _enum_msets(clique_space, inner, j, left - cost, chosen)
+        chosen.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +403,8 @@ def parse_space(text: str) -> tuple[str, BaseSpace]:
         raise SpaceParseError("expected: space <name> kind=... atoms{...} ...")
     name = toks[1]
     rest = toks[2]
+    if name == "S":
+        raise SpaceParseError("a space cannot be named 'S': S names the summability functor")
     kind = None
     blocks = {}
     i = 0
@@ -430,7 +426,9 @@ def parse_space(text: str) -> tuple[str, BaseSpace]:
             raise SpaceParseError(f"expected '{{' after {word!r}")
         if word not in ("atoms", "scoh", "sincoh") or word in blocks:
             raise SpaceParseError(f"unknown or repeated block {word!r}")
-        k = rest.index("}", j)
+        k = rest.find("}", j)
+        if k < 0:
+            raise SpaceParseError(f"block {word!r} has no closing '}}'")
         blocks[word] = rest[j + 1 : k]
         i = k + 1
     if kind not in KINDS:
@@ -446,8 +444,9 @@ def parse_space(text: str) -> tuple[str, BaseSpace]:
     sincoh = _parse_pair_block(blocks.get("sincoh", ""))
     if kind == COH:
         # for COH the scoh block lists coherent pairs; the diagonal is
-        # implicit (neutral) and everything else is incoherent.
-        scoh = frozenset((a, b) for a, b in scoh if a != b)
+        # implicit (neutral) and everything else is incoherent.  A diagonal
+        # pair is dropped only on an atom of the web: BaseSpace rejects the rest.
+        scoh = frozenset((a, b) for a, b in scoh if a != b or a not in atoms)
     return name, BaseSpace(kind, atoms, scoh, sincoh)
 
 

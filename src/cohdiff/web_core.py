@@ -23,21 +23,21 @@ key can equal (cf. the order-independent multiset hashes of Clarke et
 al., ASIACRYPT 2003).  So a multiset that exists already is found from
 its count map alone; dropping zero counts and sorting the entries by
 ``atom_key`` happen only on a miss, and ``atom_key`` runs otherwise only
-when a web is listed in order.  The table is a dict of
-``weakref.KeyedRef``s, read by calling the ref it finds, so a hit runs
-no Python frame; a ref's callback drops its entry as soon as
-nothing else refers to the value, unless a new value has taken the key
-since.  Keys hold the children themselves, never their ``id()``, so an
-address freed by one value cannot be mistaken for another.  (The
-``lru_cache``s on ``atom_key``, ``degree``, ``within_budget`` and
+when a web is listed in order.  The table is a dict of ``_Ref``s, weak
+refs that carry their key and have no Python-level constructor, read by
+calling the ref it finds, so a hit runs no Python frame; a ref's
+callback drops its entry as soon as nothing else refers to the value,
+unless a new value has taken the key since.  Keys hold the children
+themselves, never their ``id()``, so an address freed by one value
+cannot be mistaken for another.  (The ``lru_cache``s on ``atom_key`` and
 ``spaces.contains``, and on the structural maps' factories and image
-functions, do keep every value they have seen alive.)
+functions, do keep every value they have seen alive; ``degree`` and
+``within_budget`` do too, but the hot paths read an atom's ``deg`` and
+``peak`` slots instead.)
 Interned values are immutable: setting or deleting an attribute raises.
 
 Webs of ``!E`` are infinite, so enumeration is controlled by a
-``Budget``.  The degree of an atom counts multiset entries through
-nesting: a multiset contributes its number of entries plus the degrees
-of its elements.
+``Budget`` on the degree of atoms, which each atom carries (``Atom``).
 """
 
 from __future__ import annotations
@@ -46,9 +46,16 @@ from collections import _count_elements
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
-from weakref import KeyedRef
+from weakref import ref
 
-# key -> a KeyedRef to the one live object built from it: (class,
+
+class _Ref(ref):
+    """A table entry: a weak ref that holds its key, with no Python-level constructor."""
+
+    __slots__ = ("key",)
+
+
+# key -> a _Ref to the one live object built from it: (class,
 # *arguments) for most classes, the frozenset of its items for a multiset.
 _TABLE: dict = {}
 _get = _TABLE.get
@@ -61,9 +68,9 @@ def _lookup(key):
     return _get(key, _dead)()
 
 
-def _evict(ref, _table=_TABLE):
-    """Drop the entry of a dead ``ref``, unless a new object has taken its key."""
-    if _table.get(ref.key) is ref:
+def _evict(ref, _table=_TABLE, _get=_get):
+    """Drop a dead ``ref``'s entry unless a new object has its key (defaults outlive teardown)."""
+    if _get(ref.key) is ref:
         del _table[ref.key]
 
 
@@ -72,7 +79,8 @@ def _make(cls, key, *values):
     obj = object.__new__(cls)
     for name, value in zip(cls.__slots__, values):
         object.__setattr__(obj, name, value)
-    _TABLE[key] = KeyedRef(obj, _evict, key)
+    r = _TABLE[key] = _Ref(obj, _evict)
+    r.key = key
     return obj
 
 
@@ -102,6 +110,13 @@ class Atom(_Interned):
     a table miss the constructors raise ``TypeError`` for a ``Tag``,
     ``Pair`` or ``Multiset`` child that is not an atom and a ``Base``
     symbol that is not a ``str``.  It prints as ``atom_to_text`` writes it.
+
+    On that miss it also gets, from its children's, ``deg`` (the multiset
+    degree: a multiset adds its entry count to its elements' degrees, a
+    tag is transparent, a pair sums its components) and ``peak`` (the
+    largest degree of a multiset in it, or 0).  A multiset's degree bounds
+    its elements', so its peak is its degree; a pair's is its components'
+    larger peak, as their degrees do not add up across it.
     """
 
     __slots__ = ()
@@ -111,7 +126,7 @@ class Atom(_Interned):
 
 
 class Base(Atom):
-    __slots__ = ("sym",)
+    __slots__ = ("sym", "deg", "peak")
 
     def __new__(cls, sym: str):
         key = (cls, sym)
@@ -119,12 +134,12 @@ class Base(Atom):
         if a is None:
             if not isinstance(sym, str):
                 raise TypeError(f"base symbol must be a str, not {sym!r}")
-            a = _make(cls, key, sym)
+            a = _make(cls, key, sym, 0, 0)
         return a
 
 
 class Tag(Atom):
-    __slots__ = ("index", "inner")
+    __slots__ = ("index", "inner", "deg", "peak")
 
     def __new__(cls, index: int, inner: Atom):
         key = (cls, index, inner)
@@ -133,21 +148,32 @@ class Tag(Atom):
             if index not in (0, 1):
                 raise ValueError("tag index must be 0 or 1")
             _require_atom(inner)
-            a = _make(cls, key, index, inner)
+            a = _make(cls, key, index, inner, inner.deg, inner.peak)
         return a
 
 
 class Pair(Atom):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "deg", "peak")
 
     def __new__(cls, left: Atom, right: Atom):
         key = (cls, left, right)
         a = _get(key, _dead)()
-        if a is None:
-            _require_atom(left)
-            _require_atom(right)
-            a = _make(cls, key, left, right)
+        if a is None:  # _make, inlined: pairs are the most frequent miss
+            if not (isinstance(left, Atom) and isinstance(right, Atom)):
+                raise TypeError(f"not an atom pair: {left!r}, {right!r}")
+            a = object.__new__(cls)
+            _set_left(a, left)
+            _set_right(a, right)
+            _set_deg(a, left.deg + right.deg)
+            lp, rp = left.peak, right.peak
+            _set_peak(a, lp if lp >= rp else rp)
+            r = _TABLE[key] = _Ref(a, _evict)
+            r.key = key
         return a
+
+
+# Pair's slot setters, bound once, so its miss path looks up no attribute name.
+_set_left, _set_right, _set_deg, _set_peak = (getattr(Pair, n).__set__ for n in Pair.__slots__)
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +217,8 @@ def _intern_multiset(key: frozenset) -> "Multiset":
     for a, _ in key:
         _require_atom(a)
     entries = tuple(sorted(key, key=lambda e: atom_key(e[0])))
-    return _make(Multiset, key, entries, tuple(a for a, _ in entries), sum(n for _, n in entries))
+    deg = sum(n * (1 + a.deg) for a, n in entries)
+    return _make(Multiset, key, entries, tuple(a for a, _ in entries), sum(n for _, n in entries), deg, deg)
 
 
 class Multiset(Atom):
@@ -203,7 +230,7 @@ class Multiset(Atom):
     ``from_counts``.
     """
 
-    __slots__ = ("entries", "support", "_len")
+    __slots__ = ("entries", "support", "_len", "deg", "peak")
 
     def __new__(cls, entries: Iterable = ()):
         return _from_counts(entries)
@@ -246,43 +273,20 @@ class Multiset(Atom):
 STAR = Base("*")
 
 
+# The two caches stay only because perfbench/spans.py reads their cache_info()
+# (ROADMAP item 10); cohdiff itself reads the slots, so they pin no atom of a run.
 @lru_cache(maxsize=None)
 def degree(a: Atom) -> int:
-    """Multiset degree counted through nesting.
-
-    A multiset contributes its entry count plus the degrees of its
-    elements; tags are transparent; pairs sum their components.
-    """
-    if isinstance(a, Base):
-        return 0
-    if isinstance(a, Tag):
-        return degree(a.inner)
-    if isinstance(a, Pair):
-        return degree(a.left) + degree(a.right)
-    if isinstance(a, Multiset):
-        return len(a) + sum(n * degree(x) for x, n in a.entries)
-    raise TypeError(f"not an atom: {a!r}")
+    """The atom's ``deg``: multiset degree counted through nesting."""
+    _require_atom(a)
+    return a.deg
 
 
 @lru_cache(maxsize=None)
 def within_budget(a: Atom, max_degree: int) -> bool:
-    """True iff every nested multiset of ``a`` has degree ≤ max_degree.
-
-    Pair components are checked separately (their degrees do not
-    accumulate across the pair).  Degree is monotone: a tag's equals its
-    inner atom's, a pair's is at least each component's, and a
-    multiset's is at least 1 + each element's.  So a multiset within
-    the bound bounds every multiset nested in it.
-    """
-    if isinstance(a, Base):
-        return True
-    if isinstance(a, Tag):
-        return within_budget(a.inner, max_degree)
-    if isinstance(a, Pair):
-        return within_budget(a.left, max_degree) and within_budget(a.right, max_degree)
-    if isinstance(a, Multiset):
-        return degree(a) <= max_degree
-    raise TypeError(f"not an atom: {a!r}")
+    """True iff every nested multiset of ``a`` has degree ≤ max_degree (``a.peak``)."""
+    _require_atom(a)
+    return a.peak <= max_degree
 
 
 class BudgetExceeded(Exception):

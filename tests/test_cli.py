@@ -235,6 +235,9 @@ def test_derive_monomial_demo_keeps_cross_term():
         ("space G kind=rel atoms{c d} scoh{(c,d)}", "kind=rel takes no relation block"),
         ("space G kind=coh atoms{c c}", "repeated atom"),
         ("space G kind=coh atoms{c} scoh{(c,z)}", "outside the web"),
+        ("space G kind=coh atoms{c} scoh{(z,z)}", "outside the web"),  # a diagonal pair is checked too
+        ("space G kind=coh atoms{a c", "block 'atoms' has no closing '}'"),
+        ("space S kind=coh atoms{c}", "S names the summability functor"),
         ("space G kind=nucs atoms{c}\nsource E & G", "& joins a coh space to a nucs space"),
         ("space G kind=nucs atoms{c}\ntarget G", "source is coh but target is nucs"),
     ],

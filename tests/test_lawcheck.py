@@ -1,5 +1,6 @@
 """The randomized law registry: coverage, determinism, mutation sanity."""
 
+import gc
 import random
 from dataclasses import replace
 
@@ -478,3 +479,20 @@ def test_nucs_check_runs_once_per_distinct_web(monkeypatch):
     assert res.ok and res.trials == 100
     assert len(calls) == len(webs) == res.webs < res.instances
 
+
+@pytest.mark.parametrize("name", ["seelyt-mont-2", "bang-coassoc"])
+def test_a_law_check_makes_no_cyclic_garbage(name):
+    """``pm_bang``, ``dig``'s partitions and ``!`` enumeration recurse without self-referring closures.
+
+    A closure that refers to itself makes one garbage cycle per call,
+    which only the cycle collector can free.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        res = run_check(name, MapCtx("coh", Budget(2)), seed=0, trials=3)
+        cycles = gc.collect()
+    finally:
+        gc.enable()
+    assert res.ok
+    assert cycles == 0

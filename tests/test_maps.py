@@ -1,14 +1,16 @@
 """Staged evaluation of point maps: what is fixed once per side, and what runs per atom."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
-from cohdiff import exponential
+from cohdiff import exponential, web_core
 from cohdiff.exponential import contr, dig, m2
 from cohdiff.maps import PointMap, pm_bang, pm_compose
-from cohdiff.spaces import Bang, BaseSpace, enumerate_web
-from cohdiff.web_core import Base, Budget
+from cohdiff.spaces import Bang, BaseSpace, Tensor, enumerate_web
+from cohdiff.web_core import Base, Budget, Pair
 
 BUD = Budget(3)
 
@@ -73,3 +75,27 @@ def test_structural_images_are_computed_once_for_every_space():
         info = fn.cache_info()
         assert info.misses == len(distinct[name]), name
         assert info.hits == calls[name] - len(distinct[name]) > 0, name
+
+
+def test_an_intermediate_atom_of_a_composite_leaves_the_table():
+    """A pair that only the middle stage of g ∘ f builds dies with the relation.
+
+    No cache on the path through ``pm_compose`` and ``materialize`` may
+    keep such an atom alive, so it leaves ``web_core._TABLE``.
+    """
+    E = _web(2)
+    built = []
+
+    def f(x):
+        p = Pair(x, Base("middle-only"))
+        built.append(weakref.ref(p))
+        yield p
+
+    g = PointMap.pointwise(Tensor(E, E), E, lambda p: (p.left,))
+    rel = pm_compose(g, PointMap.pointwise(E, Tensor(E, E), f)).materialize(BUD)
+    assert rel.pairs == {(x, x) for x in E.atoms}
+    assert len(built) == 2
+    del rel
+    gc.collect()
+    assert all(r() is None for r in built)
+    assert (Base, "middle-only") not in web_core._TABLE

@@ -209,7 +209,8 @@ def test_a_stale_callback_never_evicts_a_live_object():
     live = web_core._TABLE[key]
     before = len(web_core._TABLE)
     gone = Gone()
-    stale = weakref.KeyedRef(gone, live.__callback__, key)
+    stale = web_core._Ref(gone, live.__callback__)
+    stale.key = key
     del gone  # the stale ref dies now, and its callback runs
     assert stale() is None
     assert web_core._TABLE[key] is live
@@ -278,6 +279,17 @@ def test_atom_text_errors_name_their_position(text, error):
     assert str(e.value) == error
 
 
+def _degree_by_recursion(x):
+    """degree as first written: entries plus the degrees of the elements, through tags and pairs."""
+    if isinstance(x, Base):
+        return 0
+    if isinstance(x, Tag):
+        return _degree_by_recursion(x.inner)
+    if isinstance(x, Pair):
+        return _degree_by_recursion(x.left) + _degree_by_recursion(x.right)
+    return len(x) + sum(n * _degree_by_recursion(y) for y, n in x.entries)
+
+
 def _within_budget_by_recursion(x, d):
     """within_budget as first written: each multiset nested in x is tested on its own."""
     if isinstance(x, Base):
@@ -286,17 +298,23 @@ def _within_budget_by_recursion(x, d):
         return _within_budget_by_recursion(x.inner, d)
     if isinstance(x, Pair):
         return _within_budget_by_recursion(x.left, d) and _within_budget_by_recursion(x.right, d)
-    return degree(x) <= d and all(_within_budget_by_recursion(y, d) for y, _ in x.entries)
+    return _degree_by_recursion(x) <= d and all(_within_budget_by_recursion(y, d) for y, _ in x.entries)
 
 
 @pytest.mark.parametrize("kind, sizes", [("coh", (48, 185, 344, 96)), ("rel", (48, 185, 480, 96))])
 def test_within_budget_agrees_with_recursion_into_multisets(kind, sizes):
-    """A multiset within the bound bounds every multiset nested in it, under tags and pairs too."""
+    """A multiset within the bound bounds every multiset nested in it, under tags and pairs too.
+
+    So ``peak`` is the least bound the recursion accepts, and ``deg`` is
+    the recursive degree.
+    """
     X = BaseSpace(kind, (a, b), scoh={(a, b)} if kind == "coh" else ())
     webs = [Bang(Bang(X)), Bang(Tensor(X, Bang(X))), Bang(With(SFun(X), Bang(X))), SFun(Bang(Bang(X)))]
     atoms = [enumerate_web(E, Budget(5)) for E in webs]
     assert tuple(map(len, atoms)) == sizes
     for x in (x for web in atoms for x in web):
+        assert x.deg == _degree_by_recursion(x) == degree(x), x
+        assert x.peak == min(d for d in range(6) if _within_budget_by_recursion(x, d)), x
         for d in range(6):
             assert within_budget(x, d) == _within_budget_by_recursion(x, d), (x, d)
 
