@@ -1,6 +1,6 @@
 """Count the Python-level calls of one benchmark pass.
 
-    PYTHONHASHSEED=0 python3 scripts/py_calls.py [ROOT] --workload laws-b4 [--seed N]
+    PYTHONHASHSEED=0 python3 scripts/py_calls.py [ROOT] --workload laws-b4
 
 ROOT is the checkout to measure (default: this one).  Its
 ``perfbench/workloads.py`` is loaded by path, with ``ROOT/src`` first on
@@ -28,7 +28,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("root", type=Path, nargs="?", default=Path(__file__).resolve().parent.parent)
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=None, help="workload seed (default: the workload's own)")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
@@ -37,8 +36,6 @@ def main(argv=None) -> int:
     loader.loader.exec_module(workloads)
 
     spec = dict(workloads.WORKLOADS[args.workload], name=args.workload)
-    if args.seed is not None:
-        spec["seed"] = args.seed
     inputs = workloads.setup(spec)
     calls = 0
 

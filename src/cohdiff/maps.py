@@ -147,7 +147,7 @@ def _sub_multisets(m: Multiset):
     """Every sub-multiset of m; the count of m's first entry varies fastest."""
     support = m.support[::-1]
     for counts in product(*(range(k + 1) for _, k in reversed(m.entries))):
-        yield Multiset.from_counts(zip(support, counts))
+        yield Multiset.from_counts({a: k for a, k in zip(support, counts) if k})
 
 
 def _products(images: list, i: int, acc: list, deg: int, bound: int, out: set):

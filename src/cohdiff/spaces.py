@@ -403,8 +403,8 @@ def parse_space(text: str) -> tuple[str, BaseSpace]:
         raise SpaceParseError("expected: space <name> kind=... atoms{...} ...")
     name = toks[1]
     rest = toks[2]
-    if name == "S":
-        raise SpaceParseError("a space cannot be named 'S': S names the summability functor")
+    if name == "S" or not all(c.isalnum() or c in "_*" for c in name):
+        raise SpaceParseError(f"bad space name {name!r}: use letters, digits, _, * (S names the summability functor)")
     kind = None
     blocks = {}
     i = 0

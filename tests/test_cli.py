@@ -238,6 +238,7 @@ def test_derive_monomial_demo_keeps_cross_term():
         ("space G kind=coh atoms{c} scoh{(z,z)}", "outside the web"),  # a diagonal pair is checked too
         ("space G kind=coh atoms{a c", "block 'atoms' has no closing '}'"),
         ("space S kind=coh atoms{c}", "S names the summability functor"),
+        ("space E&F kind=coh atoms{c}", "bad space name 'E&F'"),
         ("space G kind=nucs atoms{c}\nsource E & G", "& joins a coh space to a nucs space"),
         ("space G kind=nucs atoms{c}\ntarget G", "source is coh but target is nucs"),
     ],
