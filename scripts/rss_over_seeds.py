@@ -5,11 +5,13 @@
 Each seed runs every law of ``lawcheck.REGISTRY`` on NUCS with 100
 trials at budget 3, as the laws-nucs benchmark workload does.  ROOT is
 the checkout whose ``src/`` is imported (default: this one), so two
-checkouts can be compared.  Module-level caches live for the whole
-process, so a peak RSS that rises from seed to seed shows memory that
-outlives a run.  Each line gives the seed, the wall time of its run, the
-process's peak RSS after it, the live entries of the intern table, and
-the laws that passed.
+checkouts can be compared.  Every seed runs in the same process, so a
+peak RSS or an intern table that grows from seed to seed shows memory
+that outlives a run: a law check empties its own memos when it returns,
+and only the bounded enumeration cache (``spaces._enumerate_cached``,
+4096 webs) is meant to carry over.  Each line gives the seed, the wall
+time of its run, the process's peak RSS after it, the live entries of
+the intern table, and the laws that passed.
 """
 
 from __future__ import annotations

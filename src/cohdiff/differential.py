@@ -19,12 +19,12 @@ materialized over the whole web of !SE is the tests' oracle for it.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 from .exponential import m2
 from .maps import PointMap, pm_compose, pm_from_rel, pm_id, pm_tensor
 from .spaces import Bang, SFun, Space, contains, ispace, web_of
-from .web_core import Multiset, Rel, STAR, Tag
+from .web_core import Multiset, Rel, STAR, Tag, run_cache
 
 
 def dbar(max_degree: int) -> Rel:
@@ -54,7 +54,7 @@ def dbar_pm(kind: str) -> PointMap:
     return PointMap(I, Bang(I), lambda bound: pm_from_rel(I, Bang(I), dbar(bound)).at(bound))
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def _dpartial_image(E: Space, m: Multiset) -> tuple:
     """∂ at m: the multiset of m's inner atoms, tagged with its number of increments if ≤ 1.
 
@@ -70,7 +70,7 @@ def _dpartial_image(E: Space, m: Multiset) -> tuple:
     return (Tag(i, out),) if contains(Bang(E), out) else ()
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def dpartial(E: Space) -> PointMap:
     """∂ : !SE → S!E, the closed form.
 
@@ -79,7 +79,9 @@ def dpartial(E: Space) -> PointMap:
     never also occurs in m0: 0·a and 1·a are strictly incoherent in SE,
     so no web atom of !SE holds both.  Unlike the maps of ``exponential``,
     the image is filtered by the web of !E, so it is cached per (web, atom)
-    with the web ``web_of(E)``: spaces with one web share one image.
+    with the web ``web_of(E)``: spaces with one web share one image.  Both
+    that cache and this factory's are ``run_cache``s, emptied when a law
+    check returns.
     """
     return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), partial(_dpartial_image, web_of(E)))
 

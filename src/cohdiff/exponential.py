@@ -8,17 +8,18 @@ come out right.
 Digging, contraction, the Seely isos and monoidality are natural: the
 image of an atom never reads the space.  Each is computed by one
 module-level image function of the atom (and, for dig, the bound),
-``lru_cache``d, which the factories wrap directly, so one image serves
-every space and kind.
+which the factories wrap directly, so one image serves every space and
+kind.  Images and factories are ``web_core.run_cache``s: they live for
+one law check.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 from .maps import PointMap, _sub_multisets
 from .spaces import Bang, Space, Tensor, With, mset_width, one, top
-from .web_core import Multiset, Pair, STAR, Tag
+from .web_core import Multiset, Pair, STAR, Tag, run_cache
 
 
 def der(E: Space) -> PointMap:
@@ -47,7 +48,7 @@ def _mpartitions(m: Multiset, max_parts: int):
             yield (head,) + rest
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def _dig_image(bound: int, m: Multiset) -> tuple:
     """Every decomposition m = m1 + ... + mn, empty parts included, within the bound."""
     out = {}
@@ -58,7 +59,7 @@ def _dig_image(bound: int, m: Multiset) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def dig(E: Space) -> PointMap:
     """Digging !E → !!E: all decompositions m = m1 + ... + mn.
 
@@ -78,12 +79,12 @@ def weak(E: Space) -> PointMap:
     return PointMap.pointwise(Bang(E), one(E.kind), fn)
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def _halves(m: Multiset) -> tuple:
     return tuple(Pair(m1, m - m1) for m1 in _sub_multisets(m))
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def contr(E: Space) -> PointMap:
     """Contraction !E → !E ⊗ !E: all two-part decompositions, each half bounded apart."""
     return PointMap.pointwise(Bang(E), Tensor(Bang(E), Bang(E)), _halves, pre=lambda b: 2 * b)
@@ -105,19 +106,19 @@ def seely0_inv(kind: str) -> PointMap:
     return PointMap.pointwise(Bang(top(kind)), one(kind), fn)
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def _tagged(a: Pair) -> tuple:
     counts = [(Tag(0, x), k) for x, k in a.left.entries] + [(Tag(1, y), k) for y, k in a.right.entries]
     return (Multiset.from_counts(counts),)
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def seely2(E: Space, F: Space) -> PointMap:
     """!E ⊗ !F → !(E & F), (m, p) ↦ 0·m + 1·p."""
     return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(With(E, F)), _tagged)
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def _split(m: Multiset) -> tuple:
     halves = ([], [])
     for x, k in m.entries:
@@ -140,7 +141,7 @@ def m0(kind: str) -> PointMap:
     return PointMap(one(kind), Bang(one(kind)), at)
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def _pairings(a: Pair) -> tuple:
     m, p = a.left, a.right
     if len(m) != len(p):
@@ -151,7 +152,7 @@ def _pairings(a: Pair) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def m2(E: Space, F: Space) -> PointMap:
     """Monoidality !E ⊗ !F → !(E ⊗ F): all pairings of equal-size multisets."""
     return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(Tensor(E, F)), _pairings)

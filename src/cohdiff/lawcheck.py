@@ -66,6 +66,7 @@ from .spaces import (
     enumerate_web,
     ispace,
     is_morphism,
+    memo_verdicts,
     one,
     top,
     web_of,
@@ -88,7 +89,7 @@ from .summability import (
     w0,
     witness,
 )
-from .web_core import Base, Budget, Pair, Rel
+from .web_core import Base, Budget, Pair, Rel, end_run
 
 
 # ---------------------------------------------------------------------------
@@ -768,26 +769,35 @@ def run_check(name: str, ctx: MapCtx, seed: int, trials: int) -> CheckResult:
     ``instances`` counts the distinct space tuples drawn and ``webs`` the
     verdicts they needed, one per web tuple.  For a law that draws
     morphisms both count the trials run.
+
+    The check owns its memos: coherence verdicts go into a dict of its
+    own (``spaces.memo_verdicts``), and when it returns, that dict is
+    dropped and every ``web_core.run_cache`` emptied (``end_run``).
     """
     fn, caps = REGISTRY[name]
     rng = random.Random(f"{seed}:{name}:{ctx.kind}")
     n = 1 if caps == () else trials
     seen, verdicts = set(), {}
-    for t in range(n):
-        if caps is None:  # morphisms drawn: every trial is a new instance
-            key = t
-            seen.add(t)
-            verdicts[key] = _decide(fn(ctx, rng), ctx.budget)
-        else:
-            spaces = tuple(gen_space(rng, ctx.kind, cap) for cap in caps)
-            key = tuple(map(web_of, spaces))
-            seen.add(spaces)
-            if key not in verdicts:
-                verdicts[key] = _decide(fn(ctx, *spaces), ctx.budget)
-        ok, wit = verdicts[key]
-        if not ok:
-            return CheckResult(name, ctx.kind, False, t + 1, len(seen), len(verdicts), wit)
-    return CheckResult(name, ctx.kind, True, n, len(seen), len(verdicts))
+    memo_verdicts({})
+    try:
+        for t in range(n):
+            if caps is None:  # morphisms drawn: every trial is a new instance
+                key = t
+                seen.add(t)
+                verdicts[key] = _decide(fn(ctx, rng), ctx.budget)
+            else:
+                spaces = tuple(gen_space(rng, ctx.kind, cap) for cap in caps)
+                key = tuple(map(web_of, spaces))
+                seen.add(spaces)
+                if key not in verdicts:
+                    verdicts[key] = _decide(fn(ctx, *spaces), ctx.budget)
+            ok, wit = verdicts[key]
+            if not ok:
+                return CheckResult(name, ctx.kind, False, t + 1, len(seen), len(verdicts), wit)
+        return CheckResult(name, ctx.kind, True, n, len(seen), len(verdicts))
+    finally:
+        memo_verdicts(None)
+        end_run()
 
 
 def run_all(

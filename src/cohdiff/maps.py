@@ -19,8 +19,10 @@ at g.pre(b) under g ∘ f), so every ``pre`` is fixed once per diagram
 side.  What runs per source atom is only the function ``at`` returned.
 
 No combinator here caches a map's images.  The structural maps cache
-their own, each in one ``lru_cache`` on the function that computes an
-atom's image (``exponential``, ``differential``).  Degree cuts read the
+their own, each in one ``web_core.run_cache`` on the function that
+computes an atom's image (``exponential``, ``differential``), so an
+image lives until the law check that asked for it returns, as do the
+memberships that ``contains`` caches for ``pm_bang``.  Degree cuts read the
 atoms' ``deg`` and ``peak``, and recursions are module functions, so
 reference counting alone frees a composite's intermediate atoms.
 """

@@ -15,9 +15,13 @@ Spaces are hash-consed like atoms, in the same weak table
 (``web_core._TABLE``): two structurally equal spaces are one object, so
 the caches keyed on spaces (``contains``, the enumeration cache, the map
 factories ``dig``, ``contr``, ``seely2``, ``m2`` and ``dpartial``, and
-∂'s image cache) hash them by identity.  Those ``lru_cache``s keep every
-space they have seen alive.  Coherence verdicts and ``web_of`` are not
-cached, so they keep no space alive.
+∂'s image cache) hash them by identity.  All but the enumeration cache
+are ``web_core.run_cache``s, which keep what they have seen alive only
+for one law check; the enumeration cache is bounded (4096 webs) and
+lives for the process.  Coherence verdicts are memoized only inside a
+law check, in a dict that ``lawcheck.run_check`` hands to
+``memo_verdicts`` and takes back when it returns; outside one,
+``coherent`` memoizes nothing.  ``web_of`` is not cached.
 
 Only the uniform (COH) ``!`` reads coherence to decide its web, so
 ``web_of(E)`` gives one canonical space for every space with E's web.
@@ -47,6 +51,7 @@ from .web_core import (
     _make,
     atom_from_text,
     atom_key,
+    run_cache,
 )
 
 COH, NUCS, REL = "coh", "nucs", "rel"
@@ -200,7 +205,7 @@ def mset_width(E: Space) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@run_cache
 def contains(E: Space, a: Atom) -> bool:
     """Web membership (shape + COH multiclique restriction for !)."""
     if isinstance(E, BaseSpace):
@@ -223,11 +228,28 @@ def contains(E: Space, a: Atom) -> bool:
     raise TypeError(f"not a space: {E!r}")
 
 
+# The running law check's verdicts, (E, a, b) -> Verdict; None outside a check.
+_verdicts: dict | None = None
+
+
+def memo_verdicts(memo: dict | None) -> None:
+    """Memoize ``coherent`` in ``memo`` from now on, or nothing if it is None."""
+    global _verdicts
+    _verdicts = memo
+
+
 def coherent(E: Space, a: Atom, b: Atom) -> Verdict:
     """Coherence verdict of two web atoms, computed structurally."""
     if E.kind == REL:
         return Verdict.SCOH
-    return _verdict(E, a, b)
+    memo = _verdicts
+    if memo is None:
+        return _verdict(E, a, b)
+    key = (E, a, b)
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = _verdict(E, a, b)
+    return v
 
 
 def _verdict(E: Space, a: Atom, b: Atom) -> Verdict:
@@ -358,27 +380,46 @@ def _enum(E: Space, max_degree: int):
         return
     if isinstance(E, Bang):
         inner = sorted(_enum(E.inner, max_degree), key=atom_key)
-        yield from _enum_msets(E.inner if E.kind == COH else None, inner, 0, max_degree, [])
+        later = _later_coherent(E.inner, inner, max_degree) if E.kind == COH else None
+        yield from _enum_msets(inner, later, range(len(inner)), max_degree, [])
         return
     raise TypeError(f"not a space: {E!r}")
 
 
-def _enum_msets(clique_space, inner: list, i: int, left: int, chosen: list):
-    """Every multiset of ``chosen`` plus elements of ``inner[i:]`` that adds degree ≤ left.
+def _later_coherent(E: Space, inner: list, max_degree: int) -> list:
+    """Per index j, the set of k ≥ j whose atom is coherent with ``inner[j]`` in E.
 
-    Each occurrence of an element ``a`` costs ``1 + a.deg``.  With a ``clique_space``
-    (uniform COH) the support must stay a clique of it.  No closure, so no cycle.
+    Only pairs whose two occurrences fit one multiset within ``max_degree``
+    are tested: no other pair is ever chosen together.
+    """
+    costs = [1 + a.deg for a in inner]
+    return [
+        {k for k in range(j, len(inner)) if cj + costs[k] <= max_degree and coherent(E, a, inner[k]).coherent}
+        for j, (a, cj) in enumerate(zip(inner, costs))
+    ]
+
+
+def _enum_msets(inner: list, later, cands, left: int, chosen: list):
+    """Every multiset of ``chosen`` plus atoms ``inner[k]``, k in ``cands``, that adds degree ≤ left.
+
+    Each occurrence of an atom ``a`` costs ``1 + a.deg``.  ``cands`` holds,
+    in increasing order, the indices of the atoms coherent with every chosen
+    one; ``later`` (``_later_coherent``, or None outside uniform COH, where
+    every atom may join) narrows it to those coherent with each new choice
+    too, so the support stays a clique.  No closure, so no cycle.
     """
     yield Multiset.of(chosen)
-    for j in range(i, len(inner)):
+    for pos, j in enumerate(cands):
         a = inner[j]
         cost = 1 + a.deg
         if cost > left:
             continue
-        if clique_space is not None and any(not coherent(clique_space, a, c).coherent for c in chosen):
-            continue
+        rest = cands[pos:]
+        if later is not None:
+            coh = later[j]
+            rest = [k for k in rest if k in coh]
         chosen.append(a)
-        yield from _enum_msets(clique_space, inner, j, left - cost, chosen)
+        yield from _enum_msets(inner, later, rest, left - cost, chosen)
         chosen.pop()
 
 

@@ -29,12 +29,16 @@ calling the ref it finds, so a hit runs no Python frame; a ref's
 callback drops its entry as soon as nothing else refers to the value,
 unless a new value has taken the key since.  Keys hold the children
 themselves, never their ``id()``, so an address freed by one value
-cannot be mistaken for another.  (The ``lru_cache``s on ``atom_key`` and
-``spaces.contains``, and on the structural maps' factories and image
-functions, do keep every value they have seen alive; ``degree`` and
-``within_budget`` do too, but the hot paths read an atom's ``deg`` and
-``peak`` slots instead.)
+cannot be mistaken for another.
 Interned values are immutable: setting or deleting an attribute raises.
+
+The memos of the map layer (``atom_key``, ``spaces.contains``, the
+structural maps' factories and image functions) are ``run_cache``s:
+unbounded ``lru_cache``s that keep every value they have seen alive only
+until ``end_run``, which ``lawcheck.run_check`` calls when a law check
+returns, so no atom or space of one check outlives it.  ``degree`` and
+``within_budget`` keep plain ``lru_cache``s, but the hot paths read an
+atom's ``deg`` and ``peak`` slots instead.
 
 Webs of ``!E`` are infinite, so enumeration is controlled by a
 ``Budget`` on the degree of atoms, which each atom carries (``Atom``).
@@ -176,7 +180,24 @@ class Pair(Atom):
 _set_left, _set_right, _set_deg, _set_peak = (getattr(Pair, n).__set__ for n in Pair.__slots__)
 
 
-@lru_cache(maxsize=None)
+# Every run_cache, in the order they were made; end_run clears them all.
+_RUN_CACHES: list = []
+
+
+def run_cache(fn):
+    """``lru_cache(maxsize=None)`` on fn, emptied by every ``end_run``."""
+    cached = lru_cache(maxsize=None)(fn)
+    _RUN_CACHES.append(cached)
+    return cached
+
+
+def end_run() -> None:
+    """Empty every ``run_cache``: what one law check memoized dies with it."""
+    for cached in _RUN_CACHES:
+        cached.cache_clear()
+
+
+@run_cache
 def atom_key(a: Atom):
     """Total order on atoms (used to canonicalize multisets)."""
     if isinstance(a, Base):

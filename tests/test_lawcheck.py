@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from cohdiff import differential, lawcheck
+from cohdiff import differential, exponential, lawcheck, spaces, web_core
 from cohdiff.differential import dpartial
 from cohdiff.lawcheck import (
     REGISTRY,
@@ -496,3 +496,43 @@ def test_a_law_check_makes_no_cyclic_garbage(name):
         gc.enable()
     assert res.ok
     assert cycles == 0
+
+
+def test_a_law_check_keeps_no_memo_after_it_returns(monkeypatch):
+    """Every ``run_cache`` and the verdict memo live for one ``run_check`` call.
+
+    During the check ``coherent`` memoizes into a dict; afterwards every
+    run cache is empty, the dict is gone, and once the process-lived
+    enumeration cache is cleared too, no atom or space of the check is
+    left in the intern table.
+    """
+    fn, caps = REGISTRY["seelyt-mont-2"]
+    memos = []
+
+    def recorded(ctx, *spaces_drawn):
+        memos.append(isinstance(spaces._verdicts, dict))
+        return fn(ctx, *spaces_drawn)
+
+    monkeypatch.setitem(REGISTRY, "seelyt-mont-2", (recorded, caps))
+    run_caches = [
+        web_core.atom_key,
+        spaces.contains,
+        *(getattr(exponential, n) for n in ("_dig_image", "_halves", "_tagged", "_split", "_pairings")),
+        *(getattr(exponential, n) for n in ("dig", "contr", "m2", "seely2")),
+        differential._dpartial_image,
+        differential.dpartial,
+    ]
+    assert all(f in web_core._RUN_CACHES for f in run_caches)
+    web_core.end_run()  # what earlier tests memoized outside a check
+    spaces._enumerate_cached.cache_clear()
+    gc.collect()
+    before = len(web_core._TABLE)
+    for _ in range(2):
+        res = run_check("seelyt-mont-2", MapCtx("coh", Budget(2)), seed=0, trials=3)
+        assert res.ok
+        assert memos and all(memos)
+        assert [f.cache_info().currsize for f in web_core._RUN_CACHES] == [0] * len(web_core._RUN_CACHES)
+        assert spaces._verdicts is None
+        spaces._enumerate_cached.cache_clear()
+        gc.collect()
+        assert len(web_core._TABLE) == before

@@ -135,12 +135,39 @@ def test_enumerate_web_counts():
     got = {x for x in enumerate_web(Bang(E), BUD)}
     for m in got:
         assert is_clique(E, list(m))
-    brute = set()
-    for n in range(4):
-        for combo in itertools.combinations_with_replacement((a, b, c), n):
-            if is_clique(E, list(combo)):
-                brute.add(Multiset.of(combo))
-    assert got == brute
+    assert got == _brute_bang_web(E, BUD)
+
+
+def _brute_bang_web(inner, budget):
+    """Every clique multiset over the web of ``inner`` within the budget's degree, by brute force."""
+    atoms, d = enumerate_web(inner, budget), budget.max_degree
+    out = set()
+    for n in range(d + 1):
+        for combo in itertools.combinations_with_replacement(atoms, n):
+            if n + sum(x.deg for x in combo) <= d and is_clique(inner, combo):
+                out.add(Multiset.of(combo))
+    return out
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize(
+    "inner",
+    [
+        lambda E, F: Tensor(E, F),
+        lambda E, F: With(E, F),
+        lambda E, F: SFun(E),
+        lambda E, F: Tensor(E, Bang(F)),
+    ],
+    ids=["!(E⊗F)", "!(E&F)", "!S E", "!(E⊗!F)"],
+)
+def test_nested_coh_bang_webs_are_the_clique_multisets(inner, degree):
+    """The web of a COH ``!`` over a constructed space: each clique within the degree, once."""
+    E = coh_space({(a, b)})
+    F = BaseSpace("coh", (a, c), frozenset({(a, c)}))
+    G, budget = inner(E, F), Budget(degree)
+    got = enumerate_web(Bang(G), budget)
+    assert len(got) == len(set(got))
+    assert set(got) == _brute_bang_web(G, budget)
 
 
 def test_enumerate_web_respects_degree():
