@@ -7,7 +7,12 @@ ROOT is the checkout to measure (default: this one).  Its
 ``sys.path``.  The workload's inputs are built first, unprofiled; then
 one pass runs under ``sys.setprofile`` and the script prints the number
 of ``call`` events it saw (Python frames entered; C functions are not
-counted), with the pass's failed operations and output digest.  Atoms
+counted), with the pass's failed operations and output digest.  After
+the total it lists the ten operations with the most calls.  Operations
+are the workload's ``site`` names: one per law check on the laws
+workloads (``law:coh:seelyt-mont-2``), and ``calculus.step`` and
+``cli.main`` on the corpus, whose other calls count as ``(no site)``.
+This script's own frames are not counted.  Atoms
 hash by identity, so set order, and with it the count, still varies with
 memory addresses: by under 0.02% between runs of one source under one
 hash seed on the laws workloads.  That is far below wall time's spread
@@ -21,6 +26,7 @@ import argparse
 import hashlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 
@@ -37,21 +43,34 @@ def main(argv=None) -> int:
 
     spec = dict(workloads.WORKLOADS[args.workload], name=args.workload)
     inputs = workloads.setup(spec)
-    calls = 0
+    calls, op = Counter(), "(no site)"
 
     def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
+        if event == "call" and frame.f_code.co_filename != __file__:
+            calls[op] += 1
+
+    def site(name, fn):
+        def counted(*args, **kwargs):
+            nonlocal op
+            outer, op = op, name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                op = outer
+
+        return counted
 
     sys.setprofile(count)
     try:
-        records, lines = workloads.run(spec, inputs)
+        records, lines = workloads.run(spec, inputs, site)
     finally:
         sys.setprofile(None)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     failed = sum(not r["ok"] for r in records)
-    print(f"{args.workload} seed {spec['seed']}: {calls} calls, {len(records)} ops, {failed} failed, digest {digest[:16]}")
+    total = sum(calls.values())
+    print(f"{args.workload} seed {spec['seed']}: {total} calls, {len(records)} ops, {failed} failed, digest {digest[:16]}")
+    for name, n in calls.most_common(10):
+        print(f"{n:>10}  {name}")
     return 0
 
 

@@ -43,15 +43,22 @@ def dbar(max_degree: int) -> Rel:
     return Rel(frozenset(pairs))
 
 
+@run_cache
+def _dbar_at(kind: str, bound: int):
+    I = ispace(kind)
+    return pm_from_rel(I, Bang(I), dbar(bound)).at(bound)
+
+
 def dbar_pm(kind: str) -> PointMap:
     """∂̄ as a point map, its image cut at the bound it is fixed at.
 
-    The relation is built and indexed once per ``at(bound)``: at most
-    2·bound + 1 pairs.  Both inputs have degree 0, so the identity
-    ``pre`` holds.
+    The relation is built and indexed once per (kind, bound) in a law
+    check (``_dbar_at``): at most 2·bound + 1 pairs.  So every side that
+    holds ∂̄ at one bound has one point function.  Both inputs have
+    degree 0, so the identity ``pre`` holds.
     """
     I = ispace(kind)
-    return PointMap(I, Bang(I), lambda bound: pm_from_rel(I, Bang(I), dbar(bound)).at(bound))
+    return PointMap(I, Bang(I), partial(_dbar_at, kind))
 
 
 @run_cache
@@ -71,6 +78,11 @@ def _dpartial_image(E: Space, m: Multiset) -> tuple:
 
 
 @run_cache
+def _dpartial_at(web: Space):
+    return partial(_dpartial_image, web)
+
+
+@run_cache
 def dpartial(E: Space) -> PointMap:
     """∂ : !SE → S!E, the closed form.
 
@@ -79,11 +91,12 @@ def dpartial(E: Space) -> PointMap:
     never also occurs in m0: 0·a and 1·a are strictly incoherent in SE,
     so no web atom of !SE holds both.  Unlike the maps of ``exponential``,
     the image is filtered by the web of !E, so it is cached per (web, atom)
-    with the web ``web_of(E)``: spaces with one web share one image.  Both
-    that cache and this factory's are ``run_cache``s, emptied when a law
+    with the web ``web_of(E)``, and the point function is one object per
+    web (``_dpartial_at``): spaces with one web share one image.  These
+    caches and this factory's are ``run_cache``s, emptied when a law
     check returns.
     """
-    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), partial(_dpartial_image, web_of(E)))
+    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), _dpartial_at(web_of(E)))
 
 
 def dtilde(E: Space) -> PointMap:

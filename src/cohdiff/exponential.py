@@ -5,12 +5,14 @@ can compose them exactly.  Multiset decompositions (dig, contr, m2)
 allow empty parts — that is what makes the nullary monoidality map m0
 come out right.
 
-Digging, contraction, the Seely isos and monoidality are natural: the
-image of an atom never reads the space.  Each is computed by one
-module-level image function of the atom (and, for dig, the bound),
-which the factories wrap directly, so one image serves every space and
-kind.  Images and factories are ``web_core.run_cache``s: they live for
-one law check.
+Digging, dereliction, weakening, contraction, the Seely isos and
+monoidality are natural: the image of an atom never reads the space.
+Each is computed by one module-level image function of the atom, which
+the factories wrap directly; dig's and m0's, which cut at the bound,
+are made once per bound.  So one point function serves every space and
+kind, and ``PointMap.materialize`` shares its pairs across them (see
+``maps``).  The costly images, the per-bound point functions and the
+factories are ``web_core.run_cache``s: they live for one law check.
 """
 
 from __future__ import annotations
@@ -22,15 +24,15 @@ from .spaces import Bang, Space, Tensor, With, mset_width, one, top
 from .web_core import Multiset, Pair, STAR, Tag, run_cache
 
 
+def _der_image(m: Multiset):
+    if len(m) == 1:
+        yield m.entries[0][0]
+
+
 def der(E: Space) -> PointMap:
     """Dereliction !E → E, ([a], a); for a within degree b, [a] is within 1 + mset_width(E)·b."""
-
-    def fn(m):
-        if len(m) == 1:
-            yield m.entries[0][0]
-
     k = mset_width(E)
-    return PointMap.pointwise(Bang(E), E, fn, pre=lambda b: 1 + k * b)
+    return PointMap.pointwise(Bang(E), E, _der_image, pre=lambda b: 1 + k * b)
 
 
 def _mpartitions(m: Multiset, max_parts: int):
@@ -60,23 +62,28 @@ def _dig_image(bound: int, m: Multiset) -> tuple:
 
 
 @run_cache
+def _dig_at(bound: int):
+    return partial(_dig_image, bound)
+
+
+@run_cache
 def dig(E: Space) -> PointMap:
     """Digging !E → !!E: all decompositions m = m1 + ... + mn.
 
     Empty parts are allowed, so the image is infinite; it is cut where
     the decomposition's degree would pass the bound dig is fixed at.
     """
-    return PointMap(Bang(E), Bang(Bang(E)), lambda bound: partial(_dig_image, bound))
+    return PointMap(Bang(E), Bang(Bang(E)), _dig_at)
+
+
+def _weak_image(m: Multiset):
+    if len(m) == 0:
+        yield STAR
 
 
 def weak(E: Space) -> PointMap:
     """Weakening !E → 1, ([], *)."""
-
-    def fn(m):
-        if len(m) == 0:
-            yield STAR
-
-    return PointMap.pointwise(Bang(E), one(E.kind), fn)
+    return PointMap.pointwise(Bang(E), one(E.kind), _weak_image)
 
 
 @run_cache
@@ -90,20 +97,21 @@ def contr(E: Space) -> PointMap:
     return PointMap.pointwise(Bang(E), Tensor(Bang(E), Bang(E)), _halves, pre=lambda b: 2 * b)
 
 
+def _seely0_image(a):
+    yield Multiset()
+
+
+def _seely0_inv_image(m: Multiset):
+    yield STAR
+
+
 def seely0(kind: str) -> PointMap:
     """1 → !⊤, * ↦ []."""
-
-    def fn(a):
-        yield Multiset()
-
-    return PointMap.pointwise(one(kind), Bang(top(kind)), fn)
+    return PointMap.pointwise(one(kind), Bang(top(kind)), _seely0_image)
 
 
 def seely0_inv(kind: str) -> PointMap:
-    def fn(m):
-        yield STAR
-
-    return PointMap.pointwise(Bang(top(kind)), one(kind), fn)
+    return PointMap.pointwise(Bang(top(kind)), one(kind), _seely0_inv_image)
 
 
 @run_cache
@@ -131,14 +139,15 @@ def seely2_inv(E: Space, F: Space) -> PointMap:
     return PointMap.pointwise(Bang(With(E, F)), Tensor(Bang(E), Bang(F)), _split, pre=pre)
 
 
+@run_cache
+def _m0_at(bound: int):
+    image = tuple(Multiset.from_counts([(STAR, k)] if k else []) for k in range(bound + 1))
+    return lambda a: image
+
+
 def m0(kind: str) -> PointMap:
     """Nullary monoidality 1 → !1, * ↦ k·[*] for every k ≥ 0, cut at its bound."""
-
-    def at(bound):
-        image = tuple(Multiset.from_counts([(STAR, k)] if k else []) for k in range(bound + 1))
-        return lambda a: image
-
-    return PointMap(one(kind), Bang(one(kind)), at)
+    return PointMap(one(kind), Bang(one(kind)), _m0_at)
 
 
 @run_cache

@@ -21,6 +21,14 @@ deliberately broken map by patching the attribute.  A patched map that
 reads coherence is then decided once per web tuple in NUCS and REL,
 like every other map; in COH ``web_of`` is the identity, so the web
 tuple is the space tuple.
+
+Within one ``run_check`` call, diagram sides also share work across web
+tuples: the structural maps are natural, so ``PointMap.materialize``
+evaluates a side once per source atom and point function (see
+``maps``), and equal sides over different spaces have one point
+function.  For that, the plumbing isos here (``_sym``, ``_sym23``,
+``_assoc``, ``_assoc_inv``, ``_lunit``, ``_to_top``, ``_pw``) wrap
+module-level image functions, never a closure per space.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from functools import partial
 
 from .differential import dbar_pm, dpartial, dpartial_via_dbar, dtilde
 from .exponential import (
@@ -72,6 +79,7 @@ from .spaces import (
     web_of,
 )
 from .summability import (
+    PROJ,
     L_map,
     canonical_iso,
     flip,
@@ -173,33 +181,51 @@ def run_diagram(lhs: PointMap, rhs: PointMap, budget: Budget):
 
 def _pw(E0: Space, E1: Space, i: int) -> PointMap:
     """The projection E0 & E1 → E_i, whose atoms are tagged as SE's."""
-    return PointMap.pointwise(With(E0, E1), E0 if i == 0 else E1, partial(proj_image, i))
+    return PointMap.pointwise(With(E0, E1), E0 if i == 0 else E1, PROJ[i])
+
+
+def _sym_image(a):
+    return (Pair(a.right, a.left),)
+
+
+def _assoc_image(a):
+    yield Pair(a.left.left, Pair(a.left.right, a.right))
+
+
+def _assoc_inv_image(a):
+    yield Pair(Pair(a.left, a.right.left), a.right.right)
+
+
+def _lunit_image(a):
+    return (a.right,)
+
+
+def _to_top_image(a):
+    return ()
+
+
+def _sym23_image(a):
+    yield Pair(Pair(a.left.left, a.right.left), Pair(a.left.right, a.right.right))
 
 
 def _sym(E: Space, F: Space) -> PointMap:
-    return PointMap.pointwise(Tensor(E, F), Tensor(F, E), lambda a: (Pair(a.right, a.left),))
+    return PointMap.pointwise(Tensor(E, F), Tensor(F, E), _sym_image)
 
 
 def _assoc(E: Space, F: Space, G: Space) -> PointMap:
-    def fn(a):
-        yield Pair(a.left.left, Pair(a.left.right, a.right))
-
-    return PointMap.pointwise(Tensor(Tensor(E, F), G), Tensor(E, Tensor(F, G)), fn)
+    return PointMap.pointwise(Tensor(Tensor(E, F), G), Tensor(E, Tensor(F, G)), _assoc_image)
 
 
 def _assoc_inv(E: Space, F: Space, G: Space) -> PointMap:
-    def fn(a):
-        yield Pair(Pair(a.left, a.right.left), a.right.right)
-
-    return PointMap.pointwise(Tensor(E, Tensor(F, G)), Tensor(Tensor(E, F), G), fn)
+    return PointMap.pointwise(Tensor(E, Tensor(F, G)), Tensor(Tensor(E, F), G), _assoc_inv_image)
 
 
 def _lunit(E: Space, kind: str) -> PointMap:
-    return PointMap.pointwise(Tensor(one(kind), E), E, lambda a: (a.right,))
+    return PointMap.pointwise(Tensor(one(kind), E), E, _lunit_image)
 
 
 def _to_top(E: Space) -> PointMap:
-    return PointMap.pointwise(E, top(E.kind), lambda a: ())
+    return PointMap.pointwise(E, top(E.kind), _to_top_image)
 
 
 def _diag(E: Space) -> PointMap:
@@ -208,12 +234,8 @@ def _diag(E: Space) -> PointMap:
 
 def _sym23(A, B, C, D) -> PointMap:
     """(A⊗B)⊗(C⊗D) → (A⊗C)⊗(B⊗D)."""
-
-    def fn(a):
-        yield Pair(Pair(a.left.left, a.right.left), Pair(a.left.right, a.right.right))
-
     return PointMap.pointwise(
-        Tensor(Tensor(A, B), Tensor(C, D)), Tensor(Tensor(A, C), Tensor(B, D)), fn
+        Tensor(Tensor(A, B), Tensor(C, D)), Tensor(Tensor(A, C), Tensor(B, D)), _sym23_image
     )
 
 

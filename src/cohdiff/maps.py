@@ -16,15 +16,26 @@ powers of the value point) cut it there.
 Evaluation is staged.  ``materialize`` calls ``at`` once, with the
 budget's degree; the combinators pass each part its own bound (f runs
 at g.pre(b) under g ∘ f), so every ``pre`` is fixed once per diagram
-side.  What runs per source atom is only the function ``at`` returned.
+side.  What runs per source atom is only the point function ``at``
+returned.
 
-No combinator here caches a map's images.  The structural maps cache
-their own, each in one ``web_core.run_cache`` on the function that
-computes an atom's image (``exponential``, ``differential``), so an
-image lives until the law check that asked for it returns, as do the
-memberships that ``contains`` caches for ``pm_bang``.  Degree cuts read the
-atoms' ``deg`` and ``peak``, and recursions are module functions, so
-reference counting alone frees a composite's intermediate atoms.
+The contract of a point function: one function object means one image.
+An object's image of an atom never changes, so ``materialize`` memoizes
+each source atom's in-budget pairs per (point function, degree) for the
+running law check (``_side_pairs``, a ``web_core.run_cache``).  To let
+equal composites over different spaces share that memo, the combinators
+build their point functions through ``run_cache`` factories keyed by
+their parts' point functions and the cut they apply (``mid`` under
+``pm_compose``, the bound and the target web under ``pm_bang``), and the
+natural leaves pass one module-level image function for every space.  A
+point function whose image reads a space keeps that space's web in its
+key (``pm_bang``'s filter, ∂); a closure made per map (``pm_from_rel``)
+is never shared.  The memo holds final pairs only, and the structural
+maps' image caches (``exponential``, ``differential``) and ``contains``
+are ``run_cache``s too, so all of it dies when the law check returns.
+Degree cuts read the atoms' ``deg`` and ``peak``, and recursions are
+module functions, so reference counting alone frees a composite's
+intermediate atoms.
 """
 
 from __future__ import annotations
@@ -34,12 +45,20 @@ from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterable
 
-from .web_core import Atom, Budget, Multiset, Pair, Rel, Tag
+from .web_core import Atom, Budget, Multiset, Pair, Rel, Tag, run_cache
 from .spaces import Bang, SFun, Space, Tensor, With, contains, enumerate_web, mset_width, web_of
 
 
 @dataclass(frozen=True)
 class PointMap:
+    """A map src → tgt given by ``at(bound)``, its point function at a bound.
+
+    One point-function object means one image: whatever space a map is
+    built over, an object ``at`` returns must send each atom to the same
+    atoms every time, since ``materialize`` memoizes by that object.  A
+    closure that reads a space must be made per space.
+    """
+
     src: Space
     tgt: Space
     at: Callable[[int], Callable[[Atom], Iterable[Atom]]]
@@ -55,19 +74,33 @@ class PointMap:
 
         ``at`` runs once, at the budget's degree: it fixes every bound
         and ``pre`` of the map.  The loop over the source web then runs
-        only the function it returns.
+        only the point function it returns, once per source atom in a
+        law check: its pairs are kept in ``_side_pairs``.
         """
-        fn = self.at(budget.max_degree)
+        deg = budget.max_degree
+        fn = self.at(deg)
+        memo = _side_pairs(fn, deg)
         pairs = set()
         for a in enumerate_web(self.src, budget):
-            for b in fn(a):
-                if b.peak <= budget.max_degree:
-                    pairs.add((a, b))
+            got = memo.get(a)
+            if got is None:
+                got = memo[a] = tuple((a, b) for b in fn(a) if b.peak <= deg)
+            pairs.update(got)
         return Rel(frozenset(pairs))
 
 
+@run_cache
+def _side_pairs(fn, degree: int) -> dict:
+    """Source atom -> its pairs within the degree under the point function fn."""
+    return {}
+
+
+def _id_image(a):
+    return (a,)
+
+
 def pm_id(E: Space) -> PointMap:
-    return PointMap.pointwise(E, E, lambda a: (a,))
+    return PointMap.pointwise(E, E, _id_image)
 
 
 def pm_from_rel(E: Space, F: Space, rel: Rel) -> PointMap:
@@ -80,69 +113,72 @@ def pm_from_rel(E: Space, F: Space, rel: Rel) -> PointMap:
     return PointMap.pointwise(E, F, lambda a: index.get(a, ()), pre=lambda b: top)
 
 
+@run_cache
+def _compose_fn(f_at, g_at, mid: int):
+    def fn(a):
+        for b in f_at(a):
+            if b.peak <= mid:
+                yield from g_at(b)
+
+    return fn
+
+
 def pm_compose(g: PointMap, f: PointMap) -> PointMap:
     """g after f: f runs at g.pre of the bound, and its images above that are skipped."""
 
     def at(bound):
         mid = g.pre(bound)
-        f_at, g_at = f.at(mid), g.at(bound)
-
-        def fn(a):
-            for b in f_at(a):
-                if b.peak <= mid:
-                    yield from g_at(b)
-
-        return fn
+        return _compose_fn(f.at(mid), g.at(bound), mid)
 
     return PointMap(f.src, g.tgt, at, lambda b: f.pre(g.pre(b)))
 
 
+@run_cache
+def _tensor_fn(f_at, g_at):
+    def fn(a):
+        for b in f_at(a.left):
+            for c in g_at(a.right):
+                yield Pair(b, c)
+
+    return fn
+
+
 def pm_tensor(f: PointMap, g: PointMap) -> PointMap:
-    def at(bound):
-        f_at, g_at = f.at(bound), g.at(bound)
-
-        def fn(a):
-            for b in f_at(a.left):
-                for c in g_at(a.right):
-                    yield Pair(b, c)
-
-        return fn
-
+    at = lambda bound: _tensor_fn(f.at(bound), g.at(bound))
     pre = lambda b: max(f.pre(b), g.pre(b))  # peak bounds each component
     return PointMap(Tensor(f.src, g.src), Tensor(f.tgt, g.tgt), at, pre)
 
 
+@run_cache
+def _pair_fn(f_at, g_at):
+    def fn(a):
+        for b in f_at(a):
+            yield Tag(0, b)
+        for c in g_at(a):
+            yield Tag(1, c)
+
+    return fn
+
+
 def pm_pair(f: PointMap, g: PointMap) -> PointMap:
     """The pairing ⟨f, g⟩ into a & product (shared source)."""
-
-    def at(bound):
-        f_at, g_at = f.at(bound), g.at(bound)
-
-        def fn(a):
-            for b in f_at(a):
-                yield Tag(0, b)
-            for c in g_at(a):
-                yield Tag(1, c)
-
-        return fn
-
+    at = lambda bound: _pair_fn(f.at(bound), g.at(bound))
     pre = lambda b: max(f.pre(b), g.pre(b))
     return PointMap(f.src, With(f.tgt, g.tgt), at, pre)
 
 
+@run_cache
+def _sfun_fn(f_at):
+    def fn(a):
+        for b in f_at(a.inner):
+            yield Tag(a.index, b)
+
+    return fn
+
+
 def pm_sfun(f: PointMap) -> PointMap:
     """S f: act under the summability tag."""
-
-    def at(bound):
-        f_at = f.at(bound)
-
-        def fn(a):
-            for b in f_at(a.inner):
-                yield Tag(a.index, b)
-
-        return fn
-
-    return PointMap(SFun(f.src), SFun(f.tgt), at, f.pre)
+    return PointMap(SFun(f.src), SFun(f.tgt), lambda bound: _sfun_fn(f.at(bound)), f.pre)
 
 
 def _sub_multisets(m: Multiset):
@@ -166,6 +202,22 @@ def _products(images: list, i: int, acc: list, deg: int, bound: int, out: set):
         acc.pop()
 
 
+@run_cache
+def _bang_fn(f_at, bound: int, web: Space):
+    def fn(a):
+        images = []  # one list of options per occurrence in a
+        for x, k in a.entries:
+            opts = sorted(set(f_at(x)), key=attrgetter("deg"))
+            if not opts:
+                return
+            images += [opts] * k
+        dedup = set()
+        _products(images, 0, [], len(images), bound, dedup)
+        yield from (m for m in dedup if contains(web, m))
+
+    return fn
+
+
 def pm_bang(f: PointMap) -> PointMap:
     """!f : send a multiset to every multiset of pointwise images.
 
@@ -175,27 +227,11 @@ def pm_bang(f: PointMap) -> PointMap:
     distinct entry of the input multiset is computed once per input; the
     structural maps' own image caches serve repeats across inputs.
     Outputs are kept inside the web of !(f.tgt), tested against
-    ``web_of`` of it.
+    ``web_of`` of it, so that web is part of the point function's key.
     """
     tgt = Bang(f.tgt)
     web = web_of(tgt)
-
-    def at(bound):
-        f_at = f.at(bound)
-
-        def fn(a):
-            images = []  # one list of options per occurrence in a
-            for x, k in a.entries:
-                opts = sorted(set(f_at(x)), key=attrgetter("deg"))
-                if not opts:
-                    return
-                images += [opts] * k
-            dedup = set()
-            _products(images, 0, [], len(images), bound, dedup)
-            yield from (m for m in dedup if contains(web, m))
-
-        return fn
-
+    at = lambda bound: _bang_fn(f.at(bound), bound, web)
     # [x1..xn] ↦ [y1..yn] within b: n + Σ deg yi ≤ b, deg xi ≤ k·f.pre(deg yi) ≤ k·(deg yi + slack),
     # so the input's degree n + Σ deg xi is at most max(k·b, b + k·b·slack).
     k = mset_width(f.src)

@@ -6,10 +6,13 @@ pairing them through these tags is itself a morphism, and then their
 sum is plain union.  The canonical presentation identifies S with
 (1 & 1) ⊸ – via the dual-numbers object I = 1 & 1.
 
-π_i, ι_i, θ and c are each one module-level point function
-(``proj_image``, ``inj_image``, ``theta_image``, ``flip_image``) that
-their factory wraps; ``denot`` applies the same functions at the
-codomain leaf of a term's atoms.
+Every structure map here is natural, so each is one module-level point
+function that its factory wraps for every space, and
+``PointMap.materialize`` shares its pairs across spaces (see ``maps``).
+π_i, ι_i, θ and c (``proj_image``, ``inj_image``, ``theta_image``,
+``flip_image``) are also what ``denot`` applies at the codomain leaf of
+a term's atoms; ``PROJ`` and ``INJ`` hold π_i's and ι_i's point
+function, one object per i.
 """
 
 from __future__ import annotations
@@ -55,23 +58,41 @@ def flip_image(a: Tag):
     yield Tag(a.inner.index, Tag(a.index, a.inner.inner))
 
 
+PROJ = (partial(proj_image, 0), partial(proj_image, 1))
+INJ = (partial(inj_image, 0), partial(inj_image, 1))
+
+
+def _sigma_image(a: Tag):
+    yield a.inner
+
+
+def _strength_image(a: Pair):
+    yield Tag(a.right.index, Pair(a.left, a.right.inner))
+
+
+def _strength_sym_image(a: Pair):
+    yield Tag(a.left.index, Pair(a.left.inner, a.right))
+
+
+def _smont_image(a: Pair):
+    i, j = a.left.index, a.right.index
+    if i + j <= 1:
+        yield Tag(i + j, Pair(a.left.inner, a.right.inner))
+
+
 def proj(E: Space, i: int) -> PointMap:
     """π_i : SE → E."""
-    return PointMap.pointwise(SFun(E), E, partial(proj_image, i))
+    return PointMap.pointwise(SFun(E), E, PROJ[i])
 
 
 def sigma(E: Space) -> PointMap:
     """σ : SE → E, forget the tag (π0 + π1)."""
-
-    def fn(a):
-        yield a.inner
-
-    return PointMap.pointwise(SFun(E), E, fn)
+    return PointMap.pointwise(SFun(E), E, _sigma_image)
 
 
 def inj(E: Space, i: int) -> PointMap:
     """ι_i : E → SE."""
-    return PointMap.pointwise(E, SFun(E), partial(inj_image, i))
+    return PointMap.pointwise(E, SFun(E), INJ[i])
 
 
 def flip(E: Space) -> PointMap:
@@ -86,31 +107,17 @@ def theta(E: Space) -> PointMap:
 
 def strength(E: Space, F: Space) -> PointMap:
     """Φ : E ⊗ SF → S(E ⊗ F)."""
-
-    def fn(a):
-        yield Tag(a.right.index, Pair(a.left, a.right.inner))
-
-    return PointMap.pointwise(Tensor(E, SFun(F)), SFun(Tensor(E, F)), fn)
+    return PointMap.pointwise(Tensor(E, SFun(F)), SFun(Tensor(E, F)), _strength_image)
 
 
 def strength_sym(E: Space, F: Space) -> PointMap:
     """Φ' : SE ⊗ F → S(E ⊗ F)."""
-
-    def fn(a):
-        yield Tag(a.left.index, Pair(a.left.inner, a.right))
-
-    return PointMap.pointwise(Tensor(SFun(E), F), SFun(Tensor(E, F)), fn)
+    return PointMap.pointwise(Tensor(SFun(E), F), SFun(Tensor(E, F)), _strength_sym_image)
 
 
 def smont(E: Space, F: Space) -> PointMap:
     """SE ⊗ SF → S(E ⊗ F): add the tags, dropping the (1,1) case."""
-
-    def fn(a):
-        i, j = a.left.index, a.right.index
-        if i + j <= 1:
-            yield Tag(i + j, Pair(a.left.inner, a.right.inner))
-
-    return PointMap.pointwise(Tensor(SFun(E), SFun(F)), SFun(Tensor(E, F)), fn)
+    return PointMap.pointwise(Tensor(SFun(E), SFun(F)), SFun(Tensor(E, F)), _smont_image)
 
 
 def witness(f0: Rel, f1: Rel) -> Rel:
@@ -172,6 +179,14 @@ def L_map() -> Rel:
     return Rel(frozenset({(z, Pair(z, z)), (u, Pair(u, z)), (u, Pair(z, u))}))
 
 
+def _to_hom_image(a: Tag):
+    yield Pair(Tag(a.index, STAR), a.inner)
+
+
+def _from_hom_image(p: Pair):
+    yield Tag(p.left.index, p.right)
+
+
 def canonical_iso(E: Space) -> tuple[PointMap, PointMap]:
     """The isomorphism SE ≅ (I ⊸ E) and its inverse.
 
@@ -180,14 +195,7 @@ def canonical_iso(E: Space) -> tuple[PointMap, PointMap]:
     """
     I = ispace(E.kind)
     hom = Limpl(I, E)
-
-    def fwd(a):
-        yield Pair(Tag(a.index, STAR), a.inner)
-
-    def bwd(p):
-        yield Tag(p.left.index, p.right)
-
     return (
-        PointMap.pointwise(SFun(E), hom, fwd),
-        PointMap.pointwise(hom, SFun(E), bwd),
+        PointMap.pointwise(SFun(E), hom, _to_hom_image),
+        PointMap.pointwise(hom, SFun(E), _from_hom_image),
     )

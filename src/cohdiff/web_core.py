@@ -33,7 +33,8 @@ cannot be mistaken for another.
 Interned values are immutable: setting or deleting an attribute raises.
 
 The memos of the map layer (``atom_key``, ``spaces.contains``, the
-structural maps' factories and image functions) are ``run_cache``s:
+structural maps' factories and image functions, and the point functions
+and per-atom pairs of ``maps``) are ``run_cache``s:
 unbounded ``lru_cache``s that keep every value they have seen alive only
 until ``end_run``, which ``lawcheck.run_check`` calls when a law check
 returns, so no atom or space of one check outlives it.  ``degree`` and

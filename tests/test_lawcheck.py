@@ -2,11 +2,12 @@
 
 import gc
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from cohdiff import differential, exponential, lawcheck, spaces, web_core
+from cohdiff import differential, exponential, lawcheck, maps, spaces, web_core
 from cohdiff.differential import dpartial
 from cohdiff.lawcheck import (
     REGISTRY,
@@ -518,9 +519,12 @@ def test_a_law_check_keeps_no_memo_after_it_returns(monkeypatch):
         web_core.atom_key,
         spaces.contains,
         *(getattr(exponential, n) for n in ("_dig_image", "_halves", "_tagged", "_split", "_pairings")),
-        *(getattr(exponential, n) for n in ("dig", "contr", "m2", "seely2")),
+        *(getattr(exponential, n) for n in ("dig", "contr", "m2", "seely2", "_dig_at", "_m0_at")),
         differential._dpartial_image,
         differential.dpartial,
+        differential._dpartial_at,
+        differential._dbar_at,
+        *(getattr(maps, n) for n in ("_side_pairs", "_compose_fn", "_tensor_fn", "_pair_fn", "_sfun_fn", "_bang_fn")),
     ]
     assert all(f in web_core._RUN_CACHES for f in run_caches)
     web_core.end_run()  # what earlier tests memoized outside a check
@@ -536,3 +540,34 @@ def test_a_law_check_keeps_no_memo_after_it_returns(monkeypatch):
         spaces._enumerate_cached.cache_clear()
         gc.collect()
         assert len(web_core._TABLE) == before
+
+
+def test_a_law_check_evaluates_a_shared_leaf_once_per_atom(monkeypatch):
+    """Equal sides over different web tuples share ``materialize``'s memo.
+
+    seelyt-mont-2's left side is built from natural leaves only, so it has
+    one point function for every space tuple, and ``_sym23``'s image runs
+    at most once per distinct atom over the whole check, although the
+    tuples' source webs overlap.
+    """
+    fn, caps = REGISTRY["seelyt-mont-2"]
+    seen, calls = [], Counter()
+    image = lawcheck._sym23_image
+
+    def recorded(ctx, *spaces_drawn):
+        seen.append(spaces_drawn)
+        return fn(ctx, *spaces_drawn)
+
+    def counted(a):
+        calls[a] += 1
+        return image(a)
+
+    monkeypatch.setitem(REGISTRY, "seelyt-mont-2", (recorded, caps))
+    monkeypatch.setattr(lawcheck, "_sym23_image", counted)
+    res = run_check("seelyt-mont-2", MapCtx("coh", Budget(2)), seed=0, trials=10)
+    assert res.ok and res.webs >= 2
+    sources = [
+        enumerate_web(Tensor(Tensor(Bang(X0), Bang(X1)), Bang(Y)), Budget(2)) for X0, X1, Y in set(seen)
+    ]
+    assert sum(map(len, sources)) > len(set().union(*sources))  # the tuples share source atoms
+    assert calls and max(calls.values()) == 1

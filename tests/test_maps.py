@@ -3,14 +3,16 @@
 import gc
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from cohdiff import exponential, web_core
-from cohdiff.exponential import contr, dig, m2
-from cohdiff.maps import PointMap, pm_bang, pm_compose
-from cohdiff.spaces import Bang, BaseSpace, Tensor, enumerate_web
-from cohdiff.web_core import Base, Budget, Pair
+from cohdiff.differential import dpartial
+from cohdiff.exponential import contr, der, dig, m2
+from cohdiff.maps import PointMap, pm_bang, pm_compose, pm_from_rel, pm_id
+from cohdiff.spaces import Bang, BaseSpace, Tensor, With, enumerate_web
+from cohdiff.web_core import Base, Budget, Pair, Rel
 
 BUD = Budget(3)
 
@@ -52,29 +54,93 @@ def test_each_pre_runs_once_per_side_not_per_atom(nesting):
 
 
 def test_structural_images_are_computed_once_for_every_space():
-    """Spaces of two kinds over the same atoms share contr's and m2's images, and dig's per (bound, atom)."""
+    """Spaces of two kinds over the same atoms share contr's and m2's images, and dig's per (bound, atom).
+
+    Within one check, a second ``materialize`` of an equal map calls no
+    leaf image: its pairs come from ``materialize``'s memo.
+    """
     x, y = Base("x"), Base("y")
     spaces = (
         BaseSpace("coh", (x, y)),
         BaseSpace("nucs", (x, y), scoh={(x, x)}, sincoh={(x, y)}),
     )
     images = {"contr": exponential._halves, "m2": exponential._pairings, "dig": exponential._dig_image}
-    for fn in images.values():
-        fn.cache_clear()
-    calls, distinct = Counter(), {name: set() for name in images}
-    for E in spaces:
-        for budget in (Budget(2), BUD):
-            for name, pm in (("contr", contr(E)), ("m2", m2(E, E)), ("dig", dig(E))):
-                pm.materialize(budget)
-                atoms = enumerate_web(pm.src, budget)
-                calls[name] += len(atoms)
-                key = (lambda a: (budget.max_degree, a)) if name == "dig" else (lambda a: a)
-                distinct[name].update(map(key, atoms))
+    web_core.end_run()  # what earlier tests memoized outside a check
+
+    def materialized():
+        for E in spaces:
+            for budget in (Budget(2), BUD):
+                for name, pm in (("contr", contr(E)), ("m2", m2(E, E)), ("dig", dig(E))):
+                    yield name, budget, pm.src, pm.materialize(budget)
+
+    distinct = {name: set() for name in images}
+    first = []
+    for name, budget, src, rel in materialized():
+        first.append(rel)
+        key = (lambda a: (budget.max_degree, a)) if name == "dig" else (lambda a: a)
+        distinct[name].update(map(key, enumerate_web(src, budget)))
     assert enumerate_web(Bang(spaces[0]), BUD) != enumerate_web(Bang(spaces[1]), BUD)
     for name, fn in images.items():
-        info = fn.cache_info()
-        assert info.misses == len(distinct[name]), name
-        assert info.hits == calls[name] - len(distinct[name]) > 0, name
+        assert fn.cache_info().misses == len(distinct[name]), name
+    infos = {name: fn.cache_info() for name, fn in images.items()}
+    assert [rel for *_, rel in materialized()] == first
+    assert {name: fn.cache_info() for name, fn in images.items()} == infos
+
+
+def _differ_in_one_scope(c1, c2, budget=BUD):
+    """Materialize c1 and c2 in one check scope, in both orders; each must match its value alone."""
+    alone = []
+    for c in (c1, c2):
+        web_core.end_run()
+        alone.append(c.materialize(budget))
+    assert alone[0] != alone[1]
+    for order in ((0, 1), (1, 0)):
+        web_core.end_run()
+        together = {i: (c1, c2)[i].materialize(budget) for i in order}
+        assert [together[0], together[1]] == alone
+    web_core.end_run()
+
+
+def test_a_composite_keeps_its_inner_cut_in_the_memo_key():
+    """One leaf pair under der at two cuts: der(E).pre grows with mset_width(E)."""
+    x = Base("x")
+    X = BaseSpace("coh", (x,))
+    narrow, wide = With(X, X), With(X, Bang(X))  # mset_width 0 and 1
+    ident = pm_id(Bang(wide))
+    retyped = replace(ident, tgt=Bang(narrow))  # the same point function, cut for der(narrow)
+    c1, c2 = pm_compose(der(narrow), retyped), pm_compose(der(wide), ident)
+    assert c1.at(3) is not c2.at(3)
+    _differ_in_one_scope(c1, c2)
+
+
+def test_bang_keeps_its_target_web_in_the_memo_key():
+    """!f over two COH webs on the same atoms: one point function for f, two filters."""
+    x, y = Base("x"), Base("y")
+    clique = BaseSpace("coh", (x, y), scoh={(x, y)})
+    apart = BaseSpace("coh", (x, y))
+    ident = pm_id(clique)
+    c1, c2 = pm_bang(ident), pm_bang(replace(ident, tgt=apart))
+    assert c1.at(3) is not c2.at(3)
+    _differ_in_one_scope(c1, c2)
+
+
+def test_dpartial_keeps_its_web_in_the_memo_key():
+    """∂ over two COH webs on the same atoms, read on one source web."""
+    x, y = Base("x"), Base("y")
+    clique = BaseSpace("coh", (x, y), scoh={(x, y)})
+    apart = BaseSpace("coh", (x, y))
+    c1 = dpartial(clique)
+    c2 = replace(dpartial(apart), src=c1.src)
+    _differ_in_one_scope(c1, c2)
+
+
+def test_relations_are_never_shared():
+    """Two ``pm_from_rel``s over one space: a closure per relation."""
+    E = _web(2)
+    a, b = E.atoms
+    c1 = pm_from_rel(E, E, Rel(frozenset({(a, a)})))
+    c2 = pm_from_rel(E, E, Rel(frozenset({(a, b)})))
+    _differ_in_one_scope(c1, c2)
 
 
 def test_an_intermediate_atom_of_a_composite_leaves_the_table():
