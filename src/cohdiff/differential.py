@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import partial
 
 from .exponential import m2
-from .maps import PointMap, pm_compose, pm_from_rel, pm_id, pm_tensor
+from .maps import PointMap, bind, pm_compose, pm_id, pm_tensor
 from .spaces import Bang, SFun, Space, contains, ispace, web_of
 from .web_core import Multiset, Rel, STAR, Tag, run_cache
 
@@ -44,21 +44,18 @@ def dbar(max_degree: int) -> Rel:
 
 
 @run_cache
-def _dbar_at(kind: str, bound: int):
-    I = ispace(kind)
-    return pm_from_rel(I, Bang(I), dbar(bound)).at(bound)
+def _dbar_image(bound: int, a: Tag) -> tuple:
+    """∂̄ at a within the bound, read off ``dbar`` so that ∂̄ has one definition."""
+    return tuple(m for x, m in dbar(bound).pairs if x == a)
 
 
 def dbar_pm(kind: str) -> PointMap:
     """∂̄ as a point map, its image cut at the bound it is fixed at.
 
-    The relation is built and indexed once per (kind, bound) in a law
-    check (``_dbar_at``): at most 2·bound + 1 pairs.  So every side that
-    holds ∂̄ at one bound has one point function.  Both inputs have
-    degree 0, so the identity ``pre`` holds.
+    Both inputs have degree 0, so the identity ``pre`` holds.
     """
     I = ispace(kind)
-    return PointMap(I, Bang(I), partial(_dbar_at, kind))
+    return PointMap(I, Bang(I), partial(bind, _dbar_image))
 
 
 @run_cache
@@ -77,11 +74,8 @@ def _dpartial_image(E: Space, m: Multiset) -> tuple:
     return (Tag(i, out),) if contains(Bang(E), out) else ()
 
 
-@run_cache
-def _dpartial_at(web: Space):
-    return partial(_dpartial_image, web)
-
-
+# A run cache only because perfbench/spans.py reads its cache_info() (ROADMAP item 10):
+# it saves no more than building a PointMap.
 @run_cache
 def dpartial(E: Space) -> PointMap:
     """∂ : !SE → S!E, the closed form.
@@ -90,13 +84,10 @@ def dpartial(E: Space) -> PointMap:
     (m0 + one increment atom a, (1, m0 + a)).  In the uniform kind a
     never also occurs in m0: 0·a and 1·a are strictly incoherent in SE,
     so no web atom of !SE holds both.  Unlike the maps of ``exponential``,
-    the image is filtered by the web of !E, so it is cached per (web, atom)
-    with the web ``web_of(E)``, and the point function is one object per
-    web (``_dpartial_at``): spaces with one web share one image.  These
-    caches and this factory's are ``run_cache``s, emptied when a law
-    check returns.
+    the image is filtered by the web of !E, so its point function binds
+    ``web_of(E)``: spaces with one web share one image.
     """
-    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), _dpartial_at(web_of(E)))
+    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), bind(_dpartial_image, web_of(E)))
 
 
 def dtilde(E: Space) -> PointMap:

@@ -7,19 +7,16 @@ come out right.
 
 Digging, dereliction, weakening, contraction, the Seely isos and
 monoidality are natural: the image of an atom never reads the space.
-Each is computed by one module-level image function of the atom, which
-the factories wrap directly; dig's and m0's, which cut at the bound,
-are made once per bound.  So one point function serves every space and
-kind, and ``PointMap.materialize`` shares its pairs across them (see
-``maps``).  The costly images, the per-bound point functions and the
-factories are ``web_core.run_cache``s: they live for one law check.
+Each is one module-level image function of the atom, so one point
+function serves every space and kind (``maps``' memo contract); dig's
+and m0's, which cut at the bound, are bound to it with ``maps.bind``.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from .maps import PointMap, _sub_multisets
+from .maps import PointMap, _sub_multisets, bind
 from .spaces import Bang, Space, Tensor, With, mset_width, one, top
 from .web_core import Multiset, Pair, STAR, Tag, run_cache
 
@@ -61,11 +58,8 @@ def _dig_image(bound: int, m: Multiset) -> tuple:
     return tuple(out)
 
 
-@run_cache
-def _dig_at(bound: int):
-    return partial(_dig_image, bound)
-
-
+# A run cache only because perfbench/spans.py reads its cache_info() (ROADMAP item 10):
+# it saves no more than building a PointMap.  So are contr, seely2 and m2.
 @run_cache
 def dig(E: Space) -> PointMap:
     """Digging !E → !!E: all decompositions m = m1 + ... + mn.
@@ -73,7 +67,7 @@ def dig(E: Space) -> PointMap:
     Empty parts are allowed, so the image is infinite; it is cut where
     the decomposition's degree would pass the bound dig is fixed at.
     """
-    return PointMap(Bang(E), Bang(Bang(E)), _dig_at)
+    return PointMap(Bang(E), Bang(Bang(E)), partial(bind, _dig_image))
 
 
 def _weak_image(m: Multiset):
@@ -91,7 +85,7 @@ def _halves(m: Multiset) -> tuple:
     return tuple(Pair(m1, m - m1) for m1 in _sub_multisets(m))
 
 
-@run_cache
+@run_cache  # for perfbench/spans.py only, as dig
 def contr(E: Space) -> PointMap:
     """Contraction !E → !E ⊗ !E: all two-part decompositions, each half bounded apart."""
     return PointMap.pointwise(Bang(E), Tensor(Bang(E), Bang(E)), _halves, pre=lambda b: 2 * b)
@@ -120,7 +114,7 @@ def _tagged(a: Pair) -> tuple:
     return (Multiset.from_counts(counts),)
 
 
-@run_cache
+@run_cache  # for perfbench/spans.py only, as dig
 def seely2(E: Space, F: Space) -> PointMap:
     """!E ⊗ !F → !(E & F), (m, p) ↦ 0·m + 1·p."""
     return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(With(E, F)), _tagged)
@@ -140,14 +134,13 @@ def seely2_inv(E: Space, F: Space) -> PointMap:
 
 
 @run_cache
-def _m0_at(bound: int):
-    image = tuple(Multiset.from_counts([(STAR, k)] if k else []) for k in range(bound + 1))
-    return lambda a: image
+def _m0_image(bound: int, a) -> tuple:
+    return tuple(Multiset.from_counts([(STAR, k)] if k else []) for k in range(bound + 1))
 
 
 def m0(kind: str) -> PointMap:
     """Nullary monoidality 1 → !1, * ↦ k·[*] for every k ≥ 0, cut at its bound."""
-    return PointMap(one(kind), Bang(one(kind)), _m0_at)
+    return PointMap(one(kind), Bang(one(kind)), partial(bind, _m0_image))
 
 
 @run_cache
@@ -161,7 +154,7 @@ def _pairings(a: Pair) -> tuple:
     return tuple(out)
 
 
-@run_cache
+@run_cache  # for perfbench/spans.py only, as dig
 def m2(E: Space, F: Space) -> PointMap:
     """Monoidality !E ⊗ !F → !(E ⊗ F): all pairings of equal-size multisets."""
     return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(Tensor(E, F)), _pairings)

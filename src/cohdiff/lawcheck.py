@@ -22,13 +22,11 @@ reads coherence is then decided once per web tuple in NUCS and REL,
 like every other map; in COH ``web_of`` is the identity, so the web
 tuple is the space tuple.
 
-Within one ``run_check`` call, diagram sides also share work across web
-tuples: the structural maps are natural, so ``PointMap.materialize``
-evaluates a side once per source atom and point function (see
-``maps``), and equal sides over different spaces have one point
-function.  For that, the plumbing isos here (``_sym``, ``_sym23``,
-``_assoc``, ``_assoc_inv``, ``_lunit``, ``_to_top``, ``_pw``) wrap
-module-level image functions, never a closure per space.
+Within one ``run_check`` call, equal diagram sides over different web
+tuples share their pairs (``maps``' memo contract).  For that, the
+plumbing isos here (``_sym``, ``_sym23``, ``_assoc``, ``_assoc_inv``,
+``_lunit``, ``_to_top``, ``_pw``) wrap module-level image functions,
+never a closure per space.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ from .spaces import (
     enumerate_web,
     ispace,
     is_morphism,
-    memo_verdicts,
     one,
     top,
     web_of,
@@ -792,15 +789,15 @@ def run_check(name: str, ctx: MapCtx, seed: int, trials: int) -> CheckResult:
     verdicts they needed, one per web tuple.  For a law that draws
     morphisms both count the trials run.
 
-    The check owns its memos: coherence verdicts go into a dict of its
-    own (``spaces.memo_verdicts``), and when it returns, that dict is
-    dropped and every ``web_core.run_cache`` emptied (``end_run``).
+    The check owns its memos: it empties every ``web_core.run_cache``
+    (``end_run``) when it starts and when it returns, so no verdict
+    memoized before it, under other module attributes, reaches it.
     """
     fn, caps = REGISTRY[name]
     rng = random.Random(f"{seed}:{name}:{ctx.kind}")
     n = 1 if caps == () else trials
     seen, verdicts = set(), {}
-    memo_verdicts({})
+    end_run()
     try:
         for t in range(n):
             if caps is None:  # morphisms drawn: every trial is a new instance
@@ -818,7 +815,6 @@ def run_check(name: str, ctx: MapCtx, seed: int, trials: int) -> CheckResult:
                 return CheckResult(name, ctx.kind, False, t + 1, len(seen), len(verdicts), wit)
         return CheckResult(name, ctx.kind, True, n, len(seen), len(verdicts))
     finally:
-        memo_verdicts(None)
         end_run()
 
 

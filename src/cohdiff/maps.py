@@ -19,28 +19,28 @@ at g.pre(b) under g ∘ f), so every ``pre`` is fixed once per diagram
 side.  What runs per source atom is only the point function ``at``
 returned.
 
-The contract of a point function: one function object means one image.
-An object's image of an atom never changes, so ``materialize`` memoizes
+The memo contract: one point-function object means one image.  An
+object's image of an atom never changes, so ``materialize`` memoizes
 each source atom's in-budget pairs per (point function, degree) for the
-running law check (``_side_pairs``, a ``web_core.run_cache``).  To let
-equal composites over different spaces share that memo, the combinators
-build their point functions through ``run_cache`` factories keyed by
-their parts' point functions and the cut they apply (``mid`` under
-``pm_compose``, the bound and the target web under ``pm_bang``), and the
-natural leaves pass one module-level image function for every space.  A
-point function whose image reads a space keeps that space's web in its
-key (``pm_bang``'s filter, ∂); a closure made per map (``pm_from_rel``)
-is never shared.  The memo holds final pairs only, and the structural
-maps' image caches (``exponential``, ``differential``) and ``contains``
-are ``run_cache``s too, so all of it dies when the law check returns.
-Degree cuts read the atoms' ``deg`` and ``peak``, and recursions are
-module functions, so reference counting alone frees a composite's
-intermediate atoms.
+running law check (``_side_pairs``).  Every point function that has
+arguments is made by ``bind(image, *args)``, a ``web_core.run_cache``
+that returns ``partial(image, *args)``: equal arguments give one object,
+so equal composites over different spaces share the memo.  The
+combinators bind their parts' point functions and the cut they apply
+(``mid`` under ``pm_compose``, the bound under ``pm_bang``); the natural
+leaves bind the bound where their image is cut there (``dig``, ``m0``,
+∂̄) and pass one module-level image for every space otherwise.  An
+image that reads a space keeps that space's web among its arguments
+(``pm_bang``'s filter, ∂), so spaces with one web share it.  A closure
+made per map (``pm_from_rel``) is never shared.  Degree cuts read the
+atoms' ``deg`` and ``peak``, and recursions are module functions, so
+reference counting alone frees a composite's intermediate atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterable
@@ -53,10 +53,9 @@ from .spaces import Bang, SFun, Space, Tensor, With, contains, enumerate_web, ms
 class PointMap:
     """A map src → tgt given by ``at(bound)``, its point function at a bound.
 
-    One point-function object means one image: whatever space a map is
-    built over, an object ``at`` returns must send each atom to the same
-    atoms every time, since ``materialize`` memoizes by that object.  A
-    closure that reads a space must be made per space.
+    The object ``at`` returns must send each atom to the same atoms
+    every time, whatever space the map is built over (the module's memo
+    contract).
     """
 
     src: Space
@@ -95,6 +94,12 @@ def _side_pairs(fn, degree: int) -> dict:
     return {}
 
 
+@run_cache
+def bind(image, *args):
+    """The point function ``partial(image, *args)``, one object per (image, args) in a law check."""
+    return partial(image, *args)
+
+
 def _id_image(a):
     return (a,)
 
@@ -113,14 +118,10 @@ def pm_from_rel(E: Space, F: Space, rel: Rel) -> PointMap:
     return PointMap.pointwise(E, F, lambda a: index.get(a, ()), pre=lambda b: top)
 
 
-@run_cache
-def _compose_fn(f_at, g_at, mid: int):
-    def fn(a):
-        for b in f_at(a):
-            if b.peak <= mid:
-                yield from g_at(b)
-
-    return fn
+def _compose_image(f_at, g_at, mid: int, a):
+    for b in f_at(a):
+        if b.peak <= mid:
+            yield from g_at(b)
 
 
 def pm_compose(g: PointMap, f: PointMap) -> PointMap:
@@ -128,57 +129,45 @@ def pm_compose(g: PointMap, f: PointMap) -> PointMap:
 
     def at(bound):
         mid = g.pre(bound)
-        return _compose_fn(f.at(mid), g.at(bound), mid)
+        return bind(_compose_image, f.at(mid), g.at(bound), mid)
 
     return PointMap(f.src, g.tgt, at, lambda b: f.pre(g.pre(b)))
 
 
-@run_cache
-def _tensor_fn(f_at, g_at):
-    def fn(a):
-        for b in f_at(a.left):
-            for c in g_at(a.right):
-                yield Pair(b, c)
-
-    return fn
+def _tensor_image(f_at, g_at, a):
+    for b in f_at(a.left):
+        for c in g_at(a.right):
+            yield Pair(b, c)
 
 
 def pm_tensor(f: PointMap, g: PointMap) -> PointMap:
-    at = lambda bound: _tensor_fn(f.at(bound), g.at(bound))
+    at = lambda bound: bind(_tensor_image, f.at(bound), g.at(bound))
     pre = lambda b: max(f.pre(b), g.pre(b))  # peak bounds each component
     return PointMap(Tensor(f.src, g.src), Tensor(f.tgt, g.tgt), at, pre)
 
 
-@run_cache
-def _pair_fn(f_at, g_at):
-    def fn(a):
-        for b in f_at(a):
-            yield Tag(0, b)
-        for c in g_at(a):
-            yield Tag(1, c)
-
-    return fn
+def _pair_image(f_at, g_at, a):
+    for b in f_at(a):
+        yield Tag(0, b)
+    for c in g_at(a):
+        yield Tag(1, c)
 
 
 def pm_pair(f: PointMap, g: PointMap) -> PointMap:
     """The pairing ⟨f, g⟩ into a & product (shared source)."""
-    at = lambda bound: _pair_fn(f.at(bound), g.at(bound))
+    at = lambda bound: bind(_pair_image, f.at(bound), g.at(bound))
     pre = lambda b: max(f.pre(b), g.pre(b))
     return PointMap(f.src, With(f.tgt, g.tgt), at, pre)
 
 
-@run_cache
-def _sfun_fn(f_at):
-    def fn(a):
-        for b in f_at(a.inner):
-            yield Tag(a.index, b)
-
-    return fn
+def _sfun_image(f_at, a):
+    for b in f_at(a.inner):
+        yield Tag(a.index, b)
 
 
 def pm_sfun(f: PointMap) -> PointMap:
     """S f: act under the summability tag."""
-    return PointMap(SFun(f.src), SFun(f.tgt), lambda bound: _sfun_fn(f.at(bound)), f.pre)
+    return PointMap(SFun(f.src), SFun(f.tgt), lambda bound: bind(_sfun_image, f.at(bound)), f.pre)
 
 
 def _sub_multisets(m: Multiset):
@@ -202,20 +191,16 @@ def _products(images: list, i: int, acc: list, deg: int, bound: int, out: set):
         acc.pop()
 
 
-@run_cache
-def _bang_fn(f_at, bound: int, web: Space):
-    def fn(a):
-        images = []  # one list of options per occurrence in a
-        for x, k in a.entries:
-            opts = sorted(set(f_at(x)), key=attrgetter("deg"))
-            if not opts:
-                return
-            images += [opts] * k
-        dedup = set()
-        _products(images, 0, [], len(images), bound, dedup)
-        yield from (m for m in dedup if contains(web, m))
-
-    return fn
+def _bang_image(f_at, bound: int, web: Space, a):
+    images = []  # one list of options per occurrence in a
+    for x, k in a.entries:
+        opts = sorted(set(f_at(x)), key=attrgetter("deg"))
+        if not opts:
+            return
+        images += [opts] * k
+    dedup = set()
+    _products(images, 0, [], len(images), bound, dedup)
+    yield from (m for m in dedup if contains(web, m))
 
 
 def pm_bang(f: PointMap) -> PointMap:
@@ -227,11 +212,11 @@ def pm_bang(f: PointMap) -> PointMap:
     distinct entry of the input multiset is computed once per input; the
     structural maps' own image caches serve repeats across inputs.
     Outputs are kept inside the web of !(f.tgt), tested against
-    ``web_of`` of it, so that web is part of the point function's key.
+    ``web_of`` of it.
     """
     tgt = Bang(f.tgt)
     web = web_of(tgt)
-    at = lambda bound: _bang_fn(f.at(bound), bound, web)
+    at = lambda bound: bind(_bang_image, f.at(bound), bound, web)
     # [x1..xn] ↦ [y1..yn] within b: n + Σ deg yi ≤ b, deg xi ≤ k·f.pre(deg yi) ≤ k·(deg yi + slack),
     # so the input's degree n + Σ deg xi is at most max(k·b, b + k·b·slack).
     k = mset_width(f.src)

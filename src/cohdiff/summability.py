@@ -6,13 +6,12 @@ pairing them through these tags is itself a morphism, and then their
 sum is plain union.  The canonical presentation identifies S with
 (1 & 1) ⊸ – via the dual-numbers object I = 1 & 1.
 
-Every structure map here is natural, so each is one module-level point
-function that its factory wraps for every space, and
-``PointMap.materialize`` shares its pairs across spaces (see ``maps``).
-π_i, ι_i, θ and c (``proj_image``, ``inj_image``, ``theta_image``,
-``flip_image``) are also what ``denot`` applies at the codomain leaf of
-a term's atoms; ``PROJ`` and ``INJ`` hold π_i's and ι_i's point
-function, one object per i.
+Every structure map here is natural: one module-level point function
+serves every space (``maps``' memo contract).  π_i, ι_i, θ and c
+(``proj_image``, ``inj_image``, ``theta_image``, ``flip_image``) are
+also what ``denot`` applies at the codomain leaf of a term's atoms;
+``PROJ`` and ``INJ`` hold π_i's and ι_i's point function, one object
+per i.
 """
 
 from __future__ import annotations

@@ -32,14 +32,10 @@ themselves, never their ``id()``, so an address freed by one value
 cannot be mistaken for another.
 Interned values are immutable: setting or deleting an attribute raises.
 
-The memos of the map layer (``atom_key``, ``spaces.contains``, the
-structural maps' factories and image functions, and the point functions
-and per-atom pairs of ``maps``) are ``run_cache``s:
-unbounded ``lru_cache``s that keep every value they have seen alive only
-until ``end_run``, which ``lawcheck.run_check`` calls when a law check
-returns, so no atom or space of one check outlives it.  ``degree`` and
-``within_budget`` keep plain ``lru_cache``s, but the hot paths read an
-atom's ``deg`` and ``peak`` slots instead.
+The memos of the map layer and the coherence verdicts are
+``run_cache``s.  ``degree`` and ``within_budget`` keep plain
+``lru_cache``s, but the hot paths read an atom's ``deg`` and ``peak``
+slots instead.
 
 Webs of ``!E`` are infinite, so enumeration is controlled by a
 ``Budget`` on the degree of atoms, which each atom carries (``Atom``).
@@ -186,7 +182,15 @@ _RUN_CACHES: list = []
 
 
 def run_cache(fn):
-    """``lru_cache(maxsize=None)`` on fn, emptied by every ``end_run``."""
+    """``lru_cache(maxsize=None)`` on fn, emptied by every ``end_run``.
+
+    A run cache keeps every argument and value it has seen alive until
+    the next ``end_run``.  ``lawcheck.run_check`` calls that when a law
+    check starts and when it returns, so the check owns what it
+    memoizes, and no atom or space of it outlives it.  Outside a check
+    (the calculus side, ``cli``) nothing calls it, so run caches fill
+    for the life of the process there.
+    """
     cached = lru_cache(maxsize=None)(fn)
     _RUN_CACHES.append(cached)
     return cached

@@ -1,6 +1,7 @@
 """The randomized law registry: coverage, determinism, mutation sanity."""
 
 import gc
+import importlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -20,7 +21,7 @@ from cohdiff.lawcheck import (
 )
 from cohdiff.exponential import der, dig, m2
 from cohdiff.maps import PointMap, pm_bang, pm_compose, pm_id, pm_tensor
-from cohdiff.spaces import Bang, BaseSpace, Tensor, With, enumerate_web, is_morphism, web_of
+from cohdiff.spaces import Bang, BaseSpace, Limpl, Tensor, Verdict, With, enumerate_web, is_morphism, web_of
 from cohdiff.web_core import Base, Budget, Tag, within_budget
 
 BUD = Budget(3)
@@ -409,6 +410,44 @@ def test_freed_override_does_not_reuse_cached_verdict(monkeypatch):
     assert not res.ok and res.witness
 
 
+def test_a_check_reads_no_verdict_memoized_before_it(monkeypatch):
+    """``run_check`` empties the run caches when it starts, not only when it returns.
+
+    A first check, with that clearing switched off, leaves its coherence
+    verdicts memoized.  Under a patched ``_verdict`` (⊸ without "a neutral
+    output needs a neutral input", which sum-assoc catches in COH), the
+    same check must fail: it may not read the verdicts of the old one.
+    """
+    verdict = spaces._verdict
+
+    def mutant(E, a, b):
+        if not isinstance(E, Limpl):
+            return verdict(E, a, b)
+        va, vb = spaces._verdict(E.left, a.left, b.left), spaces._verdict(E.right, a.right, b.right)
+        if va is Verdict.NEU and vb is Verdict.NEU:
+            return Verdict.NEU
+        return Verdict.SCOH if not va.coherent or vb.coherent else Verdict.SINCOH
+
+    ctx = MapCtx("coh", Budget(2))
+    monkeypatch.setattr(lawcheck, "end_run", lambda: None)
+    assert run_check("sum-assoc", ctx, seed=0, trials=5).ok
+    assert spaces.coherent.cache_info().currsize
+    monkeypatch.setattr(lawcheck, "end_run", web_core.end_run)
+    monkeypatch.setattr(spaces, "_verdict", mutant)
+    assert not run_check("sum-assoc", ctx, seed=0, trials=5).ok
+    spaces._enumerate_cached.cache_clear()  # it outlives end_run: no web enumerated under the mutant stays
+
+
+def test_every_run_cache_wraps_a_module_function_made_once():
+    """Run caches are made at import from module-level functions, never per map or per check."""
+    importlib.import_module("cohdiff.denot")  # with lawcheck, every module that makes one
+    caches = list(web_core._RUN_CACHES)
+    assert [f.__qualname__ for f in caches if "<locals>" in f.__qualname__] == []
+    for _ in range(2):
+        run_all(kinds=("coh",), seed=0, trials=1, budget=Budget(2))
+        assert web_core._RUN_CACHES == caches
+
+
 @pytest.mark.parametrize("degree", [4, 5])
 def test_registry_passes_at_higher_budgets(degree):
     """Truncation never shows up as a law failure above the default budget."""
@@ -500,31 +539,31 @@ def test_a_law_check_makes_no_cyclic_garbage(name):
 
 
 def test_a_law_check_keeps_no_memo_after_it_returns(monkeypatch):
-    """Every ``run_cache`` and the verdict memo live for one ``run_check`` call.
+    """Every ``run_cache``, coherence verdicts included, lives for one ``run_check`` call.
 
-    During the check ``coherent`` memoizes into a dict; afterwards every
-    run cache is empty, the dict is gone, and once the process-lived
-    enumeration cache is cleared too, no atom or space of the check is
-    left in the intern table.
+    During the check ``coherent`` memoizes; afterwards every run cache
+    is empty, and once the process-lived enumeration cache is cleared
+    too, no atom or space of the check is left in the intern table.
     """
-    fn, caps = REGISTRY["seelyt-mont-2"]
-    memos = []
+    decide, memos = lawcheck._decide, []
 
-    def recorded(ctx, *spaces_drawn):
-        memos.append(isinstance(spaces._verdicts, dict))
-        return fn(ctx, *spaces_drawn)
+    def recorded(result, budget):
+        out = decide(result, budget)
+        memos.append(spaces.coherent.cache_info().currsize)
+        return out
 
-    monkeypatch.setitem(REGISTRY, "seelyt-mont-2", (recorded, caps))
+    monkeypatch.setattr(lawcheck, "_decide", recorded)
     run_caches = [
         web_core.atom_key,
         spaces.contains,
-        *(getattr(exponential, n) for n in ("_dig_image", "_halves", "_tagged", "_split", "_pairings")),
-        *(getattr(exponential, n) for n in ("dig", "contr", "m2", "seely2", "_dig_at", "_m0_at")),
+        spaces.coherent,
+        *(getattr(exponential, n) for n in ("_dig_image", "_halves", "_tagged", "_split", "_pairings", "_m0_image")),
+        *(getattr(exponential, n) for n in ("dig", "contr", "m2", "seely2")),
         differential._dpartial_image,
         differential.dpartial,
-        differential._dpartial_at,
-        differential._dbar_at,
-        *(getattr(maps, n) for n in ("_side_pairs", "_compose_fn", "_tensor_fn", "_pair_fn", "_sfun_fn", "_bang_fn")),
+        differential._dbar_image,
+        maps._side_pairs,
+        maps.bind,
     ]
     assert all(f in web_core._RUN_CACHES for f in run_caches)
     web_core.end_run()  # what earlier tests memoized outside a check
@@ -536,7 +575,6 @@ def test_a_law_check_keeps_no_memo_after_it_returns(monkeypatch):
         assert res.ok
         assert memos and all(memos)
         assert [f.cache_info().currsize for f in web_core._RUN_CACHES] == [0] * len(web_core._RUN_CACHES)
-        assert spaces._verdicts is None
         spaces._enumerate_cached.cache_clear()
         gc.collect()
         assert len(web_core._TABLE) == before

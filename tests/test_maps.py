@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from cohdiff import exponential, web_core
+from cohdiff import exponential, maps, web_core
 from cohdiff.differential import dpartial
 from cohdiff.exponential import contr, der, dig, m2
 from cohdiff.maps import PointMap, pm_bang, pm_compose, pm_from_rel, pm_id
@@ -165,3 +165,17 @@ def test_an_intermediate_atom_of_a_composite_leaves_the_table():
     gc.collect()
     assert all(r() is None for r in built)
     assert (Base, "middle-only") not in web_core._TABLE
+
+
+def test_bind_gives_one_point_function_per_image_and_arguments_in_a_check():
+    """Equal (image, args) give one object until ``end_run``, so equal sides over two spaces share one."""
+    X, Y = _web(1), _web(2)
+    web_core.end_run()
+    fn = maps.bind(exponential._dig_image, 3)
+    assert maps.bind(exponential._dig_image, 3) is fn is dig(X).at(3)
+    assert maps.bind(exponential._dig_image, 2) is not fn
+    assert pm_compose(contr(X), dig(X)).at(3) is pm_compose(contr(Y), dig(Y)).at(3)
+    web_core.end_run()
+    again = maps.bind(exponential._dig_image, 3)
+    assert again is not fn and (again.func, again.args) == (fn.func, fn.args)
+    web_core.end_run()

@@ -33,7 +33,7 @@ from cohdiff.spaces import (
     _enumerate_cached,
     _verdict,
 )
-from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag, atom_key
+from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag
 from relfun import matapp
 
 a, b, c = Base("a"), Base("b"), Base("c")
@@ -317,9 +317,9 @@ def test_constructed_spaces_take_spaces(build):
 def test_unreferenced_spaces_leave_the_table():
     """Spaces share the atoms' weak table; verdicts and webs keep no space alive.
 
-    ``atom_key``'s lru_cache keeps the atoms it has keyed alive (the
-    singleton multiset's entries are sorted by it), so it is cleared
-    before each count.
+    The run caches (``coherent``'s verdicts, ``atom_key``, which sorts
+    the singleton multiset's entries) keep what they have seen alive, so
+    they are emptied (``end_run``) before each count.
     """
 
     def build():
@@ -334,12 +334,12 @@ def test_unreferenced_spaces_leave_the_table():
         values = spaces + webs + atoms
         return [weakref.ref(v) for v in values], len(web_core._TABLE)
 
-    atom_key.cache_clear()
+    web_core.end_run()
     gc.collect()
     before = len(web_core._TABLE)
     refs, during = build()
     assert during == before + len(refs)  # the atoms, the five spaces and their five webs, in one table
-    atom_key.cache_clear()
+    web_core.end_run()
     gc.collect()
     assert all(r() is None for r in refs)
     assert len(web_core._TABLE) == before
