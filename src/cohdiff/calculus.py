@@ -30,19 +30,19 @@ was reduced before it in the process.
 
 A sum that the syntactic rules do not type is typed through the normal
 forms of its summands, the costly part of typing, shared across calls by
-two bounded ``lru_cache``s.  ``_sum_outcome`` maps (sum, frozenset of
-environment items) to the type, or to a copy of the TypeError_, for the
-256 sums used last; ``normalize`` walks through ``_cached_step``, which
-maps (term, frozenset of environment items) to ``step``'s reduct or
-None, for the 1024 terms used last.  Both wrap functions of their keys
-alone, so no type, error, normal form or ``FuelExhausted`` depends on
-what the caches hold.  They store only returned values: a RecursionError
-leaves nothing behind.
+two bounded tables.  ``_NORMAL_FORMS`` maps (term, frozenset of
+environment items), for the 1024 keys used last, to where ``normalize``'s
+walk from it ended and after how many steps, so a reduct already walked
+normalizes in one lookup.  ``_parts_outcome`` maps (normal-form parts,
+environment items), for the 256 used last, to ``_parts_type``'s result.
+Each answers only what its key decides, ``_NORMAL_FORMS`` only within
+the fuel asked for, so no type, error, normal form or ``FuelExhausted``
+text depends on what they hold.  A RecursionError leaves nothing behind.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
 
 
@@ -509,80 +509,93 @@ class TypeError_(TypeError):
 def typecheck(m: Term, env: dict | None = None) -> Ty:
     """m's type under env (free variables to types); raises TypeError_.
 
-    Sums are typed through caches shared across calls, ``_sum_outcome``
-    and ``normalize``'s ``_cached_step`` (see the module docstring).
+    Sums are typed through tables shared across calls, ``normalize``'s
+    ``_NORMAL_FORMS`` and ``_parts_outcome`` (see the module docstring).
     """
     return _ty(m, env or {})
 
 
 def _ty(m: Term, env: dict) -> Ty:
-    if isinstance(m, Var):
-        if m.name not in env:
-            raise TypeError_("unbound variable {}", m.name)
-        return env[m.name]
-    if isinstance(m, Num):
-        return Nat(0)
-    if isinstance(m, Succ):
-        return Arrow(Nat(0), Nat(0))
-    if isinstance(m, Zero):
-        if m.ty is None:
-            raise TypeError_("unannotated 0")
-        return m.ty
-    if isinstance(m, Lam):
-        body = _ty(m.body, {**env, m.var: m.ty})
-        return Arrow(m.ty, body)
-    if isinstance(m, App):
-        f = _ty(m.fun, env)
-        if not isinstance(f, Arrow):
-            raise TypeError_("applying a non-function: {} : {}", m.fun, f)
-        a = _ty(m.arg, env)
-        if a != f.src:
-            raise TypeError_("argument type {} does not match {}", a, f.src)
-        return f.tgt
-    if isinstance(m, DTerm):
-        f = _ty(m.body, env)
-        if not isinstance(f, Arrow):
-            raise TypeError_("D of a non-function type {}", f)
-        return Arrow(dtype(f.src), dtype(f.tgt))
-    if isinstance(m, Proj):
-        t = _ty(m.body, env)
-        out = strip_d(t, m.depth)
-        if out is None:
-            raise TypeError_("pi{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth + 1, t)
-        return out
-    if isinstance(m, Inj):
-        t = _ty(m.body, env)
-        if nat_depth(t) < m.depth:
-            raise TypeError_("iota{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth, t)
-        return dtype(t)
-    if isinstance(m, SigmaT):
-        t = _ty(m.body, env)
-        out = strip_d(t, m.depth + 1)
-        if out is None or strip_d(t, m.depth) is None:
-            raise TypeError_("sigma^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
-        return out
-    if isinstance(m, CTerm):
-        t = _ty(m.body, env)
-        if nat_depth(t) < m.depth + 2:
-            raise TypeError_("c^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
-        return t
-    if isinstance(m, Fix):
-        f = _ty(m.body, env)
-        if not isinstance(f, Arrow) or f.src != f.tgt:
-            raise TypeError_("fix needs A => A, got {}", f)
-        return f.src
-    if isinstance(m, If0):
-        c = _ty(m.cond, env)
-        if c != Nat(0):
-            raise TypeError_("if0 condition must be nat, got {}", c)
-        t1 = _ty(m.then, env)
-        t2 = _ty(m.other, env)
-        if t1 != t2:
-            raise TypeError_("if0 branches disagree: {} vs {}", t1, t2)
-        return t1
-    if isinstance(m, Plus):
-        return _ty_plus(m, env)
-    raise TypeError_("not a term: {!r}", m)
+    rule = _TYPING.get(type(m))
+    if rule is None:
+        raise TypeError_("not a term: {!r}", m)
+    return rule(m, env)
+
+
+def _ty_var(m: Var, env: dict) -> Ty:
+    if m.name not in env:
+        raise TypeError_("unbound variable {}", m.name)
+    return env[m.name]
+
+
+def _ty_zero(m: Zero, env: dict) -> Ty:
+    if m.ty is None:
+        raise TypeError_("unannotated 0")
+    return m.ty
+
+
+def _ty_app(m: App, env: dict) -> Ty:
+    f = _ty(m.fun, env)
+    if not isinstance(f, Arrow):
+        raise TypeError_("applying a non-function: {} : {}", m.fun, f)
+    a = _ty(m.arg, env)
+    if a != f.src:
+        raise TypeError_("argument type {} does not match {}", a, f.src)
+    return f.tgt
+
+
+def _ty_d(m: DTerm, env: dict) -> Ty:
+    f = _ty(m.body, env)
+    if not isinstance(f, Arrow):
+        raise TypeError_("D of a non-function type {}", f)
+    return Arrow(dtype(f.src), dtype(f.tgt))
+
+
+def _ty_proj(m: Proj, env: dict) -> Ty:
+    t = _ty(m.body, env)
+    out = strip_d(t, m.depth)
+    if out is None:
+        raise TypeError_("pi{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth + 1, t)
+    return out
+
+
+def _ty_inj(m: Inj, env: dict) -> Ty:
+    t = _ty(m.body, env)
+    if nat_depth(t) < m.depth:
+        raise TypeError_("iota{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth, t)
+    return dtype(t)
+
+
+def _ty_sigma(m: SigmaT, env: dict) -> Ty:
+    t = _ty(m.body, env)
+    out = strip_d(t, m.depth + 1)
+    if out is None or strip_d(t, m.depth) is None:
+        raise TypeError_("sigma^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
+    return out
+
+
+def _ty_c(m: CTerm, env: dict) -> Ty:
+    t = _ty(m.body, env)
+    if nat_depth(t) < m.depth + 2:
+        raise TypeError_("c^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
+    return t
+
+
+def _ty_fix(m: Fix, env: dict) -> Ty:
+    f = _ty(m.body, env)
+    if not isinstance(f, Arrow) or f.src != f.tgt:
+        raise TypeError_("fix needs A => A, got {}", f)
+    return f.src
+
+
+def _ty_if0(m: If0, env: dict) -> Ty:
+    c = _ty(m.cond, env)
+    if c != Nat(0):
+        raise TypeError_("if0 condition must be nat, got {}", c)
+    t1, t2 = _ty(m.then, env), _ty(m.other, env)
+    if t1 != t2:
+        raise TypeError_("if0 branches disagree: {} vs {}", t1, t2)
+    return t1
 
 
 def _ty_plus(m: Plus, env: dict) -> Ty:
@@ -593,20 +606,17 @@ def _ty_plus(m: Plus, env: dict) -> Ty:
     # is typed by normalizing each summand (bounded) and re-matching the
     # schemas on the results, so reducing inside one summand of a
     # schema-typed sum never loses the type.  That search is the costly
-    # part; nested attempts and successive reducts meet the same sums.
-    out = _sum_outcome(m, frozenset(env.items()))
-    if isinstance(out, TypeError_):
-        raise TypeError_(*out.args)
-    return out
+    # part; nested attempts and successive reducts reach the same parts.
+    return _ty_normal_sum(m, env)
 
 
-@lru_cache(maxsize=256)
-def _sum_outcome(m: Plus, env_items: frozenset) -> Ty | TypeError_:
-    """_ty_normal_sum's type for m, or a never-raised copy (no traceback) of its TypeError_."""
-    try:
-        return _ty_normal_sum(m, dict(env_items))
-    except TypeError_ as e:
-        return TypeError_(*e.args)
+# The typing rule of each constructor.
+_TYPING = {
+    Var: _ty_var, Num: lambda m, env: Nat(0), Succ: lambda m, env: Arrow(Nat(0), Nat(0)), Zero: _ty_zero,
+    Lam: lambda m, env: Arrow(m.ty, _ty(m.body, {**env, m.var: m.ty})),
+    App: _ty_app, DTerm: _ty_d, Proj: _ty_proj, Inj: _ty_inj, SigmaT: _ty_sigma, CTerm: _ty_c,
+    Fix: _ty_fix, If0: _ty_if0, Plus: _ty_plus,
+}
 
 
 def _ty_normal_sum(m: Plus, env: dict) -> Ty:
@@ -616,7 +626,7 @@ def _ty_normal_sum(m: Plus, env: dict) -> Ty:
     try:
         for side in (m.left, m.right):
             for p in _summands(normalize(side, fuel=300, env=env)):
-                if isinstance(p, Zero):
+                if type(p) is Zero:
                     zero_tys.append(p.ty)
                 else:
                     parts.append(p)
@@ -627,13 +637,19 @@ def _ty_normal_sum(m: Plus, env: dict) -> Ty:
         if len(known) == 1:
             return known.pop()
         raise TypeError_("sum of zeros needs one annotation: {}", m)
-    t = _parts_type(parts, env)
+    t = _parts_outcome(tuple(parts), frozenset(env.items()))
     if t is None:
         raise TypeError_("sum not typeable: {}", m)
     for zt in zero_tys:
         if zt is not None and zt != t:
             raise TypeError_("0 annotated {} summed with {}", zt, t)
     return t
+
+
+@lru_cache(maxsize=256)
+def _parts_outcome(parts: tuple, env_items: frozenset) -> Ty | None:
+    """_parts_type on these normal-form parts; a TypeError_ it raises is not stored."""
+    return _parts_type(list(parts), dict(env_items))
 
 
 def _plus_direct(l: Term, r: Term, env: dict) -> Ty | None:
@@ -822,63 +838,58 @@ def _zero_of(m: Term, env: dict) -> Zero:
         return Zero(None)
 
 
-def _dist_head(m: Term, env: dict) -> Term | None:
-    """Push a sum out of a linear construct, or collapse it on zero.
+def _dist(m: Term, head: Term, env: dict, *arg: Term) -> Term | None:
+    """Push a sum in m's head position out of m, or collapse m on a zero there.
 
     Every construct is linear except the argument side of application,
     so sums commute out of (and zeros annihilate) abstraction, the
     function side of application, the tag operators, and D.
     """
-    if isinstance(m, App):
-        head, rest = m.fun, (m.arg,)
-    elif isinstance(m, (Lam, DTerm, Proj, Inj, SigmaT, CTerm)):
-        head, rest = m.body, ()
-    else:
-        return None
-    if isinstance(head, Plus):
-        return Plus(_rebuild(m, head.left, *rest), _rebuild(m, head.right, *rest))
-    if isinstance(head, Zero):
-        return _zero_of(m, env)
-    return None
+    cls = type(head)
+    if cls is Plus:
+        return Plus(_rebuild(m, head.left, *arg), _rebuild(m, head.right, *arg))
+    return _zero_of(m, env) if cls is Zero else None
 
 
-def _head_step(m: Term, env: dict) -> Term | None:
-    """One root-position reduction, or None."""
-    d = _dist_head(m, env)
-    if d is not None:
-        return d
-    if isinstance(m, App):
-        if isinstance(m.fun, Lam):
-            return subst(m.fun.body, m.fun.var, m.arg)
-        if isinstance(m.fun, Succ) and isinstance(m.arg, Num):
-            return Num(m.arg.value + 1)
-    if isinstance(m, DTerm) and isinstance(m.body, Lam):
-        lam = m.body
-        y = fresh("y", free_vars(lam.body) | {lam.var})
+def _head_app(m: App, env: dict) -> Term | None:
+    f = m.fun
+    if type(f) is Lam:
+        return subst(f.body, f.var, m.arg)
+    if type(f) is Succ:
+        return Num(m.arg.value + 1) if type(m.arg) is Num else None
+    return _dist(m, f, env, m.arg)
+
+
+def _head_d(m: DTerm, env: dict) -> Term | None:
+    lam = m.body
+    if type(lam) is not Lam:
+        return _dist(m, lam, env)
+    y = fresh("y", free_vars(lam.body) | {lam.var})
+    try:
         return Lam(y, dtype(lam.ty), dlet(lam.var, Var(y), lam.body, {**env, lam.var: lam.ty}))
-    if isinstance(m, If0) and isinstance(m.cond, Num):
-        return m.then if m.cond.value == 0 else m.other
-    if isinstance(m, Fix):
-        return App(m.body, m)
-    if isinstance(m, _TAGS):
-        # a tag operator commutes into abstraction and the function side
-        # of application, and past a strictly deeper tag operator
-        b = m.body
-        if isinstance(b, Lam):
-            return Lam(b.var, b.ty, _rebuild(m, b.body))
-        if isinstance(b, App):
-            return App(_rebuild(m, b.fun), b.arg)
-        if isinstance(m, Proj) and isinstance(b, Inj) and b.depth == m.depth:
+    except DletUndefined:
+        return None
+
+
+def _head_tag(m: Term, env: dict) -> Term | None:
+    # a tag operator commutes into abstraction and the function side
+    # of application, and past a strictly deeper tag operator
+    b = m.body
+    cls = type(b)
+    if cls is Lam:
+        return Lam(b.var, b.ty, _rebuild(m, b.body))
+    if cls is App:
+        return App(_rebuild(m, b.fun), b.arg)
+    if cls in _COMMUTE:
+        if type(m) is Proj and cls is Inj and b.depth == m.depth:
             return b.body if b.index == m.index else _zero_of(m, env)
-        if isinstance(m, Proj) and isinstance(b, SigmaT) and b.depth == m.depth:
+        if type(m) is Proj and cls is SigmaT and b.depth == m.depth:
+            d, z = m.depth, b.body
             if m.index == 0:
-                return Proj(0, m.depth, Proj(0, m.depth, b.body))
-            return Plus(
-                Proj(1, m.depth, Proj(0, m.depth, b.body)),
-                Proj(0, m.depth, Proj(1, m.depth, b.body)),
-            )
+                return Proj(0, d, Proj(0, d, z))
+            return Plus(Proj(1, d, Proj(0, d, z)), Proj(0, d, Proj(1, d, z)))
         return _commute(m, b)
-    return None
+    return _dist(m, b, env)
 
 
 # Per tag operator, (gap, shift): it commutes past a tag operator at depth
@@ -894,28 +905,35 @@ def _commute(m: Term, b: Term) -> Term | None:
     touches, adjusting the deeper depth by the number of layers the
     outer one adds or removes.
     """
-    if not isinstance(b, _TAGS):
-        return None
     gap, shift = _COMMUTE[type(m)]
     if b.depth < m.depth + gap:
         return None
     return _rebuild(b, _rebuild(m, b.body), depth=b.depth + shift)
 
 
+# The root-position reduction of each constructor, or None where it has none.
+_HEAD_STEPS = {
+    Var: None, Num: None, Succ: None, Zero: None, Plus: None,
+    Lam: lambda m, env: _dist(m, m.body, env),
+    App: _head_app, DTerm: _head_d, **dict.fromkeys(_TAGS, _head_tag),
+    If0: lambda m, env: (m.then if m.cond.value == 0 else m.other) if type(m.cond) is Num else None,
+    Fix: lambda m, env: App(m.body, m),
+}
+
+
 def step(m: Term, env: dict | None = None) -> Term | None:
     """One leftmost-outermost reduction step, or None if normal."""
     env = env or {}
-    try:
-        h = _head_step(m, env)
-    except DletUndefined:
-        h = None
+    cls = type(m)
+    head = _HEAD_STEPS[cls]
+    h = None if head is None else head(m, env)
     if h is not None:
         return h
-    if isinstance(m, Lam):
+    if cls is Lam:
         b = step(m.body, {**env, m.var: m.ty})
         return None if b is None else Lam(m.var, m.ty, b)
     # otherwise step the leftmost subterm that can step
-    for i, name in enumerate(_SUBTERMS[type(m)]):
+    for i, name in enumerate(_SUBTERMS[cls]):
         s = step(getattr(m, name), env)
         if s is not None:
             kids = list(_kids(m))
@@ -928,18 +946,40 @@ class FuelExhausted(RuntimeError):
     pass
 
 
+# normalize's table: (term, environment items) -> (end, steps, normal) for
+# the 1024 keys used last.  end is that many steps down the term's chain, no
+# term before it there is normal, and normal says whether end is.
+_NORMAL_FORMS: OrderedDict = OrderedDict()
+_NORMAL_FORMS_CAP = 1024
+
+
 def normalize(m: Term, fuel: int = 1000, env: dict | None = None) -> Term:
-    """m's normal form within fuel steps, else FuelExhausted."""
-    env_items = frozenset((env or {}).items())
-    for _ in range(fuel):
-        n = _cached_step(m, env_items)
-        if n is None:
-            return m
-        m = n
-    raise FuelExhausted(f"no normal form within {fuel} steps: {to_text(m)}")
+    """m's normal form within fuel steps, else FuelExhausted.
 
-
-@lru_cache(maxsize=1024)
-def _cached_step(m: Term, env_items: frozenset) -> Term | None:
-    """``step`` under the environment with these items: normalize's shared walks."""
-    return step(m, dict(env_items))
+    The walk jumps along ``_NORMAL_FORMS`` wherever an entry stays within
+    the fuel, steps elsewhere, and then records every term it left.
+    """
+    env = env or {}
+    env_items = frozenset(env.items())
+    trail, steps = [], 0  # each term left, with the steps taken before it
+    while steps < fuel:
+        trail.append((m, steps))
+        hit = _NORMAL_FORMS.get((m, env_items))
+        # a normal end takes one more unit of fuel: the step that finds it normal
+        if hit is not None and steps + hit[1] + hit[2] <= fuel:
+            m, steps = hit[0], steps + hit[1]
+            if hit[2]:
+                break
+        elif (n := step(m, env)) is None:
+            break
+        else:
+            m, steps = n, steps + 1
+    normal = steps < fuel
+    for t, at in reversed(trail):  # the earliest entry of a cycle is written last
+        _NORMAL_FORMS[t, env_items] = (m, steps - at, normal)
+        _NORMAL_FORMS.move_to_end((t, env_items))
+    while len(_NORMAL_FORMS) > _NORMAL_FORMS_CAP:
+        _NORMAL_FORMS.popitem(last=False)
+    if not normal:
+        raise FuelExhausted(f"no normal form within {fuel} steps: {to_text(m)}")
+    return m

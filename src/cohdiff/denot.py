@@ -15,6 +15,10 @@ summability tags then move to the codomain leaves of the types through
 the iso S(!E ⊸ F) ≅ !E ⊸ SF, matching D(A ⇒ B) = DA ⇒ DB.  The tag
 operators are the summability maps π_i, ι_i, θ and c, applied at the
 codomain leaf where their tag layers sit.
+
+``interp_term`` dispatches on the constructor through ``_CLAUSES``.  One
+``interp_closed`` call denotes each (subterm, context) once, through a
+memo local to the call: nothing outlives it.
 """
 
 from __future__ import annotations
@@ -61,20 +65,11 @@ def interp_type(t: cal.Ty, sem: SemEnv) -> Space:
     return Limpl(Bang(interp_type(t.src, sem)), interp_type(t.tgt, sem))
 
 
-def ctx_space(ctx: list, sem: SemEnv) -> Space:
+def ctx_space(ctx: tuple, sem: SemEnv) -> Space:
     s: Space = top(sem.kind)
     for _, ty in ctx:
         s = With(s, interp_type(ty, sem))
     return s
-
-
-def _var_path(ctx: list, name: str, a: Atom) -> Atom:
-    """Atom of the context space addressing variable ``name``."""
-    idx = max(i for i, (n, _) in enumerate(ctx) if n == name)
-    out = Tag(1, a)
-    for _ in range(len(ctx) - 1 - idx):
-        out = Tag(0, out)
-    return out
 
 
 # -- S-tag plumbing at the codomain leaf of an atom ------------------------
@@ -109,100 +104,100 @@ def _tag_image(m: cal.Term):
 # -- term interpretation ----------------------------------------------------
 
 
-def interp_term(m: cal.Term, ctx: list, sem: SemEnv) -> frozenset:
-    """The graph of ⟦Γ ⊢ M⟧ as a set of (context multiset, atom) pairs."""
-    budget = sem.budget
-    tyenv = dict(ctx)
+def interp_term(m: cal.Term, ctx: tuple, sem: SemEnv, memo: dict) -> frozenset:
+    """The graph of ⟦Γ ⊢ M⟧ as a set of (context multiset, atom) pairs.
 
-    if isinstance(m, cal.Var):
-        ty = tyenv[m.name]
-        out = set()
-        for a in enumerate_web(interp_type(ty, sem), budget):
-            out.add((Multiset.of([_var_path(ctx, m.name, a)]), a))
-        return frozenset(out)
+    ctx is Γ as a tuple of (name, type) pairs.  memo maps each (term,
+    context) already denoted in this ``interp_closed`` call to its graph:
+    the schema π0 M + π1 M names M twice.
+    """
+    out = memo.get((m, ctx))
+    if out is None:
+        clause = _CLAUSES.get(type(m))
+        if clause is None:
+            raise TypeError(f"no interpretation clause for {m!r}")
+        out = memo[m, ctx] = clause(m, ctx, sem, memo)
+    return out
 
-    if isinstance(m, cal.Num):
-        if m.value > sem.nmax:
-            return frozenset()
-        return frozenset({(Multiset(), nat_atom(m.value))})
 
-    if isinstance(m, cal.Succ):
-        out = set()
-        for n in range(sem.nmax):
-            out.add(
-                (
-                    Multiset(),
-                    Pair(Multiset.of([nat_atom(n)]), nat_atom(n + 1)),
-                )
-            )
-        return frozenset(out)
+def _interp_var(m: cal.Var, ctx: tuple, sem: SemEnv, memo: dict) -> frozenset:
+    idx = max(i for i, (n, _) in enumerate(ctx) if n == m.name)
+    out = set()
+    for a in enumerate_web(interp_type(ctx[idx][1], sem), sem.budget):
+        path = Tag(1, a)  # the atom of the context space addressing the variable
+        for _ in range(len(ctx) - 1 - idx):
+            path = Tag(0, path)
+        out.add((Multiset.of([path]), a))
+    return frozenset(out)
 
-    if isinstance(m, cal.Zero):
-        return frozenset()
 
-    if isinstance(m, cal.Plus):
-        return interp_term(m.left, ctx, sem) | interp_term(m.right, ctx, sem)
+def _interp_lam(m: cal.Lam, ctx: tuple, sem: SemEnv, memo: dict) -> frozenset:
+    out = set()
+    for mm, b in interp_term(m.body, (*ctx, (m.var, m.ty)), sem, memo):
+        c_part, a_part = [], []
+        for x, k in mm.entries:
+            (c_part if x.index == 0 else a_part).append((x.inner, k))
+        out.add((Multiset.from_counts(c_part), Pair(Multiset.from_counts(a_part), b)))
+    return frozenset(out)
 
-    if isinstance(m, cal.Lam):
-        inner = interp_term(m.body, ctx + [(m.var, m.ty)], sem)
-        out = set()
-        for mm, b in inner:
-            c_part, a_part = [], []
-            for x, k in mm.entries:
-                (c_part if x.index == 0 else a_part).append((x.inner, k))
-            out.add(
-                (
-                    Multiset.from_counts(c_part),
-                    Pair(Multiset.from_counts(a_part), b),
-                )
-            )
-        return frozenset(out)
 
-    if isinstance(m, cal.App):
-        frel = interp_term(m.fun, ctx, sem)
-        arel = interp_term(m.arg, ctx, sem)
-        return _sem_app(frel, arel, ctx_space(ctx, sem), sem)
+def _interp_if0(m: cal.If0, ctx: tuple, sem: SemEnv, memo: dict) -> frozenset:
+    crel = interp_term(m.cond, ctx, sem, memo)
+    trel = interp_term(m.then, ctx, sem, memo)
+    orel = interp_term(m.other, ctx, sem, memo)
+    C = ctx_space(ctx, sem)
+    out = set()
+    for m0, v in crel:
+        branch = trel if v == nat_atom(0) else orel
+        for m1, b in branch:
+            tot = _merge_ctx((m0, m1), C, sem)
+            if tot is not None:
+                out.add((tot, b))
+    return frozenset(out)
 
-    if isinstance(m, cal.If0):
-        crel = interp_term(m.cond, ctx, sem)
-        trel = interp_term(m.then, ctx, sem)
-        orel = interp_term(m.other, ctx, sem)
-        C = ctx_space(ctx, sem)
-        out = set()
-        for m0, v in crel:
-            branch = trel if v == nat_atom(0) else orel
-            for m1, b in branch:
-                tot = _merge_ctx((m0, m1), C, sem)
-                if tot is not None:
-                    out.add((tot, b))
-        return frozenset(out)
 
-    if isinstance(m, (cal.Proj, cal.Inj, cal.SigmaT, cal.CTerm)):
-        fn = _tag_image(m)
-        return frozenset((mm, c) for mm, b in interp_term(m.body, ctx, sem) for c in _at_leaf(b, m.depth, fn))
+def _interp_tag(m: cal.Term, ctx: tuple, sem: SemEnv, memo: dict) -> frozenset:
+    fn = _tag_image(m)
+    return frozenset((mm, c) for mm, b in interp_term(m.body, ctx, sem, memo) for c in _at_leaf(b, m.depth, fn))
 
-    if isinstance(m, cal.DTerm):
-        fty = cal.typecheck(m.body, tyenv)
-        E = interp_type(fty.src, sem)
-        out = set()
-        for mm, fa in interp_term(m.body, ctx, sem):
-            for dm, db in dhat_graph(E, [(fa.left, fa.right)], budget.max_degree):
-                # S⟦A⟧ ≅ ⟦DA⟧ and S⟦B⟧ ≅ ⟦DB⟧ move each tag to the codomain leaf
-                dm = Multiset.from_counts((add_s(x.index, x.inner), k) for x, k in dm.entries)
-                out.add((mm, Pair(dm, add_s(db.index, db.inner))))
-        return frozenset(out)
 
-    if isinstance(m, cal.Fix):
-        frel = interp_term(m.body, ctx, sem)
-        C = ctx_space(ctx, sem)
-        cur: frozenset = frozenset()
-        while True:
-            nxt = cur | _sem_app(frel, cur, C, sem)
-            if nxt == cur:
-                return cur
-            cur = nxt
+def _interp_d(m: cal.DTerm, ctx: tuple, sem: SemEnv, memo: dict) -> frozenset:
+    E = interp_type(cal.typecheck(m.body, dict(ctx)).src, sem)
+    out = set()
+    for mm, fa in interp_term(m.body, ctx, sem, memo):
+        for dm, db in dhat_graph(E, [(fa.left, fa.right)], sem.budget.max_degree):
+            # S⟦A⟧ ≅ ⟦DA⟧ and S⟦B⟧ ≅ ⟦DB⟧ move each tag to the codomain leaf
+            dm = Multiset.from_counts((add_s(x.index, x.inner), k) for x, k in dm.entries)
+            out.add((mm, Pair(dm, add_s(db.index, db.inner))))
+    return frozenset(out)
 
-    raise TypeError(f"no interpretation clause for {m!r}")
+
+def _interp_fix(m: cal.Fix, ctx: tuple, sem: SemEnv, memo: dict) -> frozenset:
+    frel = interp_term(m.body, ctx, sem, memo)
+    C = ctx_space(ctx, sem)
+    cur: frozenset = frozenset()
+    while True:
+        nxt = cur | _sem_app(frel, cur, C, sem)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+# The interpretation clause of each constructor.
+_CLAUSES = {
+    cal.Var: _interp_var,
+    cal.Num: lambda m, ctx, sem, memo: frozenset({(Multiset(), nat_atom(m.value))} if m.value <= sem.nmax else ()),
+    cal.Succ: lambda m, ctx, sem, memo: frozenset(
+        (Multiset(), Pair(Multiset.of([nat_atom(n)]), nat_atom(n + 1))) for n in range(sem.nmax)
+    ),
+    cal.Zero: lambda m, ctx, sem, memo: frozenset(),
+    cal.Plus: lambda m, ctx, sem, memo: interp_term(m.left, ctx, sem, memo) | interp_term(m.right, ctx, sem, memo),
+    cal.App: lambda m, ctx, sem, memo: _sem_app(
+        interp_term(m.fun, ctx, sem, memo), interp_term(m.arg, ctx, sem, memo), ctx_space(ctx, sem), sem
+    ),
+    cal.Lam: _interp_lam, cal.If0: _interp_if0, cal.DTerm: _interp_d, cal.Fix: _interp_fix,
+    **dict.fromkeys(cal._TAGS, _interp_tag),
+}
 
 
 def _merge_ctx(parts, C: Space, sem: SemEnv):
@@ -233,8 +228,12 @@ def _sem_app(frel, arel, C: Space, sem: SemEnv) -> frozenset:
 
 
 def interp_closed(m: cal.Term, sem: SemEnv) -> frozenset:
-    """Graph of a closed term: the context multiset is always empty."""
-    return interp_term(m, [], sem)
+    """Graph of a closed term: the context multiset is always empty.
+
+    Each (subterm, context) is denoted once per call, through a memo that
+    the call drops when it returns.
+    """
+    return interp_term(m, (), sem, {})
 
 
 def soundness_check(m: cal.Term, n: cal.Term, sem: SemEnv | None = None):

@@ -331,22 +331,21 @@ def outcome(m):
         return str(e)
 
 
-CACHES = ("_sum_outcome", "_cached_step")
-
-
 def cache_sizes():
-    return [getattr(cal, name).cache_info().currsize for name in CACHES]
+    """The sizes of the parts memo and of normalize's table."""
+    return [cal._parts_outcome.cache_info().currsize, len(cal._NORMAL_FORMS)]
 
 
 def clear_caches():
-    for name in CACHES:
-        getattr(cal, name).cache_clear()
+    cal._parts_outcome.cache_clear()
+    cal._NORMAL_FORMS.clear()
 
 
 def test_memo_types_each_sum_once_per_call(monkeypatch):
-    """Corpus term 1530's reducts, from empty caches: successive reducts share their
-    sums.  A table per typecheck call took 6,354 typing rules and 840 normalizations;
-    no table at all took 372,078 typing rules and normalized 371,580 summands."""
+    """Corpus term 1530's reducts, from empty tables: successive reducts share their
+    sums' normal forms.  A table per typecheck call took 6,354 typing rules and 840
+    normalizations; no table at all took 372,078 typing rules and normalized 371,580
+    summands."""
     m, t = make_corpus(seed=0, count=1600)[1530]
     rs = reducts(m)
     clear_caches()
@@ -378,47 +377,54 @@ def corpus_trajectories(count=400):
     return [[m, *reducts(m)] for m, _ in make_corpus(seed=0, count=count)]
 
 
-def nf_outcome(m, fuel):
-    """normalize's normal form for m within fuel, or the text of its FuelExhausted."""
+def walk_by_steps(m, fuel=1000, env=None):
+    """normalize without its table: fuel steps at most, each by step."""
+    for _ in range(fuel):
+        n = step(m, env)
+        if n is None:
+            return m
+        m = n
+    raise FuelExhausted(f"no normal form within {fuel} steps: {to_text(m)}")
+
+
+def nf_outcome(m, fuel, walker=normalize):
+    """walker's normal form for m within fuel, or the text of its FuelExhausted."""
     try:
-        return normalize(m, fuel=fuel)
+        return walker(m, fuel=fuel)
     except FuelExhausted as e:
         return str(e)
 
 
-def uncached(monkeypatch, *names):
-    """Swap each named cache for the function it wraps."""
-    for name in names:
-        monkeypatch.setattr(cal, name, getattr(cal, name).__wrapped__)
-
-
 def test_memo_agrees_with_unmemoized_typing(monkeypatch):
-    """Oracle: the sum cache changes no type and no error text on corpus reducts."""
+    """Oracle: the parts memo changes no type and no error text on corpus reducts."""
     terms = [r for path in corpus_trajectories() for r in path]
     cached = [outcome(r) for r in terms]
-    uncached(monkeypatch, "_sum_outcome")
+    monkeypatch.setattr(cal, "_parts_outcome", cal._parts_outcome.__wrapped__)
     assert [outcome(r) for r in terms] == cached
     assert len(terms) > 2000
 
 
 def test_memo_agrees_with_unmemoized_typing_with_the_table_empty(monkeypatch):
-    """The oracle holds with the step cache off too, and the step cache alone changes no outcome."""
+    """The oracle holds with normalize's table unread too, and that table alone changes no outcome."""
     terms = [r for path in corpus_trajectories() for r in path]
     cached = [outcome(r) for r in terms]
     with monkeypatch.context() as mp:
-        uncached(mp, "_cached_step")
+        mp.setattr(cal, "normalize", walk_by_steps)
         assert [outcome(r) for r in terms] == cached
-    uncached(monkeypatch, *CACHES)
+    monkeypatch.setattr(cal, "normalize", walk_by_steps)
+    monkeypatch.setattr(cal, "_parts_outcome", cal._parts_outcome.__wrapped__)
     assert [outcome(r) for r in terms] == cached
 
 
-def test_normal_form_table_is_fuel_exact(monkeypatch):
-    """Oracle: the step cache changes no normal form and no FuelExhausted message, at any fuel."""
+def test_normal_form_table_is_fuel_exact():
+    """Oracle: the table changes no normal form and no FuelExhausted message, at any fuel,
+    whether the fuels come in rising or in falling order."""
     cases = [(r, fuel) for path in corpus_trajectories() for r in path for fuel in FUELS]
-    cached = [nf_outcome(r, fuel) for r, fuel in cases]
-    uncached(monkeypatch, "_cached_step")
-    got = [nf_outcome(r, fuel) for r, fuel in cases]
-    assert [i for i, (a, b) in enumerate(zip(cached, got)) if a != b] == []
+    want = [nf_outcome(r, fuel, walk_by_steps) for r, fuel in cases]
+    for order in (range(len(cases)), reversed(range(len(cases)))):
+        clear_caches()
+        got = {i: nf_outcome(*cases[i]) for i in order}
+        assert [i for i in got if got[i] != want[i]] == []
     assert len(cases) > 20_000
 
 
@@ -427,30 +433,35 @@ SUM_BY_NORMAL_FORMS = "pi0 (iota0 1) + pi1 ((\\x:D nat. x) (iota0 1))"
 
 @pytest.mark.parametrize("error, stored", [(RecursionError, False), (FuelExhausted, True)])
 def test_only_depth_independent_failures_are_stored(monkeypatch, error, stored):
-    """A summand walk's FuelExhausted is a fact about the sum, kept as its type error; a
-    RecursionError depends on the stack depth, so it reaches typecheck's caller and is kept nowhere."""
+    """A summand walk that runs out of fuel is a fact about the summand, kept in normalize's
+    table and read back as the sum's type error; a RecursionError depends on the stack depth,
+    so it reaches typecheck's caller and is kept nowhere."""
     m = parse(f"succ ({SUM_BY_NORMAL_FORMS})")
     clear_caches()
     calls = []
 
-    def failing(*args, **kwargs):
-        calls.append(args)
-        raise error
+    def failing(n, env=None):
+        calls.append(n)
+        if error is RecursionError:
+            raise error
+        return n  # a walk that never reaches a normal form
 
     with monkeypatch.context() as mp:
-        mp.setattr(cal, "normalize", failing)
+        mp.setattr(cal, "step", failing)
+        per_call = []
         for _ in range(2):
             with pytest.raises(TypeError_ if stored else RecursionError):
                 typecheck(m)
-        assert cache_sizes() == [int(stored), 0]
-        assert len(calls) == (1 if stored else 2)  # a stored error is read, not recomputed
-    clear_caches()  # the stored error is the patched normalize's, not the sum's
+            per_call.append(len(calls) - sum(per_call))
+        assert cache_sizes() == [0, int(stored)]
+        assert per_call == ([300, 0] if stored else [1, 1])  # a stored failure is read, not recomputed
+    clear_caches()  # the stored failure is the patched step's, not the summand's
     assert typecheck(m) == Nat(0)
 
 
 def test_walk_that_absorbs_a_recursion_error_stores_nothing(monkeypatch):
     """No walk absorbs a RecursionError: one met while typing a reduct reaches
-    normalize's caller, and neither cache keeps anything."""
+    normalize's caller, and neither table keeps anything."""
     m = parse(f"pi1 (iota0 ({SUM_BY_NORMAL_FORMS}))")  # steps to a zero annotated with the sum's type
     walk = cal.normalize  # the real one: only the nested calls below meet the patch
     clear_caches()
@@ -468,9 +479,13 @@ def test_walk_that_absorbs_a_recursion_error_stores_nothing(monkeypatch):
 
 
 def test_normal_form_table_stays_bounded():
-    """Two typing passes over the corpus reducts: both caches stay within their caps, memory stays flat."""
-    terms = [r for path in corpus_trajectories() for r in path]
-    caps = [getattr(cal, name).cache_info().maxsize for name in CACHES]
+    """Two typing passes over the corpus reducts: both tables stay within their caps, memory stays flat.
+
+    The reducts of 400 terms reach only about 200 distinct sets of normal-form parts, so the
+    parts memo is filled from 1600."""
+    terms = [r for path in corpus_trajectories(1600) for r in path]
+    caps = [cal._parts_outcome.cache_info().maxsize, cal._NORMAL_FORMS_CAP]
+    assert caps == [256, 1024]
     clear_caches()
     gc.collect()
     tracemalloc.start()
@@ -486,7 +501,7 @@ def test_normal_form_table_stays_bounded():
         tracemalloc.stop()
     assert cache_sizes() == caps
     before, first, second = traced
-    assert first - before <= 1_000_000  # the full caches
+    assert first - before <= 1_000_000  # the full tables
     assert second - first <= 50_000
 
 

@@ -144,6 +144,39 @@ def test_corpus_denotations_match_golden():
     assert corpus_den_matches_golden()
 
 
+@pytest.mark.parametrize("kind", ["coh", "nucs", "rel"])
+def test_memo_changes_no_denotation_and_outlives_no_call(monkeypatch, kind):
+    """Oracle: interp_closed's per-call memo changes no graph of make_corpus(0, 200), and
+    once a call returns nothing holds its term.  The last term names x under two contexts,
+    which the corpus does not: a memo keyed on the subterm alone fails on it."""
+    sem = SemEnv(kind=kind, nmax=3, budget=Budget(3))
+    terms = [m for m, _t in make_corpus(seed=0, count=200)] + [parse("(\\x:nat. x) ((\\x:nat. \\y:nat. x) 0 1)")]
+    refs = [sys.getrefcount(m) for m in terms]
+    memoized = [interp_closed(m, sem) for m in terms]
+    # D's clause types its body, and calculus's bounded tables may keep that body's summands
+    cal._NORMAL_FORMS.clear()
+    cal._parts_outcome.cache_clear()
+    assert [sys.getrefcount(m) for m in terms] == refs
+    real = denot.interp_term  # with the memo patched out, every call starts from an empty one
+    monkeypatch.setattr(denot, "interp_term", lambda m, ctx, sem, memo: real(m, ctx, sem, {}))
+    assert [interp_closed(m, sem) for m in terms] == memoized
+
+
+def test_every_constructor_has_a_clause_in_each_dispatch_table():
+    """Typing, reduction and interpretation each dispatch through a table with every constructor;
+    a value that is not a term is refused by each walk."""
+    for table in (cal._TYPING, cal._HEAD_STEPS, denot._CLAUSES):
+        assert set(table) == set(cal._SUBTERMS)
+    with pytest.raises(cal.TypeError_, match="not a term: 3"):
+        cal.typecheck(3)
+    with pytest.raises(TypeError, match="not a term: 3"):
+        cal.to_text(3)
+    with pytest.raises(TypeError, match="not a term: 3"):
+        cal.dlet("x", cal.Var("x"), 3)
+    with pytest.raises(TypeError, match="no interpretation clause for 3"):
+        denot.interp_term(3, (), SEM, {})
+
+
 CORPUS_DEN_SCRIPT = """
 import hashlib
 
