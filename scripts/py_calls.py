@@ -17,7 +17,8 @@ hash by identity, so set order, and with it the count, still varies with
 memory addresses: by under 0.02% between runs of one source under one
 hash seed on the laws workloads.  That is far below wall time's spread
 on a shared host, so two checkouts can be compared by it.  Counting
-slows the pass about twofold.
+slows the pass about twofold.  If the output is piped into a reader
+that stops early (``| head -1``), the script stops writing and exits 0.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -68,9 +70,13 @@ def main(argv=None) -> int:
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     failed = sum(not r["ok"] for r in records)
     total = sum(calls.values())
-    print(f"{args.workload} seed {spec['seed']}: {total} calls, {len(records)} ops, {failed} failed, digest {digest[:16]}")
-    for name, n in calls.most_common(10):
-        print(f"{n:>10}  {name}")
+    try:
+        print(f"{args.workload} seed {spec['seed']}: {total} calls, {len(records)} ops, {failed} failed, digest {digest[:16]}")
+        for name, n in calls.most_common(10):
+            print(f"{n:>10}  {name}")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed the pipe (`| head -1`): stop writing, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

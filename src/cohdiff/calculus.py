@@ -38,12 +38,18 @@ environment items), for the 256 used last, to ``_parts_type``'s result.
 Each answers only what its key decides, ``_NORMAL_FORMS`` only within
 the fuel asked for, so no type, error, normal form or ``FuelExhausted``
 text depends on what they hold.  A RecursionError leaves nothing behind.
+
+``parse`` and ``parse_type`` read what ``to_text`` and ``ty_to_text``
+print; the grammar and its errors are in ``web_core``'s text section.
 """
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict, namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
+
+from .web_core import Tokens
 
 
 def _node(name: str, fields: str = "", *defaults):
@@ -257,152 +263,104 @@ class ParseError(ValueError):
     pass
 
 
-def _tokens(text: str):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "\\().:+^[]":
-            out.append(ch)
-            i += 1
-        elif text.startswith("=>", i):
-            out.append("=>")
-            i += 2
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"bad character {ch!r}")
-    return out
+_TERM_TOKENS = re.compile(r"\s*(?:(=>|[\\().:+^\[\]]|\d+|[^\W\d]\w*)|(\S))")
 
-
-class _P:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input")
-        self.i += 1
-        return t
-
-    def expect(self, t):
-        got = self.next()
-        if got != t:
-            raise ParseError(f"expected {t!r}, got {got!r}")
-
-    # types -----------------------------------------------------------
-    def ty(self) -> Ty:
-        left = self.ty_atom()
-        if self.peek() == "=>":
-            self.next()
-            return Arrow(left, self.ty())
-        return left
-
-    def ty_atom(self) -> Ty:
-        t = self.next()
-        if t == "(":
-            inner = self.ty()
-            self.expect(")")
-            return inner
-        if t == "nat":
-            return Nat(0)
-        if t == "D":
-            return dtype(self.ty_atom())
-        raise ParseError(f"bad type token {t!r}")
-
-    # terms -----------------------------------------------------------
-    def term(self) -> Term:
-        left = self.app()
-        while self.peek() == "+":
-            self.next()
-            left = Plus(left, self.app())
-        return left
-
-    def app(self) -> Term:
-        parts = [self.atom()]
-        while self.peek() not in (None, ")", "+", "]"):
-            parts.append(self.atom())
-        m = parts[0]
-        for p in parts[1:]:
-            m = App(m, p)
-        return m
-
-    def atom(self) -> Term:
-        t = self.next()
-        if t == "(":
-            inner = self.term()
-            self.expect(")")
-            return inner
-        if t == "\\":
-            name = self.next()
-            self.expect(":")
-            ty = self.ty()
-            self.expect(".")
-            return Lam(name, ty, self.term())
-        if t == "0" and self.peek() == "[":
-            self.next()
-            ty = self.ty()
-            self.expect("]")
-            return Zero(ty)
-        if t.isdigit():
-            return Num(int(t))
-        if t in ("pi0", "pi1", "iota0", "iota1", "sigma", "c"):
-            d = 0
-            if self.peek() == "^":
-                self.next()
-                d = int(self.next())
-            body = self.atom()
-            if t.startswith("pi"):
-                return Proj(int(t[-1]), d, body)
-            if t.startswith("iota"):
-                return Inj(int(t[-1]), d, body)
-            if t == "sigma":
-                return SigmaT(d, body)
-            return CTerm(d, body)
-        if t == "D":
-            return DTerm(self.atom())
-        if t == "fix":
-            return Fix(self.atom())
-        if t == "succ":
-            return Succ()
-        if t == "if0":
-            return If0(self.atom(), self.atom(), self.atom())
-        if t[0].isalpha() or t[0] == "_":
-            return Var(t)
-        raise ParseError(f"bad term token {t!r}")
+# Each operator name the parser reads, from _OPNAMES: its constructor on (depth, body).
+_OPS = {f"{_OPNAMES[c]}{i}": partial(c, i) for c in (Proj, Inj) for i in (0, 1)}
+_OPS.update((_OPNAMES[c], c) for c in (SigmaT, CTerm))
+_PREFIXES = {"D": DTerm, "fix": Fix}
+_KEYWORDS = {*_OPS, *_PREFIXES, "succ", "if0"}
 
 
 def parse(text: str) -> Term:
-    p = _P(_tokens(text))
-    m = p.term()
-    if p.peek() is not None:
-        raise ParseError(f"trailing tokens at {p.peek()!r}")
-    return m
+    return _read(text, _term)
 
 
 def parse_type(text: str) -> Ty:
-    p = _P(_tokens(text))
-    t = p.ty()
-    if p.peek() is not None:
-        raise ParseError(f"trailing tokens at {p.peek()!r}")
-    return t
+    return _read(text, _type)
+
+
+def _read(text: str, grammar):
+    toks = Tokens(text, _TERM_TOKENS, ParseError)
+    out = grammar(toks)
+    toks.end("trailing tokens at {!r}")
+    return out
+
+
+def _type(toks: Tokens) -> Ty:
+    left = _type_atom(toks)
+    if toks.peek() == "=>":
+        toks.next()
+        return Arrow(left, _type(toks))
+    return left
+
+
+def _type_atom(toks: Tokens) -> Ty:
+    t = toks.next()
+    if t == "(":
+        inner = _type(toks)
+        toks.expect(")")
+        return inner
+    if t == "nat":
+        return Nat(0)
+    if t == "D":
+        return dtype(_type_atom(toks))
+    toks.fail(f"bad type token {t!r}")
+
+
+def _term(toks: Tokens) -> Term:
+    left = _app(toks)
+    while toks.peek() == "+":
+        toks.next()
+        left = Plus(left, _app(toks))
+    return left
+
+
+def _app(toks: Tokens) -> Term:
+    m = _operand(toks)
+    while toks.peek() not in (None, ")", "+", "]"):
+        m = App(m, _operand(toks))
+    return m
+
+
+def _operand(toks: Tokens) -> Term:
+    t = toks.next()
+    if t == "(":
+        inner = _term(toks)
+        toks.expect(")")
+        return inner
+    if t == "\\":
+        name = toks.next()
+        if name in _KEYWORDS or not (name[0].isalpha() or name[0] == "_"):
+            toks.fail(f"expected a variable, got {name!r}")
+        toks.expect(":")
+        ty = _type(toks)
+        toks.expect(".")
+        return Lam(name, ty, _term(toks))
+    if t == "0" and toks.peek() == "[":
+        toks.next()
+        ty = _type(toks)
+        toks.expect("]")
+        return Zero(ty)
+    if t.isdecimal():
+        return Num(int(t))
+    if t in _OPS:
+        depth = "0"
+        if toks.peek() == "^":
+            toks.next()
+            depth = toks.next()
+            if not depth.isdecimal():
+                toks.fail(f"expected a depth, got {depth!r}")
+        return _OPS[t](int(depth), _operand(toks))
+    if t in _PREFIXES:
+        return _PREFIXES[t](_operand(toks))
+    if t == "succ":
+        return Succ()
+    if t == "if0":
+        return If0(_operand(toks), _operand(toks), _operand(toks))
+    if t[0].isalpha() or t[0] == "_":
+        return Var(t)
+    toks.fail(f"bad term token {t!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ given).
 from __future__ import annotations
 
 import enum
+import re
 from functools import lru_cache
 
 from .web_core import (
@@ -39,6 +40,7 @@ from .web_core import (
     Rel,
     STAR,
     Tag,
+    Tokens,
     _Interned,
     _lookup,
     _make,
@@ -408,7 +410,7 @@ def _enum_msets(inner: list, later, cands, left: int, chosen: list):
 #
 #   space <name> kind=coh|nucs|rel atoms{a b c} scoh{(a,b) ...} [sincoh{...}]
 #
-# and constructed-space expressions over named spaces:
+# and constructed-space expressions over named spaces (grammar in web_core):
 #   !E   S E   E (x) F   E & F   E -o F   ( ... )
 # ---------------------------------------------------------------------------
 
@@ -417,41 +419,35 @@ class SpaceParseError(ValueError):
     pass
 
 
+# A declaration's words after its name: 'kind=...', 'block{...}' (unclosed
+# at the end of the text), or a word that opens no block.
+_DECL_TOKENS = re.compile(r"\s*(?:(kind=[^\s{]*|[^\s{]*\{[^}]*\}?|[^\s{]+)|(\S))")
+
+
 def parse_space(text: str) -> tuple[str, BaseSpace]:
     """Parse the extensional `space ...` format (single declaration): its name and space."""
-    toks = text.split(None, 2)
-    if len(toks) < 3 or toks[0] != "space":
+    words = text.split(None, 2)
+    if len(words) < 3 or words[0] != "space":
         raise SpaceParseError("expected: space <name> kind=... atoms{...} ...")
-    name = toks[1]
-    rest = toks[2]
+    name, rest = words[1], words[2]
     if name == "S" or not all(c.isalnum() or c in "_*" for c in name):
         raise SpaceParseError(f"bad space name {name!r}: use letters, digits, _, * (S names the summability functor)")
-    kind = None
-    blocks = {}
-    i = 0
-    while i < len(rest):
-        if rest[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(rest) and not rest[j].isspace() and rest[j] != "{":
-            j += 1
-        word = rest[i:j]
+    kind, blocks = None, {}
+    toks = Tokens(rest, _DECL_TOKENS, SpaceParseError)
+    while toks.peek() is not None:
+        word, brace, body = toks.next().partition("{")
         if word.startswith("kind="):
             if kind is not None:
-                raise SpaceParseError("repeated kind=")
+                toks.fail("repeated kind=")
             kind = word[len("kind=") :]
-            i = j
-            continue
-        if j >= len(rest) or rest[j] != "{":
-            raise SpaceParseError(f"expected '{{' after {word!r}")
-        if word not in ("atoms", "scoh", "sincoh") or word in blocks:
-            raise SpaceParseError(f"unknown or repeated block {word!r}")
-        k = rest.find("}", j)
-        if k < 0:
-            raise SpaceParseError(f"block {word!r} has no closing '}}'")
-        blocks[word] = rest[j + 1 : k]
-        i = k + 1
+        elif not brace:
+            toks.fail(f"expected '{{' after {word!r}")
+        elif word not in ("atoms", "scoh", "sincoh") or word in blocks:
+            toks.fail(f"unknown or repeated block {word!r}")
+        elif not body.endswith("}"):
+            toks.fail(f"block {word!r} has no closing '}}'")
+        else:
+            blocks[word] = body[:-1]
     if kind not in KINDS:
         raise SpaceParseError(f"bad or missing kind: {kind!r}")
     if "atoms" not in blocks:
@@ -481,73 +477,38 @@ def _parse_pair_block(block: str) -> frozenset:
     return frozenset(pairs)
 
 
+_SPACE_TOKENS = re.compile(r"\s*(?:(\(x\)|-o|[()!&]|[\w*]+)|(\S))")
+_CONNECTIVES = {"(x)": Tensor, "&": With, "-o": Limpl}
+_PREFIXES = {"!": Bang, "S": SFun}
+
+
 def parse_space_expr(text: str, env: dict) -> Space:
     """Parse a constructed-space expression over named base spaces."""
-    toks = _space_tokens(text)
-    expr, rest = _space_expr(toks, env)
-    if rest:
-        raise SpaceParseError(f"trailing tokens: {rest}")
+    toks = Tokens(text, _SPACE_TOKENS, SpaceParseError)
+    expr = _space_expr(toks, env)
+    toks.end("trailing tokens at {!r}")
     return expr
 
 
-def _space_tokens(text: str) -> list:
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif text.startswith("(x)", i):
-            out.append("(x)")
-            i += 3
-        elif text.startswith("-o", i):
-            out.append("-o")
-            i += 2
-        elif c in "()!&":
-            out.append(c)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_*"):
-                j += 1
-            if j == i:
-                raise SpaceParseError(f"bad character {c!r} in space expression")
-            out.append(text[i:j])
-            i = j
-    return out
-
-
-def _space_atom(toks: list, env: dict):
-    if not toks:
-        raise SpaceParseError("unexpected end of space expression")
-    t = toks[0]
+def _space_unit(toks: Tokens, env: dict) -> Space:
+    t = toks.next()
     if t == "(":
-        expr, rest = _space_expr(toks[1:], env)
-        if not rest or rest[0] != ")":
-            raise SpaceParseError("missing ')'")
-        return expr, rest[1:]
-    if t == "!":
-        inner, rest = _space_atom(toks[1:], env)
-        return Bang(inner), rest
-    if t == "S":
-        inner, rest = _space_atom(toks[1:], env)
-        return SFun(inner), rest
-    if t in env:
-        return env[t], toks[1:]
-    raise SpaceParseError(f"unknown space {t!r}")
+        expr = _space_expr(toks, env)
+        toks.expect(")")
+        return expr
+    if t in _PREFIXES:
+        return _PREFIXES[t](_space_unit(toks, env))
+    if t not in env:
+        toks.fail(f"unknown space {t!r}")
+    return env[t]
 
 
-def _space_expr(toks: list, env: dict):
-    left, rest = _space_atom(toks, env)
-    while rest and rest[0] in ("(x)", "&", "-o"):
-        op = rest[0]
-        right, rest = _space_atom(rest[1:], env)
+def _space_expr(toks: Tokens, env: dict) -> Space:
+    left = _space_unit(toks, env)
+    while toks.peek() in _CONNECTIVES:
+        op = toks.next()
+        right = _space_unit(toks, env)
         if right.kind != left.kind:
             raise SpaceParseError(f"{op} joins a {left.kind} space to a {right.kind} space")
-        if op == "(x)":
-            left = Tensor(left, right)
-        elif op == "&":
-            left = With(left, right)
-        else:
-            left = Limpl(left, right)
-    return left, rest
+        left = _CONNECTIVES[op](left, right)
+    return left

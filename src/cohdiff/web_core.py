@@ -43,10 +43,11 @@ Webs of ``!E`` are infinite, so enumeration is controlled by a
 
 from __future__ import annotations
 
+import re
 from collections import _count_elements
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 from weakref import ref
 
 
@@ -354,13 +355,79 @@ def rel_compose(s: Rel, t: Rel) -> Rel:
 
 
 # ---------------------------------------------------------------------------
-# Textual serialization.
+# Textual serialization.  Every text the package reads goes through a
+# ``Tokens`` cursor: the words of a ``space`` declaration (format in
+# ``spaces``) and three grammars, in which whitespace only separates.
 #
-# Atom grammar:   atom ::= '*' | ident | '0·' atom | '1·' atom
-#                        | '(' atom ',' atom ')' | '[' [atom (',' atom)*] ']'
-# ASCII fallbacks '0.' / '1.' are accepted on input.
-# Relations: one 'a ↦ b' (or 'a -> b') pair per line; '#' starts a comment.
+# Atoms (atom_from_text; atom_to_text prints them; '0.', '1.' read as '0·', '1·'):
+#   atom    ::= '*' | ident | '0·' atom | '1·' atom
+#             | '(' atom ',' atom ')' | '[' [atom (',' atom)*] ']'
+# Space expressions over named spaces (spaces.parse_space_expr):
+#   expr    ::= unit (('(x)' | '&' | '-o') unit)*       grouped to the left
+#   unit    ::= name | '!' unit | 'S' unit | '(' expr ')'
+# Terms and types of .cdl files (calculus.parse and parse_type; to_text and
+# ty_to_text print them):
+#   term    ::= app ('+' app)*                          grouped to the left
+#   app     ::= operand+                                application, to the left
+#   operand ::= var | numeral | 'succ' | '0[' type ']' | '(' term ')'
+#             | 'D' operand | 'fix' operand | 'if0' operand operand operand
+#             | op ['^' numeral] operand | '\' var ':' type '.' term
+#   op      ::= 'pi0' | 'pi1' | 'iota0' | 'iota1' | 'sigma' | 'c'
+#   var     ::= a letter or '_', then letters, digits, '_'; not op, D, fix, succ, if0
+#   type    ::= tyatom ['=>' type]                      grouped to the right
+#   tyatom  ::= 'nat' | 'D' tyatom | '(' type ')'
+# An error reads "<msg> at position p in '<text>'", p the offset of the token
+# the parser looked at last, or the text's length at its end: "bad character
+# '?'", "unexpected end of input", "expected ')'" or the grammar's own.
+# Relations are one 'a ↦ b' (or 'a -> b') pair per line; '#' starts a comment.
 # ---------------------------------------------------------------------------
+
+
+class Tokens:
+    """A cursor over the tokens of one text.
+
+    ``pattern`` is ``\\s*(?:(token)|(\\S))``, with no other capturing
+    group: the whole text is split at construction, so a character that
+    starts no token is reported before anything is parsed.  ``error`` is
+    the grammar's exception class.
+    """
+
+    def __init__(self, text: str, pattern: re.Pattern, error: type):
+        self.text, self.error = text, error
+        found = list(pattern.finditer(text))
+        self.toks = [m[1] for m in found] + [None]
+        self.starts = [m.start(m.lastindex) for m in found] + [len(text)]
+        self.at = self.toks.index(None)  # the first character that starts no token, or the end
+        if self.at < len(found):
+            self.fail(f"bad character {text[self.starts[self.at]]!r}")
+        self.i = self.at = 0
+
+    def peek(self) -> str | None:
+        """The current token, None at the end; errors are now reported here."""
+        self.at = self.i
+        return self.toks[self.i]
+
+    def next(self) -> str:
+        """The current token, moving past it."""
+        tok = self.peek()
+        if tok is None:
+            self.fail("unexpected end of input")
+        self.i += 1
+        return tok
+
+    def expect(self, tok: str) -> None:
+        if self.peek() != tok:
+            self.fail(f"expected {tok!r}")
+        self.i += 1
+
+    def end(self, msg: str) -> None:
+        """Require the end of the text; else fail with msg, formatted with the token left."""
+        if self.peek() is not None:
+            self.fail(msg.format(self.toks[self.i]))
+
+    def fail(self, msg: str) -> NoReturn:
+        """Raise the grammar's error at the token last peeked at or taken."""
+        raise self.error(f"{msg} at position {self.starts[self.at]} in {self.text!r}")
 
 
 def atom_to_text(a: Atom) -> str:
@@ -379,71 +446,37 @@ class AtomParseError(ValueError):
     pass
 
 
-class _AtomParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str):
-        raise AtomParseError(f"{msg} at position {self.pos} in {self.text!r}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def atom(self) -> Atom:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            left = self.atom()
-            self.expect(",")
-            right = self.atom()
-            self.expect(")")
-            return Pair(left, right)
-        if c == "[":
-            self.pos += 1
-            items = []
-            if self.peek() != "]":
-                items.append(self.atom())
-                while self.peek() == ",":
-                    self.pos += 1
-                    items.append(self.atom())
-            self.expect("]")
-            return Multiset.of(items)
-        if c == "*":
-            self.pos += 1
-            return STAR
-        if not (c.isalnum() or c == "_"):
-            self.error("expected an atom")
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        word = self.text[start : self.pos]
-        if word in ("0", "1") and self.pos < len(self.text) and self.text[self.pos] in "·.":
-            index = int(word)
-            self.pos += 1
-            return Tag(index, self.atom())
-        return Base(word)
+_ATOM_TOKENS = re.compile(r"\s*(?:([01][·.]|\w+|[*(),\[\]])|(\S))")
 
 
 def atom_from_text(text: str) -> Atom:
-    p = _AtomParser(text)
-    a = p.atom()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
+    toks = Tokens(text, _ATOM_TOKENS, AtomParseError)
+    a = _atom(toks)
+    toks.end("trailing input")
     return a
+
+
+def _atom(toks: Tokens) -> Atom:
+    t = toks.peek()
+    if t in (None, ",", ")", "]"):
+        toks.fail("expected an atom")
+    toks.next()
+    if t == "(":
+        left = _atom(toks)
+        toks.expect(",")
+        right = _atom(toks)
+        toks.expect(")")
+        return Pair(left, right)
+    if t == "[":
+        items = [] if toks.peek() == "]" else [_atom(toks)]
+        while items and toks.peek() == ",":
+            toks.next()
+            items.append(_atom(toks))
+        toks.expect("]")
+        return Multiset.of(items)
+    if t[-1] in "·.":
+        return Tag(int(t[0]), _atom(toks))
+    return Base(t)
 
 
 def rel_to_text(r: Rel) -> str:
@@ -459,11 +492,8 @@ def rel_from_text(text: str) -> Rel:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "↦" in line:
-            lhs, rhs = line.split("↦", 1)
-        elif "->" in line:
-            lhs, rhs = line.split("->", 1)
-        else:
+        lhs, arrow, rhs = line.partition("↦") if "↦" in line else line.partition("->")
+        if not arrow:
             raise AtomParseError(f"line {lineno}: expected 'a ↦ b'")
         pairs.append((atom_from_text(lhs.strip()), atom_from_text(rhs.strip())))
     return Rel(frozenset(pairs))

@@ -46,6 +46,12 @@ def test_parse_round_trip_on_showcase():
     for src in SHOWCASE:
         m = parse(src)
         assert parse(to_text(m)) == m
+    # and on every corpus term, each reduct of it within 60 steps, and their types
+    terms = [n for path in corpus_trajectories(400) for n in path]
+    assert len(terms) == 3792
+    assert [n for n in terms if parse(to_text(n)) != n] == []
+    types = {typecheck(n) for n in terms}
+    assert [t for t in types if parse_type(ty_to_text(t)) != t] == []
 
 
 def test_parse_rejects_garbage():
@@ -58,6 +64,13 @@ def test_parse_rejects_garbage():
         parse("x )")
     with pytest.raises(ParseError, match="trailing tokens at 'nat'"):
         parse_type("nat nat")
+
+
+@pytest.mark.parametrize("binder", ["(", "1", "+", "succ", "pi0", "D"])
+def test_a_binder_must_be_a_variable(binder):
+    with pytest.raises(ParseError) as e:
+        parse(f"\\{binder}:nat. 1")
+    assert str(e.value).startswith(f"expected a variable, got {binder!r} at position 1 in")
 
 
 def test_parse_precedence():

@@ -161,6 +161,15 @@ def test_parse_errors_are_usage_errors(tmp_path, command):
     assert f"{f}: bad character '?'" in r.output
 
 
+@pytest.mark.parametrize("command", ["typecheck", "reduce", "eval"])
+def test_an_operator_depth_must_be_a_numeral(tmp_path, command):
+    f = tmp_path / "depth.cdl"
+    f.write_text("pi0^x 1\n")
+    r = run(command, str(f))
+    assert r.exit_code == 2, r.output
+    assert f"{f}: expected a depth, got 'x' at position 4 in 'pi0^x 1'" in r.output
+
+
 def test_reduce_beta_demo():
     r = run("reduce", demo_path("beta.cdl"))
     assert r.exit_code == 0

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cohdiff import web_core
-from cohdiff.spaces import Bang, BaseSpace, SFun, Tensor, With, enumerate_web
+from cohdiff.calculus import parse, parse_type
+from cohdiff.spaces import Bang, BaseSpace, SFun, Tensor, With, enumerate_web, parse_space_expr
 from cohdiff.web_core import (
     STAR,
     AtomParseError,
@@ -276,6 +277,34 @@ def test_atom_text_accepts_star_and_blanks():
 def test_atom_text_errors_name_their_position(text, error):
     with pytest.raises(AtomParseError) as e:
         atom_from_text(text)
+    assert str(e.value) == error
+
+
+def _space_expr(text):
+    E = BaseSpace("coh", (a,))
+    return parse_space_expr(text, {"E": E, "F": E})
+
+
+@pytest.mark.parametrize(
+    "read, text, error",
+    [
+        (atom_from_text, "(a;b)", "bad character ';' at position 2 in '(a;b)'"),
+        (atom_from_text, "[a, b ", "expected ']' at position 6 in '[a, b '"),
+        (atom_from_text, "(a,b) c", "trailing input at position 6 in '(a,b) c'"),
+        (_space_expr, "E $ F", "bad character '$' at position 2 in 'E $ F'"),
+        (_space_expr, "E (x) ", "unexpected end of input at position 6 in 'E (x) '"),
+        (_space_expr, "!E F", "trailing tokens at 'F' at position 3 in '!E F'"),
+        (parse, "0[?]", "bad character '?' at position 2 in '0[?]'"),
+        (parse, "f x +  ", "unexpected end of input at position 7 in 'f x +  '"),
+        (parse, "(f x) )", "trailing tokens at ')' at position 6 in '(f x) )'"),
+        (parse_type, "nat => D", "unexpected end of input at position 8 in 'nat => D'"),
+        (parse_type, "nat nat", "trailing tokens at 'nat' at position 4 in 'nat nat'"),
+    ],
+)
+def test_parse_errors_name_their_position(read, text, error):
+    """Atoms, space expressions, terms and types report where their text went wrong."""
+    with pytest.raises(ValueError) as e:
+        read(text)
     assert str(e.value) == error
 
 
