@@ -5,6 +5,11 @@ D(A => B) = A => D B.  Terms carry the combinators pi_i^d, iota_i^d,
 sigma^d and c^d (projections, injections, tag merge and tag swap at
 depth d), the operator D, the empty sum 0 and binary sums.
 
+One table, ``_LAYERS``, gives each tag operator's D layers: how many it
+reads from its depth up and how many it adds.  The operators' one typing
+rule and their commutation read it; that rule, ``dtype`` and ``strip_d``
+shift a type's codomain leaf by one walk, ``_shift_d``.
+
 Sums are typed by two schemas (pi0^d M + pi1^d M, and
 pi1^d M0 + pi0^d M1 when M0 + M1 is typeable one level up) plus
 closure under inverting one linear-commutation step; anything else —
@@ -81,25 +86,22 @@ class Arrow(Ty, _node("Arrow", "src tgt")):
     __slots__ = ()
 
 
+def _shift_d(t: Ty, k: int, floor: int = 0) -> Ty | None:
+    """t with k more D layers on its codomain leaf, or None if that leaf has fewer than floor."""
+    if isinstance(t, Arrow):
+        inner = _shift_d(t.tgt, k, floor)
+        return None if inner is None else Arrow(t.src, inner)
+    return Nat(t.depth + k) if t.depth >= floor else None
+
+
 def dtype(t: Ty) -> Ty:
     """The type operator D."""
-    if isinstance(t, Nat):
-        return Nat(t.depth + 1)
-    return Arrow(t.src, dtype(t.tgt))
+    return _shift_d(t, 1)
 
 
 def strip_d(t: Ty, d: int) -> Ty | None:
-    """Invert D at depth d: the type A with D^{d+1}A = t, as D^d A.
-
-    Concretely: descend through arrows into the codomain, require at
-    least d+1 on the nat depth, and remove one.
-    """
-    if isinstance(t, Arrow):
-        inner = strip_d(t.tgt, d)
-        return None if inner is None else Arrow(t.src, inner)
-    if t.depth >= d + 1:
-        return Nat(t.depth - 1)
-    return None
+    """Invert D at depth d: the type A with D^{d+1}A = t, as D^d A (None if t has no d+1 layers)."""
+    return _shift_d(t, -1, d + 1)
 
 
 def nat_depth(t: Ty) -> int:
@@ -194,8 +196,11 @@ _DATA = {
     for cls, kids in _SUBTERMS.items()
 }
 
-# The tag operators: projections, injections, tag merge and tag swap.
-_TAGS = (Proj, Inj, SigmaT, CTerm)
+# The tag operators (projections, injections, tag merge and tag swap) and their
+# (reads, adds): at depth d, an operator's body needs d + reads D layers on its
+# codomain leaf, and the operator adds ``adds`` layers there (-1 removes one).
+_LAYERS = {Proj: (1, -1), Inj: (0, 1), SigmaT: (2, -1), CTerm: (2, 0)}
+_TAGS = tuple(_LAYERS)
 
 
 # ---------------------------------------------------------------------------
@@ -509,34 +514,15 @@ def _ty_d(m: DTerm, env: dict) -> Ty:
     return Arrow(dtype(f.src), dtype(f.tgt))
 
 
-def _ty_proj(m: Proj, env: dict) -> Ty:
+def _ty_tag(m: Term, env: dict) -> Ty:
     t = _ty(m.body, env)
-    out = strip_d(t, m.depth)
-    if out is None:
-        raise TypeError_("pi{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth + 1, t)
+    cls = type(m)
+    reads, adds = _LAYERS[cls]
+    out = _shift_d(t, adds, m.depth + reads)
+    if out is None:  # the depth is printed even at 0, unlike in to_text
+        index = m.index if cls is Proj or cls is Inj else ""
+        raise TypeError_("{}{}^{} needs depth >= {}, got {}", _OPNAMES[cls], index, m.depth, m.depth + reads, t)
     return out
-
-
-def _ty_inj(m: Inj, env: dict) -> Ty:
-    t = _ty(m.body, env)
-    if nat_depth(t) < m.depth:
-        raise TypeError_("iota{}^{} needs depth >= {}, got {}", m.index, m.depth, m.depth, t)
-    return dtype(t)
-
-
-def _ty_sigma(m: SigmaT, env: dict) -> Ty:
-    t = _ty(m.body, env)
-    out = strip_d(t, m.depth + 1)
-    if out is None or strip_d(t, m.depth) is None:
-        raise TypeError_("sigma^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
-    return out
-
-
-def _ty_c(m: CTerm, env: dict) -> Ty:
-    t = _ty(m.body, env)
-    if nat_depth(t) < m.depth + 2:
-        raise TypeError_("c^{} needs depth >= {}, got {}", m.depth, m.depth + 2, t)
-    return t
 
 
 def _ty_fix(m: Fix, env: dict) -> Ty:
@@ -572,8 +558,7 @@ def _ty_plus(m: Plus, env: dict) -> Ty:
 _TYPING = {
     Var: _ty_var, Num: lambda m, env: Nat(0), Succ: lambda m, env: Arrow(Nat(0), Nat(0)), Zero: _ty_zero,
     Lam: lambda m, env: Arrow(m.ty, _ty(m.body, {**env, m.var: m.ty})),
-    App: _ty_app, DTerm: _ty_d, Proj: _ty_proj, Inj: _ty_inj, SigmaT: _ty_sigma, CTerm: _ty_c,
-    Fix: _ty_fix, If0: _ty_if0, Plus: _ty_plus,
+    App: _ty_app, DTerm: _ty_d, **dict.fromkeys(_TAGS, _ty_tag), Fix: _ty_fix, If0: _ty_if0, Plus: _ty_plus,
 }
 
 
@@ -612,32 +597,16 @@ def _parts_outcome(parts: tuple, env_items: frozenset) -> Ty | None:
 
 def _plus_direct(l: Term, r: Term, env: dict) -> Ty | None:
     """The displayed sum rules, matched syntactically on l + r."""
-    # schema: pi0^d M + pi1^d M
-    if (
-        isinstance(l, Proj)
-        and isinstance(r, Proj)
-        and l.index == 0
-        and r.index == 1
-        and l.depth == r.depth
-        and alpha_eq(l.body, r.body)
-    ):
-        return _ty(l, env)
-    # schema: pi1^d M0 + pi0^d M1 where M0 + M1 is typeable
-    if (
-        isinstance(l, Proj)
-        and isinstance(r, Proj)
-        and l.index == 1
-        and r.index == 0
-        and l.depth == r.depth
-    ):
-        try:
-            t = _ty(Plus(l.body, r.body), env)
-        except TypeError_:
-            t = None
-        if t is not None:
-            out = strip_d(t, l.depth)
-            if out is not None:
-                return out
+    if type(l) is Proj and type(r) is Proj and l.depth == r.depth:
+        # schema: pi0^d M + pi1^d M
+        if l.index == 0 and r.index == 1 and alpha_eq(l.body, r.body):
+            return _ty(l, env)
+        # schema: pi1^d M0 + pi0^d M1, typed as pi0^d (M0 + M1) is
+        if l.index == 1 and r.index == 0:
+            try:
+                return _ty(Proj(0, l.depth, Plus(l.body, r.body)), env)
+            except TypeError_:
+                pass
     # zero absorption (reducts like 0 + pi0 pi1 M arise during rewriting)
     for z, other in ((l, r), (r, l)):
         if isinstance(z, Zero):
@@ -838,7 +807,7 @@ def _head_tag(m: Term, env: dict) -> Term | None:
         return Lam(b.var, b.ty, _rebuild(m, b.body))
     if cls is App:
         return App(_rebuild(m, b.fun), b.arg)
-    if cls in _COMMUTE:
+    if cls in _LAYERS:
         if type(m) is Proj and cls is Inj and b.depth == m.depth:
             return b.body if b.index == m.index else _zero_of(m, env)
         if type(m) is Proj and cls is SigmaT and b.depth == m.depth:
@@ -850,23 +819,18 @@ def _head_tag(m: Term, env: dict) -> Term | None:
     return _dist(m, b, env)
 
 
-# Per tag operator, (gap, shift): it commutes past a tag operator at depth
-# >= its own + gap, and shifts that operator's depth by shift.
-_COMMUTE = {Proj: (1, -1), Inj: (1, 1), SigmaT: (2, -1), CTerm: (2, 0)}
-
-
 def _commute(m: Term, b: Term) -> Term | None:
     """Push the tag operator m past its body b, a strictly deeper one.
 
     The operators are whiskerings of natural transformations, so one at
     depth d commutes with any other acting strictly below the layers it
-    touches, adjusting the deeper depth by the number of layers the
-    outer one adds or removes.
+    reads or leaves, adjusting the deeper depth by the number of layers
+    the outer one adds or removes.
     """
-    gap, shift = _COMMUTE[type(m)]
-    if b.depth < m.depth + gap:
+    reads, adds = _LAYERS[type(m)]
+    if b.depth < m.depth + max(reads, reads + adds):
         return None
-    return _rebuild(b, _rebuild(m, b.body), depth=b.depth + shift)
+    return _rebuild(b, _rebuild(m, b.body), depth=b.depth + adds)
 
 
 # The root-position reduction of each constructor, or None where it has none.

@@ -15,10 +15,11 @@ and m0's, which cut at the bound, are bound to it with ``maps.bind``.
 from __future__ import annotations
 
 from functools import partial
+from itertools import starmap
 
 from .maps import PointMap, _sub_multisets, bind
 from .spaces import Bang, Space, Tensor, With, mset_width, one, top
-from .web_core import Multiset, Pair, STAR, Tag, run_cache
+from .web_core import Multiset, Pair, STAR, Tag, bijections, run_cache
 
 
 def _der_image(m: Multiset):
@@ -145,13 +146,7 @@ def m0(kind: str) -> PointMap:
 
 @run_cache
 def _pairings(a: Pair) -> tuple:
-    m, p = a.left, a.right
-    if len(m) != len(p):
-        return ()
-    out = {}
-    for perm in _distinct_pairings(list(m), list(p)):
-        out[Multiset.of(Pair(x, y) for x, y in perm)] = None
-    return tuple(out)
+    return tuple(dict.fromkeys([Multiset.of(starmap(Pair, pairs)) for pairs in bijections(a.left, a.right)]))
 
 
 @run_cache  # for perfbench/spans.py only, as dig
@@ -159,16 +154,3 @@ def m2(E: Space, F: Space) -> PointMap:
     """Monoidality !E ⊗ !F → !(E ⊗ F): all pairings of equal-size multisets."""
     return PointMap.pointwise(Tensor(Bang(E), Bang(F)), Bang(Tensor(E, F)), _pairings)
 
-
-def _distinct_pairings(xs, ys):
-    if not xs:
-        yield ()
-        return
-    x, rest = xs[0], xs[1:]
-    used = set()
-    for i, y in enumerate(ys):
-        if y in used:
-            continue
-        used.add(y)
-        for tail in _distinct_pairings(rest, ys[:i] + ys[i + 1 :]):
-            yield ((x, y),) + tail

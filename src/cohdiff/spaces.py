@@ -46,6 +46,7 @@ from .web_core import (
     _make,
     atom_from_text,
     atom_key,
+    bijections,
     run_cache,
 )
 
@@ -272,25 +273,11 @@ def _verdict(E: Space, a: Atom, b: Atom) -> Verdict:
             for y in b.support:
                 if not _verdict(E.inner, x, y).coherent:
                     return Verdict.SINCOH
-        if len(a) == len(b) and _neutral_matching(E.inner, list(a), list(b)):
-            return Verdict.NEU
+        for pairs in bijections(a, b):
+            if all(_verdict(E.inner, x, y) is Verdict.NEU for x, y in pairs):
+                return Verdict.NEU
         return Verdict.SCOH
     raise TypeError(f"not a space: {E!r}")
-
-
-def _neutral_matching(E: Space, xs: list, ys: list) -> bool:
-    """Is there a bijection pairing xs with ys with all pairs neutral?"""
-    if not xs:
-        return True
-    x, rest = xs[0], xs[1:]
-    seen = set()
-    for i, y in enumerate(ys):
-        if y in seen:
-            continue
-        seen.add(y)
-        if _verdict(E, x, y).neutral and _neutral_matching(E, rest, ys[:i] + ys[i + 1 :]):
-            return True
-    return False
 
 
 def is_clique(E: Space, xs) -> bool:

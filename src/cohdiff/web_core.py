@@ -297,6 +297,26 @@ class Multiset(Atom):
         return Multiset.from_counts(counts)
 
 
+def bijections(m: Iterable[Atom], p: Iterable[Atom]) -> list:
+    """The one-to-one pairings of m's elements with p's, each once: tuples of pairs (x, y), in m's order.
+
+    Empty when the lengths differ.  Pairings grow one element of m at a
+    time, each with every distinct element of p left over.
+    """
+    xs, ys = list(m), list(p)
+    if len(xs) != len(ys):
+        return []
+    grown = [((), ys)]  # (pairs so far, elements of p left over)
+    for x in xs:
+        grown = [
+            (pairs + ((x, y),), left[:i] + left[i + 1 :])
+            for pairs, left in grown
+            for i, y in enumerate(left)
+            if y not in left[:i]
+        ]
+    return [pairs for pairs, _ in grown]
+
+
 STAR = Base("*")
 
 
@@ -378,7 +398,9 @@ def rel_compose(s: Rel, t: Rel) -> Rel:
 #   tyatom  ::= 'nat' | 'D' tyatom | '(' type ')'
 # An error reads "<msg> at position p in '<text>'", p the offset of the token
 # the parser looked at last, or the text's length at its end: "bad character
-# '?'", "unexpected end of input", "expected ')'" or the grammar's own.
+# '?'", "unexpected end of input", "expected ')'" or the grammar's own.  In a
+# text of several lines it reads "<msg> at line l, column c in '<that line>'",
+# both counted from 1.
 # Relations are one 'a ↦ b' (or 'a -> b') pair per line; '#' starts a comment.
 # ---------------------------------------------------------------------------
 
@@ -427,7 +449,12 @@ class Tokens:
 
     def fail(self, msg: str) -> NoReturn:
         """Raise the grammar's error at the token last peeked at or taken."""
-        raise self.error(f"{msg} at position {self.starts[self.at]} in {self.text!r}")
+        p = self.starts[self.at]
+        if "\n" not in self.text:
+            raise self.error(f"{msg} at position {p} in {self.text!r}")
+        before = self.text[:p].split("\n")
+        line = self.text.split("\n")[len(before) - 1]
+        raise self.error(f"{msg} at line {len(before)}, column {len(before[-1]) + 1} in {line!r}")
 
 
 def atom_to_text(a: Atom) -> str:

@@ -122,6 +122,11 @@ def test_injections_and_sigma():
     assert has_type("iota1^0 2", "D nat")
     assert has_type("\\x:D D nat. sigma^0 x", "D D nat => D nat")
     assert has_type("\\x:D D nat. c^0 x", "D D nat => D D nat")
+    # beyond depth 0, and on arrow types, where the layers sit on the codomain
+    assert has_type("\\f:nat => D D nat. pi1^1 f", "(nat => D D nat) => nat => D nat")
+    assert has_type("\\f:nat => D nat. iota0^1 f", "(nat => D nat) => nat => D D nat")
+    assert has_type("\\x:D D D nat. c^1 x", "D D D nat => D D D nat")
+    assert has_type("\\x:D D D nat. sigma^1 x", "D D D nat => D D nat")
 
 
 def test_dterm_types():
@@ -154,6 +159,10 @@ SUM_WITHOUT_NORMAL_FORM = "(pi0 (iota0 (fix (\\x:nat. x)))) + (pi1 (iota0 1))"
         ("iota0^1 1", "iota0^1 needs depth >= 1, got nat"),
         ("sigma 1", "sigma^0 needs depth >= 2, got nat"),
         ("c 1", "c^0 needs depth >= 2, got nat"),
+        ("\\x:D D nat. sigma^1 x", "sigma^1 needs depth >= 3, got D D nat"),
+        ("\\f:nat => D nat. pi0^1 f", "pi0^1 needs depth >= 2, got nat => D nat"),
+        ("iota1^2 (iota0 1)", "iota1^2 needs depth >= 2, got D nat"),
+        ("c^1 (iota0^1 (iota0 1))", "c^1 needs depth >= 3, got D D nat"),
         ("fix 1", "fix needs A => A, got nat"),
         ("if0 (\\x:nat. x) 1 2", "if0 condition must be nat, got nat => nat"),
         ("if0 0 1 (\\x:nat. x)", "if0 branches disagree: nat vs nat => nat"),

@@ -170,6 +170,14 @@ def test_an_operator_depth_must_be_a_numeral(tmp_path, command):
     assert f"{f}: expected a depth, got 'x' at position 4 in 'pi0^x 1'" in r.output
 
 
+def test_a_parse_error_in_a_file_of_several_lines_names_its_line_and_column(tmp_path):
+    f = tmp_path / "lines.cdl"
+    f.write_text("# a demo\n(\\x:nat.\n   x) pi0^y 1  # depth\n")
+    r = run("typecheck", str(f))
+    assert r.exit_code == 2, r.output
+    assert f"{f}: expected a depth, got 'y' at line 3, column 11 in '   x) pi0^y 1  '\n" in r.output
+
+
 def test_reduce_beta_demo():
     r = run("reduce", demo_path("beta.cdl"))
     assert r.exit_code == 0

@@ -127,6 +127,45 @@ def test_bang_web_in_nucs_is_unconstrained():
     assert coherent(B, Multiset.of([b, b]), Multiset.of([b, b])) is Verdict.SINCOH
 
 
+def _brute_bang_verdict(E, m, p):
+    """The verdict of m, p in the web of !E, with the bijections drawn from itertools.permutations."""
+    if any(not coherent(E, x, y).coherent for x in m for y in p):
+        return Verdict.SINCOH
+    orders = itertools.permutations(list(p)) if len(m) == len(p) else ()
+    if any(all(coherent(E, x, y) is Verdict.NEU for x, y in zip(m, order)) for order in orders):
+        return Verdict.NEU
+    return Verdict.SCOH
+
+
+def test_nucs_bang_verdicts_match_brute_force():
+    """Random NUCS ! atoms of up to 4 elements, with repeats, mostly of one length.
+    Some pairs of distinct multisets are neutral, some only through a
+    bijection other than the one in entry order."""
+    rng = random.Random(5)
+    neutral = reordered = 0
+    for _ in range(500):
+        E = gen_space(rng, "nucs", 3)
+        k = rng.randint(0, 4)
+        m = Multiset.of(rng.choices(E.atoms, k=k))
+        p = Multiset.of(rng.choices(E.atoms, k=k if rng.random() < 0.8 else rng.randint(0, 4)))
+        want = _brute_bang_verdict(E, m, p)
+        assert coherent(Bang(E), m, p) is want, (E, m, p)
+        if m != p and want is Verdict.NEU:
+            neutral += 1
+            reordered += not all(coherent(E, x, y) is Verdict.NEU for x, y in zip(m, p))
+    assert neutral >= 10 and reordered >= 2, (neutral, reordered)
+
+
+def test_bijections_come_once_each():
+    rng = random.Random(9)
+    for _ in range(200):
+        m, p = (Multiset.of(rng.choices((a, b, c), k=rng.randint(0, 4))) for _ in range(2))
+        got = web_core.bijections(m, p)
+        assert len(got) == len(set(got))
+        orders = itertools.permutations(list(p)) if len(m) == len(p) else ()
+        assert set(got) == {tuple(zip(m, order)) for order in orders}
+
+
 def test_enumerate_web_counts():
     E = coh_space({(a, b)})
     assert len(enumerate_web(E, BUD)) == 3

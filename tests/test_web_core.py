@@ -299,6 +299,9 @@ def _space_expr(text):
         (parse, "(f x) )", "trailing tokens at ')' at position 6 in '(f x) )'"),
         (parse_type, "nat => D", "unexpected end of input at position 8 in 'nat => D'"),
         (parse_type, "nat nat", "trailing tokens at 'nat' at position 4 in 'nat nat'"),
+        # a text of several lines names the line and column, and quotes that line only
+        (parse, "(f\n  ?)", "bad character '?' at line 2, column 3 in '  ?)'"),
+        (parse, "f x\n+  ", "unexpected end of input at line 2, column 4 in '+  '"),
     ],
 )
 def test_parse_errors_name_their_position(read, text, error):
