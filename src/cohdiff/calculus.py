@@ -220,9 +220,14 @@ def ty_to_text(t: Ty) -> str:
 _OPNAMES = {Proj: "pi", Inj: "iota", SigmaT: "sigma", CTerm: "c"}
 
 
-def _opname(m: Term) -> str:
+def _tagname(m: Term) -> str:
+    """A tag operator's name with its index, as in pi0 or sigma."""
     index = m.index if isinstance(m, (Proj, Inj)) else ""
-    return f"{_OPNAMES[type(m)]}{index}" + (f"^{m.depth}" if m.depth else "")
+    return f"{_OPNAMES[type(m)]}{index}"
+
+
+def _opname(m: Term) -> str:
+    return _tagname(m) + (f"^{m.depth}" if m.depth else "")
 
 
 def to_text(m: Term) -> str:
@@ -516,12 +521,10 @@ def _ty_d(m: DTerm, env: dict) -> Ty:
 
 def _ty_tag(m: Term, env: dict) -> Ty:
     t = _ty(m.body, env)
-    cls = type(m)
-    reads, adds = _LAYERS[cls]
+    reads, adds = _LAYERS[type(m)]
     out = _shift_d(t, adds, m.depth + reads)
     if out is None:  # the depth is printed even at 0, unlike in to_text
-        index = m.index if cls is Proj or cls is Inj else ""
-        raise TypeError_("{}{}^{} needs depth >= {}, got {}", _OPNAMES[cls], index, m.depth, m.depth + reads, t)
+        raise TypeError_("{}^{} needs depth >= {}, got {}", _tagname(m), m.depth, m.depth + reads, t)
     return out
 
 

@@ -273,10 +273,8 @@ def _verdict(E: Space, a: Atom, b: Atom) -> Verdict:
             for y in b.support:
                 if not _verdict(E.inner, x, y).coherent:
                     return Verdict.SINCOH
-        for pairs in bijections(a, b):
-            if all(_verdict(E.inner, x, y) is Verdict.NEU for x, y in pairs):
-                return Verdict.NEU
-        return Verdict.SCOH
+        neutral = bijections(a, b, lambda x, y: _verdict(E.inner, x, y) is Verdict.NEU)
+        return Verdict.NEU if next(neutral, None) is not None else Verdict.SCOH
     raise TypeError(f"not a space: {E!r}")
 
 

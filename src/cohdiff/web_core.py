@@ -297,24 +297,24 @@ class Multiset(Atom):
         return Multiset.from_counts(counts)
 
 
-def bijections(m: Iterable[Atom], p: Iterable[Atom]) -> list:
+def bijections(m: Iterable[Atom], p: Iterable[Atom], keep=None) -> Iterator[tuple]:
     """The one-to-one pairings of m's elements with p's, each once: tuples of pairs (x, y), in m's order.
 
-    Empty when the lengths differ.  Pairings grow one element of m at a
-    time, each with every distinct element of p left over.
+    None when the lengths differ.  With ``keep``, only pairs (x, y) it
+    accepts are paired, and a partial pairing is dropped as soon as it
+    cannot grow; the pairings come lazily, so a caller can stop at the first.
     """
     xs, ys = list(m), list(p)
     if len(xs) != len(ys):
-        return []
-    grown = [((), ys)]  # (pairs so far, elements of p left over)
-    for x in xs:
-        grown = [
-            (pairs + ((x, y),), left[:i] + left[i + 1 :])
-            for pairs, left in grown
-            for i, y in enumerate(left)
-            if y not in left[:i]
-        ]
-    return [pairs for pairs, _ in grown]
+        return
+    if not xs:
+        yield ()
+        return
+    x = xs[0]
+    for i, y in enumerate(ys):
+        if y not in ys[:i] and (keep is None or keep(x, y)):
+            for rest in bijections(xs[1:], ys[:i] + ys[i + 1 :], keep):
+                yield ((x, y),) + rest
 
 
 STAR = Base("*")

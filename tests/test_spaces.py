@@ -160,10 +160,31 @@ def test_bijections_come_once_each():
     rng = random.Random(9)
     for _ in range(200):
         m, p = (Multiset.of(rng.choices((a, b, c), k=rng.randint(0, 4))) for _ in range(2))
-        got = web_core.bijections(m, p)
+        got = list(web_core.bijections(m, p))
         assert len(got) == len(set(got))
         orders = itertools.permutations(list(p)) if len(m) == len(p) else ()
         assert set(got) == {tuple(zip(m, order)) for order in orders}
+
+
+def test_bang_neutral_verdict_stops_at_first_bijection(monkeypatch):
+    """Twelve distinct atoms have 12! bijections; the ! verdict tries a pair
+    only while the pairing so far is neutral, and stops at the first full one."""
+    from cohdiff import spaces
+
+    xs = tuple(Base(f"x{i}") for i in range(13))
+    calls = []
+
+    def counted(E, x, y):
+        calls.append(None)
+        assert len(calls) <= 3 * 12 * 12, "the ! verdict tries pairs past a non-neutral one"
+        return _verdict(E, x, y)
+
+    monkeypatch.setattr(spaces, "_verdict", counted)
+    E = BaseSpace("coh", xs, {(x, y) for i, x in enumerate(xs) for y in xs[i + 1 :]})
+    m, p = Multiset.of(xs[:12]), Multiset.of(xs[:11] + xs[12:])
+    for F, q, want in ((E, m, Verdict.NEU), (E, p, Verdict.SCOH), (BaseSpace("nucs", xs), p, Verdict.NEU)):
+        calls.clear()
+        assert coherent(Bang(F), m, q) is want
 
 
 def test_enumerate_web_counts():
