@@ -273,7 +273,7 @@ class ParseError(ValueError):
     pass
 
 
-_TERM_TOKENS = re.compile(r"\s*(?:(=>|[\\().:+^\[\]]|\d+|[^\W\d]\w*)|(\S))")
+_TERM_TOKENS = re.compile(r"(?:\s|#.*(?!.))*(?:(=>|[\\().:+^\[\]]|\d+|[^\W\d]\w*)|([^\s#]))")
 
 # Each operator name the parser reads, from _OPNAMES: its constructor on (depth, body).
 _OPS = {f"{_OPNAMES[c]}{i}": partial(c, i) for c in (Proj, Inj) for i in (0, 1)}

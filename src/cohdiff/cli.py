@@ -78,9 +78,8 @@ def _load_term(path):
     """The term in a .cdl file; a parse error is a usage error naming the file."""
     with open(path) as fh:
         text = fh.read()
-    src = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     try:
-        return cal.parse(src)
+        return cal.parse(text.rstrip())
     except cal.ParseError as e:
         raise click.UsageError(f"{path}: {e}")
 

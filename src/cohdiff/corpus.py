@@ -63,9 +63,7 @@ def gen_term(rng: random.Random, ty: Ty, env: dict | None = None, fuel: int = 4)
         return _leaf(rng, ty, env)
     fuel -= 1
     d = nat_depth(ty)
-    moves = ["leaf", "zero_sum"]
-    if d >= 0:
-        moves += ["proj", "proj_pair"]
+    moves = ["leaf", "zero_sum", "proj", "proj_pair"]
     if isinstance(ty, Nat):
         if ty.depth == 0:
             moves += ["succ", "if0", "if0"]

@@ -59,19 +59,13 @@ def dbar_pm(kind: str) -> PointMap:
 
 
 @run_cache
-def _dpartial_image(E: Space, m: Multiset) -> tuple:
-    """∂ at m: the multiset of m's inner atoms, tagged with its number of increments if ≤ 1.
-
-    E is a web (``web_of``): the image is kept only inside the web of !E.
-    """
+def _dpartial_image(m: Multiset) -> tuple:
+    """∂ at m: the multiset of m's inner atoms, tagged with its number of increments if ≤ 1."""
     counts, i = {}, 0
     for x, k in m.entries:
         counts[x.inner] = counts.get(x.inner, 0) + k
         i += x.index * k
-    if i > 1:
-        return ()
-    out = Multiset.from_counts(counts)
-    return (Tag(i, out),) if contains(Bang(E), out) else ()
+    return (Tag(i, Multiset.from_counts(counts)),) if i <= 1 else ()
 
 
 # A run cache only because perfbench/spans.py reads its cache_info() (ROADMAP item 10):
@@ -81,13 +75,11 @@ def dpartial(E: Space) -> PointMap:
     """∂ : !SE → S!E, the closed form.
 
     (m0 tagged 0, (0, m0)) for every multiset m0 of value atoms, and
-    (m0 + one increment atom a, (1, m0 + a)).  In the uniform kind a
-    never also occurs in m0: 0·a and 1·a are strictly incoherent in SE,
-    so no web atom of !SE holds both.  Unlike the maps of ``exponential``,
-    the image is filtered by the web of !E, so its point function binds
-    ``web_of(E)``: spaces with one web share one image.
+    (m0 + one increment atom a, (1, m0 + a)).  The image reads no space:
+    in the uniform kind a never also occurs in m0, since 0·a and 1·a are
+    strictly incoherent in SE, so m0 + a is in the web of !E.
     """
-    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), bind(_dpartial_image, web_of(E)))
+    return PointMap.pointwise(Bang(SFun(E)), SFun(Bang(E)), _dpartial_image)
 
 
 def dtilde(E: Space) -> PointMap:
@@ -101,7 +93,9 @@ def dpartial_via_dbar(E: Space) -> PointMap:
     Under Web SE ≅ Web (I ⊸ E), a tagged atom (i, a) is the one-pair
     function ((i, *), a).  The transposed map sends a multiset of such
     functions paired against ∂̄'s decompositions of a dual-numbers
-    point, evaluating each pairing.
+    point, evaluating each pairing.  As the oracle of ``dpartial`` it
+    keeps its image inside the web of !E, so that ``d-consistency``
+    compares ∂'s closed form with an image cut at that web.
     """
     db = dbar_pm(E.kind)
 

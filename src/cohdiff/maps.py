@@ -29,12 +29,12 @@ so equal composites over different spaces share the memo.  The
 combinators bind their parts' point functions and the cut they apply
 (``mid`` under ``pm_compose``, the bound under ``pm_bang``); the natural
 leaves bind the bound where their image is cut there (``dig``, ``m0``,
-∂̄) and pass one module-level image for every space otherwise.  An
-image that reads a space keeps that space's web among its arguments
-(``pm_bang``'s filter, ∂), so spaces with one web share it.  A closure
-made per map (``pm_from_rel``) is never shared.  Degree cuts read the
-atoms' ``deg`` and ``peak``, and recursions are module functions, so
-reference counting alone frees a composite's intermediate atoms.
+∂̄) and pass one module-level image for every space otherwise.  No
+point function reads a space: the leaves are morphisms, so images stay
+in the target webs untested.  A closure made per map (``pm_from_rel``)
+is never shared.  Degree cuts read the atoms' ``deg`` and ``peak``, and
+recursions are module functions, so reference counting alone frees a
+composite's intermediate atoms.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from operator import attrgetter
 from typing import Callable, Iterable
 
 from .web_core import Atom, Budget, Multiset, Pair, Rel, Tag, run_cache
-from .spaces import Bang, SFun, Space, Tensor, With, contains, enumerate_web, mset_width, web_of
+from .spaces import Bang, SFun, Space, Tensor, With, enumerate_web, mset_width
 
 
 @dataclass(frozen=True)
@@ -191,16 +191,16 @@ def _products(images: list, i: int, acc: list, deg: int, bound: int, out: set):
         acc.pop()
 
 
-def _bang_image(f_at, bound: int, web: Space, a):
+def _bang_image(f_at, bound: int, a):
     images = []  # one list of options per occurrence in a
     for x, k in a.entries:
         opts = sorted(set(f_at(x)), key=attrgetter("deg"))
         if not opts:
-            return
+            return ()
         images += [opts] * k
-    dedup = set()
-    _products(images, 0, [], len(images), bound, dedup)
-    yield from (m for m in dedup if contains(web, m))
+    out = set()
+    _products(images, 0, [], len(images), bound, out)
+    return out
 
 
 def pm_bang(f: PointMap) -> PointMap:
@@ -210,16 +210,14 @@ def pm_bang(f: PointMap) -> PointMap:
     the accumulated degree of the output passes it, which keeps products
     of decomposition maps (dig, m0) finite and fast.  f's image of each
     distinct entry of the input multiset is computed once per input; the
-    structural maps' own image caches serve repeats across inputs.
-    Outputs are kept inside the web of !(f.tgt), tested against
-    ``web_of`` of it.
+    structural maps' own image caches serve repeats across inputs.  A
+    morphism f sends a clique to a clique, so the outputs need no test
+    against the web of !(f.tgt).
     """
-    tgt = Bang(f.tgt)
-    web = web_of(tgt)
-    at = lambda bound: bind(_bang_image, f.at(bound), bound, web)
+    at = lambda bound: bind(_bang_image, f.at(bound), bound)
     # [x1..xn] ↦ [y1..yn] within b: n + Σ deg yi ≤ b, deg xi ≤ k·f.pre(deg yi) ≤ k·(deg yi + slack),
     # so the input's degree n + Σ deg xi is at most max(k·b, b + k·b·slack).
     k = mset_width(f.src)
     slack = lambda b: max(f.pre(d) - d for d in range(b + 1))
     pre = lambda b: max(k * b, b + k * b * slack(b))
-    return PointMap(Bang(f.src), tgt, at, pre)
+    return PointMap(Bang(f.src), Bang(f.tgt), at, pre)

@@ -20,9 +20,9 @@ bounded and lives for the process.  ``web_of`` is not cached.
 Only the uniform (COH) ``!`` reads coherence to decide its web, so
 ``web_of(E)`` gives one canonical space for every space with E's web.
 Questions that read only the web are keyed by it: the enumeration
-cache, ∂'s image cache and the membership tests of ``pm_bang`` and
-``dhat_graph`` (``contains`` itself answers for whatever space it is
-given).
+cache and ``dhat_graph``'s membership test (``contains`` itself answers
+for whatever space it is given).  The point maps read no space, so a
+diagram side meets its model only in the source web it enumerates.
 """
 
 from __future__ import annotations

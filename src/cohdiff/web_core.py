@@ -400,7 +400,8 @@ def rel_compose(s: Rel, t: Rel) -> Rel:
 # the parser looked at last, or the text's length at its end: "bad character
 # '?'", "unexpected end of input", "expected ')'" or the grammar's own.  In a
 # text of several lines it reads "<msg> at line l, column c in '<that line>'",
-# both counted from 1.
+# both counted from 1.  In a term or type, '#' up to the end of its line is
+# whitespace.
 # Relations are one 'a ↦ b' (or 'a -> b') pair per line; '#' starts a comment.
 # ---------------------------------------------------------------------------
 
@@ -408,15 +409,20 @@ def rel_compose(s: Rel, t: Rel) -> Rel:
 class Tokens:
     """A cursor over the tokens of one text.
 
-    ``pattern`` is ``\\s*(?:(token)|(\\S))``, with no other capturing
-    group: the whole text is split at construction, so a character that
-    starts no token is reported before anything is parsed.  ``error`` is
-    the grammar's exception class.
+    ``pattern`` is ``skip(?:(token)|(char))``, with no other capturing
+    group: skip is ``\\s*``, or whitespace and whole comments, and char
+    is any character that starts no skip.  The whole text is split at
+    construction, each match starting where the last ended, so a
+    character that starts no token is reported before anything is
+    parsed.  ``error`` is the grammar's exception class.
     """
 
     def __init__(self, text: str, pattern: re.Pattern, error: type):
         self.text, self.error = text, error
-        found = list(pattern.finditer(text))
+        found, end = [], 0
+        while m := pattern.match(text, end):
+            found.append(m)
+            end = m.end()
         self.toks = [m[1] for m in found] + [None]
         self.starts = [m.start(m.lastindex) for m in found] + [len(text)]
         self.at = self.toks.index(None)  # the first character that starts no token, or the end

@@ -66,6 +66,15 @@ def test_parse_rejects_garbage():
         parse_type("nat nat")
 
 
+def test_a_comment_is_whitespace_to_the_end_of_its_line():
+    """No word of a comment is read as a token, at the end of the text either."""
+    assert parse("1 # 2") == parse("1")
+    assert parse("(\\x:nat. # D x\n x) 1 #") == parse("(\\x:nat. x) 1")
+    assert parse_type("nat # => nat") == parse_type("nat")
+    with pytest.raises(ParseError, match="unexpected end of input at position 8 in '# only 1'"):
+        parse("# only 1")
+
+
 @pytest.mark.parametrize("binder", ["(", "1", "+", "succ", "pi0", "D"])
 def test_a_binder_must_be_a_variable(binder):
     with pytest.raises(ParseError) as e:

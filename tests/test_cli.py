@@ -175,7 +175,15 @@ def test_a_parse_error_in_a_file_of_several_lines_names_its_line_and_column(tmp_
     f.write_text("# a demo\n(\\x:nat.\n   x) pi0^y 1  # depth\n")
     r = run("typecheck", str(f))
     assert r.exit_code == 2, r.output
-    assert f"{f}: expected a depth, got 'y' at line 3, column 11 in '   x) pi0^y 1  '\n" in r.output
+    assert f"{f}: expected a depth, got 'y' at line 3, column 11 in '   x) pi0^y 1  # depth'\n" in r.output
+
+
+def test_a_parse_error_at_the_end_of_a_file_quotes_its_last_line_with_its_comment(tmp_path):
+    f = tmp_path / "open.cdl"
+    f.write_text("# only\n(\\x:nat. x\n# trailing comment\n")
+    r = run("typecheck", str(f))
+    assert r.exit_code == 2, r.output
+    assert f"{f}: expected ')' at line 3, column 19 in '# trailing comment'\n" in r.output
 
 
 def test_reduce_beta_demo():

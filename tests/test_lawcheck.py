@@ -21,7 +21,7 @@ from cohdiff.lawcheck import (
 )
 from cohdiff.exponential import der, dig, m2
 from cohdiff.maps import PointMap, pm_bang, pm_compose, pm_id, pm_tensor
-from cohdiff.spaces import Bang, BaseSpace, Limpl, Tensor, Verdict, With, enumerate_web, is_morphism, web_of
+from cohdiff.spaces import Bang, BaseSpace, Limpl, Tensor, Verdict, With, contains, enumerate_web, is_morphism, web_of
 from cohdiff.web_core import Base, Budget, Tag, within_budget
 
 BUD = Budget(3)
@@ -497,6 +497,31 @@ def test_space_laws_read_only_webs(name):
     for spaces in sorted(draws, key=repr):
         drawn = _graphs(fn(ctx, *spaces), BUD)
         assert _graphs(fn(ctx, *map(web_of, spaces)), BUD) == drawn, spaces
+
+
+def test_every_diagram_side_lies_in_its_webs():
+    """Every pair a side materializes joins atoms of its source and target webs.
+
+    ``pm_bang`` and ∂ test no output against a web: the sides' leaves are
+    morphisms, so their images stay inside.  Three draws per space law
+    and model, caps at most 3, budgets 2 and 3.
+    """
+    sides = pairs = 0
+    for kind in ("coh", "nucs", "rel"):
+        for budget in (Budget(2), BUD):
+            ctx = MapCtx(kind, budget)
+            for name in SPACE_LAWS:
+                fn, caps = REGISTRY[name]
+                rng = random.Random(f"0:{name}:{kind}")
+                for _ in range(3):
+                    for _, *both in fn(ctx, *(gen_space(rng, kind, min(cap, 3)) for cap in caps)):
+                        for side in both:
+                            rel = side.materialize(budget).pairs
+                            outside = [p for p in rel if not (contains(side.src, p[0]) and contains(side.tgt, p[1]))]
+                            assert not outside, (name, kind, outside[:3])
+                            sides, pairs = sides + 1, pairs + len(rel)
+    web_core.end_run()
+    assert sides > 1000 and pairs > 10000
 
 
 def _counted(monkeypatch, name):

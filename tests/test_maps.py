@@ -113,25 +113,18 @@ def test_a_composite_keeps_its_inner_cut_in_the_memo_key():
     _differ_in_one_scope(c1, c2)
 
 
-def test_bang_keeps_its_target_web_in_the_memo_key():
-    """!f over two COH webs on the same atoms: one point function for f, two filters."""
+def test_bang_and_dpartial_read_no_coherence():
+    """!f and ∂ over two COH webs on the same atoms: one point function each.
+
+    A morphism's images lie in its target web, so neither map tests them
+    against it, and the webs' coherence enters no memo key.
+    """
     x, y = Base("x"), Base("y")
     clique = BaseSpace("coh", (x, y), scoh={(x, y)})
     apart = BaseSpace("coh", (x, y))
     ident = pm_id(clique)
-    c1, c2 = pm_bang(ident), pm_bang(replace(ident, tgt=apart))
-    assert c1.at(3) is not c2.at(3)
-    _differ_in_one_scope(c1, c2)
-
-
-def test_dpartial_keeps_its_web_in_the_memo_key():
-    """∂ over two COH webs on the same atoms, read on one source web."""
-    x, y = Base("x"), Base("y")
-    clique = BaseSpace("coh", (x, y), scoh={(x, y)})
-    apart = BaseSpace("coh", (x, y))
-    c1 = dpartial(clique)
-    c2 = replace(dpartial(apart), src=c1.src)
-    _differ_in_one_scope(c1, c2)
+    assert pm_bang(ident).at(3) is pm_bang(replace(ident, tgt=apart)).at(3)
+    assert dpartial(clique).at(3) is dpartial(apart).at(3)
 
 
 def test_relations_are_never_shared():
