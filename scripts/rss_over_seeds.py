@@ -8,7 +8,7 @@ the checkout whose ``src/`` is imported (default: this one), so two
 checkouts can be compared.  Every seed runs in the same process, so a
 peak RSS or an intern table that grows from seed to seed shows memory
 that outlives a run: a law check empties its own memos when it returns,
-and only the bounded enumeration cache (``spaces._enumerate_cached``,
+and only the bounded cache of ``!`` webs (``spaces._enumerate_cached``,
 4096 webs) is meant to carry over.  Each line gives the seed, the wall
 time of its run, the process's peak RSS after it, the live entries of
 the intern table, and the laws that passed.

@@ -882,15 +882,19 @@ def normalize(m: Term, fuel: int = 1000, env: dict | None = None) -> Term:
     """m's normal form within fuel steps, else FuelExhausted.
 
     The walk jumps along ``_NORMAL_FORMS`` wherever an entry stays within
-    the fuel, steps elsewhere, and then records every term it left.
+    the fuel, steps elsewhere, and then records every term it left.  When
+    m's own entry ends normal within the fuel, there is nothing to record.
     """
     env = env or {}
     env_items = frozenset(env.items())
+    hit = _NORMAL_FORMS.get((m, env_items))
+    # a normal end takes one more unit of fuel: the step that finds it normal
+    if hit is not None and hit[2] and hit[1] < fuel:
+        _NORMAL_FORMS.move_to_end((m, env_items))
+        return hit[0]
     trail, steps = [], 0  # each term left, with the steps taken before it
     while steps < fuel:
         trail.append((m, steps))
-        hit = _NORMAL_FORMS.get((m, env_items))
-        # a normal end takes one more unit of fuel: the step that finds it normal
         if hit is not None and steps + hit[1] + hit[2] <= fuel:
             m, steps = hit[0], steps + hit[1]
             if hit[2]:
@@ -899,6 +903,7 @@ def normalize(m: Term, fuel: int = 1000, env: dict | None = None) -> Term:
             break
         else:
             m, steps = n, steps + 1
+        hit = _NORMAL_FORMS.get((m, env_items))
     normal = steps < fuel
     for t, at in reversed(trail):  # the earliest entry of a cycle is written last
         _NORMAL_FORMS[t, env_items] = (m, steps - at, normal)

@@ -14,8 +14,12 @@ incoherent = strictly incoherent or neutral.
 Spaces are hash-consed like atoms, in the same weak table
 (``web_core._TABLE``): two structurally equal spaces are one object, so
 the caches keyed on spaces hash them by identity.  ``contains`` and
-``coherent`` are ``web_core.run_cache``s; the enumeration cache is
-bounded and lives for the process.  ``web_of`` is not cached.
+``coherent`` are ``web_core.run_cache``s.  ``web_of`` is not cached.
+
+Only ``!`` makes new atoms: a web of E ⊗ F or E ⊸ F is the product of
+its parts' webs, one of E & F or S E two tagged copies.  So each web is
+built from its parts' webs.  Only ``!`` webs live for the process, in a
+bounded cache; the others are built in each law check, in a run cache.
 
 Only the uniform (COH) ``!`` reads coherence to decide its web, so
 ``web_of(E)`` gives one canonical space for every space with E's web.
@@ -29,7 +33,9 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from functools import lru_cache
+from itertools import islice
 
 from .web_core import (
     Atom,
@@ -176,6 +182,8 @@ def web_of(E: Space) -> Space:
     ``BaseSpace(REL, atoms)``: NUCS and REL spaces over the same atoms
     get one web whatever their coherence.
     """
+    if not isinstance(E, Space):
+        raise TypeError(f"not a space: {E!r}")
     if E.kind == COH:
         return E
     if isinstance(E, BaseSpace):
@@ -209,9 +217,7 @@ def contains(E: Space, a: Atom) -> bool:
     if isinstance(E, (Tensor, Limpl)):
         return isinstance(a, Pair) and contains(E.left, a.left) and contains(E.right, a.right)
     if isinstance(E, With):
-        if not isinstance(a, Tag):
-            return False
-        return contains(E.left if a.index == 0 else E.right, a.inner)
+        return isinstance(a, Tag) and contains(E.left if a.index == 0 else E.right, a.inner)
     if isinstance(E, SFun):
         return isinstance(a, Tag) and contains(E.inner, a.inner)
     if isinstance(E, Bang):
@@ -227,9 +233,7 @@ def contains(E: Space, a: Atom) -> bool:
 @run_cache
 def coherent(E: Space, a: Atom, b: Atom) -> Verdict:
     """Coherence verdict of two web atoms, computed structurally."""
-    if E.kind == REL:
-        return Verdict.SCOH
-    return _verdict(E, a, b)
+    return Verdict.SCOH if E.kind == REL else _verdict(E, a, b)
 
 
 def _verdict(E: Space, a: Atom, b: Atom) -> Verdict:
@@ -248,13 +252,9 @@ def _verdict(E: Space, a: Atom, b: Atom) -> Verdict:
         vr = _verdict(E.right, a.right, b.right)
         if vl is Verdict.NEU and vr is Verdict.NEU:
             return Verdict.NEU
-        if vl.coherent and vr.coherent:
-            return Verdict.SCOH
-        return Verdict.SINCOH
+        return Verdict.SCOH if vl.coherent and vr.coherent else Verdict.SINCOH
     if isinstance(E, With):
-        if a.index != b.index:
-            return Verdict.SCOH
-        return _verdict(E.left if a.index == 0 else E.right, a.inner, b.inner)
+        return Verdict.SCOH if a.index != b.index else _verdict(E.left if a.index == 0 else E.right, a.inner, b.inner)
     if isinstance(E, Limpl):
         va = _verdict(E.left, a.left, b.left)
         vb = _verdict(E.right, a.right, b.right)
@@ -283,9 +283,7 @@ def is_clique(E: Space, xs) -> bool:
     xs = list(xs)
     if not all(contains(E, x) for x in xs):
         return False
-    if E.kind == REL:
-        return True
-    return all(coherent(E, x, y).coherent for i, x in enumerate(xs) for y in xs[i:])
+    return E.kind == REL or all(coherent(E, x, y).coherent for i, x in enumerate(xs) for y in xs[i:])
 
 
 def is_morphism(E: Space, F: Space, s: Rel) -> bool:
@@ -298,62 +296,59 @@ def is_morphism(E: Space, F: Space, s: Rel) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_web(E: Space, budget: Budget) -> list:
-    """All web atoms whose nested multisets fit the degree budget.
+def enumerate_web(E: Space, budget: Budget) -> tuple:
+    """All web atoms whose nested multisets fit the degree budget, as a tuple in ``atom_key`` order.
 
-    Deterministic (canonical atom order); raises BudgetExceeded if more
-    than ``budget.max_atoms`` atoms would be produced.  Cached per
-    ``web_of(E)``, so spaces with one web share one enumeration.
+    BudgetExceeded past ``budget.max_atoms`` atoms.  Cached per ``web_of(E)``: a ``!`` web
+    for the process (``_enumerate_cached``), any other in the run cache ``_web``.
     """
-    return list(_enumerate_cached(web_of(E), budget))
+    E = web_of(E)
+    return (_enumerate_cached if isinstance(E, Bang) else _web)(E, budget.max_degree, budget.max_atoms)
 
 
-# Process-lived and bounded, not a run cache: run-scoped, it cost laws-b4 (seed 7) +13% Python
-# calls and about +11% wall time, for 2.3 of 26.4 MB peak RSS.  It outlives end_run: clear it too
-# when coherence is patched between checks.
-@lru_cache(maxsize=4096)
-def _enumerate_cached(E: Space, budget: Budget) -> tuple:
-    out = []
-    for a in _enum(E, budget.max_degree):
-        out.append(a)
-        if len(out) > budget.max_atoms:
-            raise BudgetExceeded(
-                f"web of {E!r} exceeds max_atoms={budget.max_atoms} at degree {budget.max_degree}"
-            )
-    out.sort(key=atom_key)
-    return tuple(out)
+def _part(E: Space, max_degree: int, max_atoms: int) -> tuple:
+    """A part's web, also past max_atoms: a ``!`` at a low degree, or a product with an empty factor, has fewer."""
+    cached = _enumerate_cached if isinstance(E, Bang) else _web
+    try:
+        return cached(E, max_degree, max_atoms)
+    except BudgetExceeded:
+        return cached(E, max_degree, sys.maxsize - 1)  # islice takes at most sys.maxsize
 
 
-def _enum(E: Space, max_degree: int):
-    if isinstance(E, BaseSpace):
-        yield from E.atoms
-        return
-    if isinstance(E, (Tensor, Limpl)):
-        rights = list(_enum(E.right, max_degree))
-        for a in _enum(E.left, max_degree):
-            for b in rights:
-                yield Pair(a, b)
-        return
-    if isinstance(E, With):
-        for a in _enum(E.left, max_degree):
-            yield Tag(0, a)
-        for b in _enum(E.right, max_degree):
-            yield Tag(1, b)
-        return
-    if isinstance(E, SFun):
-        for a in _enum(E.inner, max_degree):
-            yield Tag(0, a)
-            yield Tag(1, a)
-        return
+@run_cache
+def _web(E: Space, max_degree: int, max_atoms: int) -> tuple:
+    """E's web from its parts' webs, in ``atom_key`` order; a product's size is checked before it is built.
+
+    ``atom_key`` orders pairs and tags by their parts, so only a base space's
+    atoms and a ``!`` web (through ``_enumerate_cached``) are sorted.
+    """
     if isinstance(E, Bang):
-        inner = sorted(_enum(E.inner, max_degree), key=atom_key)
+        inner = _part(E.inner, max_degree, max_atoms)
         later = _later_coherent(E.inner, inner, max_degree) if E.kind == COH else None
-        yield from _enum_msets(inner, later, range(len(inner)), max_degree, [])
-        return
-    raise TypeError(f"not a space: {E!r}")
+        web = sorted(islice(_enum_msets(inner, later, range(len(inner)), max_degree, []), max_atoms + 1), key=atom_key)
+    elif isinstance(E, BaseSpace):
+        web = sorted(E.atoms, key=atom_key)
+    else:
+        parts = (E.inner, E.inner) if isinstance(E, SFun) else (E.left, E.right)
+        left, right = [_part(P, max_degree, max_atoms) for P in parts]
+        if not isinstance(E, (Tensor, Limpl)):
+            web = [Tag(0, a) for a in left] + [Tag(1, b) for b in right]
+        elif len(left) * len(right) > max_atoms:
+            web = range(len(left) * len(right))  # too many atoms to build: only the size is checked
+        else:
+            web = [Pair(a, b) for a in left for b in right]
+    if len(web) > max_atoms:
+        raise BudgetExceeded(f"web of {E!r} exceeds max_atoms={max_atoms} at degree {max_degree}")
+    return tuple(web)
 
 
-def _later_coherent(E: Space, inner: list, max_degree: int) -> list:
+# _web's builder, bounded, for the ! webs only (enumerate_web and _part choose): they outlive end_run.
+# Run-scoped too, they cost laws-b4 (seed 7) +17% Python calls and about +25% wall time, for 1.0
+# of 24.7 MB peak RSS.  Clear this cache too when coherence is patched between checks.
+_enumerate_cached = lru_cache(maxsize=4096)(_web.__wrapped__)
+
+
+def _later_coherent(E: Space, inner: tuple, max_degree: int) -> list:
     """Per index j, the set of k ≥ j whose atom is coherent with ``inner[j]`` in E.
 
     Only pairs whose two occurrences fit one multiset within ``max_degree``
@@ -366,7 +361,7 @@ def _later_coherent(E: Space, inner: list, max_degree: int) -> list:
     ]
 
 
-def _enum_msets(inner: list, later, cands, left: int, chosen: list):
+def _enum_msets(inner: tuple, later, cands, left: int, chosen: list):
     """Every multiset of ``chosen`` plus atoms ``inner[k]``, k in ``cands``, that adds degree ≤ left.
 
     Each occurrence of an atom ``a`` costs ``1 + a.deg``.  ``cands`` holds,

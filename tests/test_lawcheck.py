@@ -605,6 +605,36 @@ def test_a_law_check_keeps_no_memo_after_it_returns(monkeypatch):
         assert len(web_core._TABLE) == before
 
 
+def test_a_law_check_keeps_only_bang_webs_after_it_returns(monkeypatch):
+    """Within a check each web is built once; after it only ``!`` webs stay cached.
+
+    Every other web lives in the run cache ``spaces._web``, so a product
+    web asked for twice in one check is one tuple, and none is left once
+    the check returns.
+    """
+    asked, webs, process_lived = Counter(), {}, spaces._enumerate_cached
+
+    def recorded(E, budget):
+        web = enumerate_web(E, budget)
+        asked[web_of(E), budget] += 1
+        assert webs.setdefault((web_of(E), budget), web) is web
+        return web
+
+    def bang_only(E, *bounds):
+        assert isinstance(E, Bang), E
+        return process_lived(E, *bounds)
+
+    monkeypatch.setattr(maps, "enumerate_web", recorded)
+    monkeypatch.setattr(spaces, "_enumerate_cached", bang_only)
+    process_lived.cache_clear()
+    res = run_check("seelyt-mont-2", MapCtx("coh", Budget(2)), seed=0, trials=3)
+    assert res.ok
+    assert any(not isinstance(E, Bang) and n > 1 for (E, _), n in asked.items())
+    assert spaces._web.cache_info().currsize == 0
+    assert process_lived.cache_info().currsize > 0
+    process_lived.cache_clear()
+
+
 def test_a_law_check_evaluates_a_shared_leaf_once_per_atom(monkeypatch):
     """Equal sides over different web tuples share ``materialize``'s memo.
 

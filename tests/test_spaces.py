@@ -29,12 +29,12 @@ from cohdiff.spaces import (
     one,
     parse_space,
     parse_space_expr,
+    top,
     web_of,
-    _enumerate_cached,
     _verdict,
 )
-from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag
-from relfun import matapp
+from cohdiff.web_core import Base, Budget, BudgetExceeded, Multiset, Pair, Rel, Tag
+from relfun import matapp, web_by_walk
 
 a, b, c = Base("a"), Base("b"), Base("c")
 BUD = Budget(3)
@@ -365,9 +365,13 @@ def test_constructed_spaces_take_their_kind_from_their_first_part():
     "build",
     [
         lambda: Bang(a), lambda: Tensor(coh_space()), lambda: Tensor(coh_space(), "E"), lambda: SFun(),
-        lambda: contains(a, a), lambda: _verdict(a, a, a), lambda: _enumerate_cached(a, BUD),
+        lambda: contains(a, a), lambda: _verdict(a, a, a), lambda: enumerate_web(a, BUD),
+        lambda: web_by_walk(a, BUD),
     ],
-    ids=["atom", "too-few", "not-a-space", "no-parts", "web-of-an-atom", "verdict-in-an-atom", "atoms-of-an-atom"],
+    ids=[
+        "atom", "too-few", "not-a-space", "no-parts", "web-of-an-atom", "verdict-in-an-atom", "atoms-of-an-atom",
+        "walk-of-an-atom",
+    ],
 )
 def test_constructed_spaces_take_spaces(build):
     with pytest.raises(TypeError):
@@ -454,8 +458,52 @@ def test_web_of_has_the_web_of_its_space(kind, degree):
         pairs.append((Tensor(N, Bang(C)), Tensor(wider(N), Bang(wider(C)))))  # a COH ! inside a NUCS ⊗
         for space, around in pairs:
             web = enumerate_web(space, budget)
-            assert web == list(_enumerate_cached.__wrapped__(space, budget))
+            assert list(web) == web_by_walk(space, budget)
             candidates = set(web) | set(enumerate_web(web_of(space), budget)) | set(enumerate_web(around, budget))
             for x in candidates:
                 assert contains(space, x) == contains(web_of(space), x), (space, x)
             assert len(candidates) > sum(contains(space, x) for x in candidates) == len(web)
+
+
+def _walk_shapes(E, F, T):
+    """Every constructor over E and F, nested !s, and products and a & with the empty web T."""
+    return [
+        E, Tensor(E, F), With(E, F), Limpl(E, F), SFun(E), Bang(E),
+        Bang(Bang(E)), Bang(Tensor(E, F)), SFun(Bang(E)), Bang(SFun(With(E, F))), Limpl(Bang(E), SFun(F)),
+        Tensor(Bang(Bang(E)), T), Limpl(T, Bang(F)), With(T, Bang(E)), Bang(Tensor(E, T)), SFun(T),
+    ]
+
+
+def _web_or_exceeded(enumerate_fn, space, budget):
+    try:
+        return tuple(enumerate_fn(space, budget))
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("kind", KINDS)
+def test_enumerate_web_gives_the_walk_s_atoms_order_and_budget_errors(kind, degree):
+    """Webs built from their parts' webs are the walk's, also where a part has more atoms than its whole.
+
+    Each web is asked for within ``max_atoms`` just below its size and at
+    it, and a base space lists its atoms out of order.  A ``!`` at a low
+    degree has fewer atoms than its inner space, and a product with the
+    empty factor ⊤ has none.
+    """
+    rng = random.Random(f"walk:{kind}:{degree}")
+    for _ in range(3):
+        E, F = gen_space(rng, kind, 3), gen_space(rng, kind, 3)
+        shapes = _walk_shapes(E, F, top(kind))
+        shapes.append(Tensor(gen_space(rng, "nucs", 3), Bang(gen_space(rng, "coh", 3))))  # a COH ! inside a NUCS ⊗
+        R = BaseSpace(kind, F.atoms[::-1], F.scoh, F.sincoh)  # atoms listed out of order
+        shapes += [R, With(Bang(R), R)]
+        for space in shapes:
+            web = web_by_walk(space, Budget(degree))
+            assert enumerate_web(space, Budget(degree)) == tuple(web), space
+            for max_atoms in {max(len(web) - 1, 0), len(web)}:
+                budget = Budget(degree, max_atoms)
+                want = _web_or_exceeded(web_by_walk, space, budget)
+                assert _web_or_exceeded(enumerate_web, space, budget) == want, (space, max_atoms)
+                assert (want is BudgetExceeded) == (max_atoms < len(web))
+
