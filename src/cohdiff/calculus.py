@@ -24,9 +24,11 @@ immutable and have no ``__dict__``.
 
 Terms are walked through one table, ``_SUBTERMS``: the subterm fields
 of each constructor, in the order reduction visits them; every other
-field is data.  ``free_vars``, ``subst``, ``alpha_eq`` and ``step``
-read it, ``_rebuild`` applies a constructor to new subterms, and only
-Lam, the one binder, is treated apart.
+field is data.  The subterm fields come right before ``tag``, so
+``_kids`` reads them as one slice of the tuple.  ``free_vars``,
+``subst``, ``alpha_eq`` and ``step`` read them, ``_rebuild`` applies a
+constructor to new subterms, and only Lam, the one binder, is treated
+apart.
 
 ``fresh`` names a binder from the term alone: the base name if it is
 free, else the base name with the smallest free suffix ``_0``, ``_1``,
@@ -189,6 +191,9 @@ _SUBTERMS = {
     Plus: ("left", "right"),
     If0: ("cond", "then", "other"),
 }
+
+# The subterms of each constructor as one slice of its tuple: they sit right before ``tag``.
+_KIDS = {cls: slice(len(cls._fields) - 1 - len(kids), -1) for cls, kids in _SUBTERMS.items()}
 
 # The data fields of each constructor: all fields that are not subterms.
 _DATA = {
@@ -380,7 +385,7 @@ def _operand(toks: Tokens) -> Term:
 
 def _kids(m: Term) -> tuple:
     """The subterms of m, in table order."""
-    return tuple(getattr(m, f) for f in _SUBTERMS[type(m)])
+    return m[_KIDS[type(m)]]
 
 
 def _rebuild(m: Term, *kids: Term, depth: int | None = None) -> Term:

@@ -4,6 +4,10 @@ Batch-oriented: every command reads files or flags, prints a
 deterministic plain-text report (identical seeds give byte-identical
 output) and exits 0 on success.  ``check-laws`` can additionally write
 a machine-readable JSON summary.
+
+Only ``check-laws`` imports the law registry (``lawcheck``), inside the
+command: the calculus commands and ``derive`` never compile it, as the
+law checker never loads the calculus.
 """
 
 import json
@@ -15,7 +19,6 @@ import click
 from . import calculus as cal
 from .denot import SemEnv, interp_closed
 from .differential import dhat
-from .lawcheck import REGISTRY, run_all
 from .spaces import KINDS, Bang, is_morphism, parse_space, parse_space_expr
 from .web_core import Budget, atom_to_text, rel_from_text, rel_to_text
 
@@ -38,6 +41,8 @@ def main():
 @click.option("--summary", type=click.Path(), default=None, help="write a JSON summary here")
 def check_laws(model, trials, seed, budget, only, summary):
     """Run the categorical-law registry and report PASS/FAIL per law."""
+    from .lawcheck import REGISTRY, run_all
+
     kinds = KINDS if model == "all" else (model,)
     for k in kinds:
         if k not in KINDS:

@@ -13,8 +13,10 @@ Diagram checks use the first; tests compare it against the second.
 
 The Kleisli derivative D̂s = (S s) ∘ ∂ has one route, ``dhat_graph``,
 which reads ∂ pointwise at the taggings of s's sources; ``dhat`` (the
-``derive`` command) and ``denot``'s D use it.  The composite through ∂
-materialized over the whole web of !SE is the tests' oracle for it.
+``derive`` command) and ``denot``'s D use it.  It tests web membership
+once per source, in !E, and reads the rest of the web of !SE off the
+tagging.  The composite through ∂ materialized over the whole web of
+!SE is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import partial
 
 from .exponential import m2
 from .maps import PointMap, bind, pm_compose, pm_id, pm_tensor
-from .spaces import Bang, SFun, Space, contains, ispace, web_of
+from .spaces import COH, Bang, SFun, Space, contains, ispace, web_of
 from .web_core import Multiset, Rel, STAR, Tag, run_cache
 
 
@@ -127,16 +129,26 @@ def dhat_graph(E: Space, pairs, bound: int) -> set:
     those (at most n + 1 for n = len(p)) are the only inputs read: a
     tagging m is kept, with (i, b), when it is in the web of !SE and ∂
     at ``bound`` sends it to (i, p).
+
+    A tagging of p is in the web of !SE exactly when p is in the web of
+    !E and, in the uniform (COH) kind, its increment atom occurs once in
+    p: 0·a and 1·a are strictly incoherent in SE, and a tag changes no
+    other verdict.  The non-uniform ``!`` web holds every multiset.  So
+    membership is tested once per p, in !E.
     """
-    d_at, web = dpartial(E).at(bound), web_of(Bang(SFun(E)))
+    d_at, web, uniform = dpartial(E).at(bound), web_of(Bang(E)), E.kind == COH
     out = set()
     for p, b in pairs:
+        if not contains(web, p):
+            continue
         values = [(Tag(0, a), k) for a, k in p.entries]
-        # all values, then one occurrence of each a moved to the increment
-        taggings = [(0, values)] + [(1, values + [(Tag(0, a), -1), (Tag(1, a), 1)]) for a in p.support]
+        # all values, then one occurrence of an a moved to the increment
+        taggings = [(0, values)] + [
+            (1, values + [(Tag(0, a), -1), (Tag(1, a), 1)]) for a, k in p.entries if k == 1 or not uniform
+        ]
         for i, counts in taggings:
             m = Multiset.from_counts(counts)
-            if contains(web, m) and Tag(i, p) in d_at(m):
+            if Tag(i, p) in d_at(m):
                 out.add((m, Tag(i, b)))
     return out
 

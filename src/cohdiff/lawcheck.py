@@ -102,23 +102,31 @@ from .web_core import Base, Budget, Pair, Rel, end_run
 # ---------------------------------------------------------------------------
 
 
+# The base atoms a drawn space takes its first atoms from.
+_GEN_ATOMS = tuple(Base(c) for c in string.ascii_lowercase)
+
+
 def gen_space(rng: random.Random, kind: str, max_web: int = 4) -> BaseSpace:
-    """A random finite space with up to max_web atoms."""
+    """A random finite space with up to max_web atoms.
+
+    Each relation holds both orientations of its pairs, so ``BaseSpace``
+    finds a space drawn before without symmetrizing them.
+    """
     n = rng.randint(1, max_web)
-    atoms = tuple(Base(c) for c in string.ascii_lowercase[:n])
+    atoms = _GEN_ATOMS[:n]
     scoh, sincoh = set(), set()
     for i in range(n):
         for j in range(i, n):
             a, b = atoms[i], atoms[j]
             if kind == "coh":
                 if a != b and rng.random() < 0.5:
-                    scoh.add((a, b))
+                    scoh.update(((a, b), (b, a)))
             elif kind == "nucs":
                 r = rng.random()
                 if r < 0.4:
-                    scoh.add((a, b))
+                    scoh.update(((a, b), (b, a)))
                 elif r < 0.7:
-                    sincoh.add((a, b))
+                    sincoh.update(((a, b), (b, a)))
     return BaseSpace(kind, atoms, frozenset(scoh), frozenset(sincoh))
 
 

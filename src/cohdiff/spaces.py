@@ -116,12 +116,17 @@ class BaseSpace(Space):
     relations and must be disjoint; the rest is neutral.  For kind
     "rel" the relations are ignored.  Both relations are stored
     symmetrically closed, so either orientation of a pair gives one
-    space.
+    space.  Relations given as ``frozenset``s are looked up as they are
+    first: a stored key is symmetric, so a hit is the space they name.
     """
 
     __slots__ = ("kind", "atoms", "scoh", "sincoh")
 
     def __new__(cls, kind: str, atoms: tuple, scoh=frozenset(), sincoh=frozenset()):
+        if type(scoh) is type(sincoh) is frozenset:
+            E = _lookup((cls, kind, atoms, scoh, sincoh))
+            if E is not None:
+                return E
         scoh, sincoh = _norm_pairs(scoh), _norm_pairs(sincoh)
         key = (cls, kind, atoms, scoh, sincoh)
         E = _lookup(key)

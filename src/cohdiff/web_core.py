@@ -22,8 +22,9 @@ the bare ``frozenset`` of its ``(atom, count)`` items, which no tuple
 key can equal (cf. the order-independent multiset hashes of Clarke et
 al., ASIACRYPT 2003).  So a multiset that exists already is found from
 its count map alone; dropping zero counts and sorting the entries by
-``atom_key`` happen only on a miss, and ``atom_key`` runs otherwise only
-when a web is listed in order.  The table is a dict of ``_Ref``s, weak
+``atom_key`` happen only on a miss, the sort only for two entries or
+more, and ``atom_key`` runs otherwise only when a web is listed in
+order.  The table is a dict of ``_Ref``s, weak
 refs that carry their key and have no Python-level constructor, read by
 calling the ref it finds, so a hit runs no Python frame; a ref's
 callback drops its entry as soon as nothing else refers to the value,
@@ -234,7 +235,8 @@ def _intern_multiset(key: frozenset) -> "Multiset":
 
     No stored key holds a count ≤ 0, so a key with one always misses:
     drop those counts and look again.  Otherwise sort the key's own items
-    into the entries and intern them.
+    into the entries and intern them.  A key of one item or none is its
+    own order, so it asks ``atom_key`` for nothing and pins no key there.
     """
     if not all(n > 0 for _, n in key):
         key = frozenset(e for e in key if e[1] > 0)
@@ -242,8 +244,9 @@ def _intern_multiset(key: frozenset) -> "Multiset":
         if m is not None:
             return m
     for a, _ in key:
-        _require_atom(a)
-    entries = tuple(sorted(key, key=lambda e: atom_key(e[0])))
+        if not isinstance(a, Atom):
+            raise TypeError(f"not an atom: {a!r}")
+    entries = tuple(key) if len(key) < 2 else tuple(sorted(key, key=lambda e: atom_key(e[0])))
     deg = sum(n * (1 + a.deg) for a, n in entries)
     return _make(Multiset, key, entries, tuple(a for a, _ in entries), sum(n for _, n in entries), deg, deg)
 
@@ -471,7 +474,10 @@ def atom_to_text(a: Atom) -> str:
     if isinstance(a, Pair):
         return f"({atom_to_text(a.left)},{atom_to_text(a.right)})"
     if isinstance(a, Multiset):
-        return "[" + ",".join(atom_to_text(x) for x in a) + "]"
+        texts = []
+        for x, n in a.entries:
+            texts += [atom_to_text(x)] * n
+        return "[" + ",".join(texts) + "]"
     raise TypeError(f"not an atom: {a!r}")
 
 

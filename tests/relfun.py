@@ -7,10 +7,18 @@ without them; the tests compare against these textbook forms.
 ``web_by_walk`` lists a web by walking the space down to its base
 spaces for every web it is asked for, and sorts the whole web at the
 end; ``spaces.enumerate_web`` builds each web from its parts' webs.
+
+``dhat_graph_per_tagging`` tests every tagging it builds for membership
+in the web of !SE; ``differential.dhat_graph`` tests each source once, in
+!E.  ``gen_space_one_orientation`` draws a space as ``lawcheck.gen_space``
+did when it gave each strict pair in one orientation.
 """
 
-from cohdiff.spaces import COH, Bang, BaseSpace, Limpl, SFun, Tensor, With, _enum_msets, _later_coherent
-from cohdiff.web_core import BudgetExceeded, Multiset, Pair, Rel, Tag, atom_key
+import string
+
+from cohdiff.differential import dpartial
+from cohdiff.spaces import COH, Bang, BaseSpace, Limpl, SFun, Tensor, With, _enum_msets, _later_coherent, contains, web_of
+from cohdiff.web_core import Base, BudgetExceeded, Multiset, Pair, Rel, Tag, atom_key
 
 
 def matapp(s: Rel, x) -> frozenset:
@@ -74,3 +82,37 @@ def _walk(E, max_degree: int):
         yield from _enum_msets(inner, later, range(len(inner)), max_degree, [])
         return
     raise TypeError(f"not a space: {E!r}")
+
+
+def dhat_graph_per_tagging(E, pairs, bound: int) -> set:
+    """The graph of (S s) ∘ ∂ for the pairs (p, b) of s, each tagging of p tested in the web of !SE."""
+    d_at, web = dpartial(E).at(bound), web_of(Bang(SFun(E)))
+    out = set()
+    for p, b in pairs:
+        values = [(Tag(0, a), k) for a, k in p.entries]
+        taggings = [(0, values)] + [(1, values + [(Tag(0, a), -1), (Tag(1, a), 1)]) for a in p.support]
+        for i, counts in taggings:
+            m = Multiset.from_counts(counts)
+            if contains(web, m) and Tag(i, p) in d_at(m):
+                out.add((m, Tag(i, b)))
+    return out
+
+
+def gen_space_one_orientation(rng, kind: str, max_web: int = 4) -> BaseSpace:
+    """``lawcheck.gen_space`` with each strict pair (a, b), a first in the web, in that orientation only."""
+    n = rng.randint(1, max_web)
+    atoms = tuple(Base(c) for c in string.ascii_lowercase[:n])
+    scoh, sincoh = set(), set()
+    for i in range(n):
+        for j in range(i, n):
+            a, b = atoms[i], atoms[j]
+            if kind == "coh":
+                if a != b and rng.random() < 0.5:
+                    scoh.add((a, b))
+            elif kind == "nucs":
+                r = rng.random()
+                if r < 0.4:
+                    scoh.add((a, b))
+                elif r < 0.7:
+                    sincoh.add((a, b))
+    return BaseSpace(kind, atoms, frozenset(scoh), frozenset(sincoh))

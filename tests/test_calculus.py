@@ -39,6 +39,23 @@ def has_type(src, tysrc):
     return typecheck(parse(src)) == ty(tysrc)
 
 
+# -- term structure --------------------------------------------------------
+
+
+def test_kids_slice_is_the_subterm_fields_of_every_constructor():
+    x, one = cal.Var("x"), cal.Num(1)
+    nat = Nat(0)
+    nodes = [
+        x, one, cal.Succ(), cal.Zero(nat), cal.Lam("x", nat, x), cal.DTerm(x), cal.Fix(x),
+        cal.Proj(1, 2, x), cal.Inj(0, 1, x), cal.SigmaT(1, x), cal.CTerm(0, x),
+        cal.App(x, one), cal.Plus(one, x), cal.If0(x, one, cal.Succ()),
+    ]
+    assert {type(m) for m in nodes} == set(cal._SUBTERMS)
+    for m in nodes:
+        assert cal._kids(m) == tuple(getattr(m, f) for f in cal._SUBTERMS[type(m)])
+        assert type(cal._kids(m)) is tuple
+
+
 # -- parsing ---------------------------------------------------------------
 
 

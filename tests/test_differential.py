@@ -15,7 +15,7 @@ from cohdiff.differential import (
 from cohdiff.lawcheck import gen_morphism, gen_space
 from cohdiff.spaces import Bang, BaseSpace, SFun, enumerate_web, is_clique
 from cohdiff.web_core import Base, Budget, Multiset, Pair, Rel, Tag, rel_compose
-from relfun import fun_apply, local_derivative, matapp
+from relfun import dhat_graph_per_tagging, fun_apply, local_derivative, matapp
 
 a, b = Base("a"), Base("b")
 BUD = Budget(3)
@@ -185,6 +185,39 @@ def test_dhat_equals_the_materialized_composite():
                 E, F = gen_space(rng, kind, 3), gen_space(rng, kind, 3)
                 s = gen_morphism(rng, Bang(E), F, BUD)
                 assert dhat(E, F, s, budget).pairs == dhat_oracle(E, s, budget).pairs
+
+
+def _sources(rng, E, degree, count):
+    """Random multisets of degree ≤ degree over E's atoms and one atom outside E, repeats allowed."""
+    atoms = list(E.atoms) + [Base("z")]
+    return [Multiset.of(rng.choice(atoms) for _ in range(rng.randint(0, degree))) for _ in range(count)]
+
+
+def test_dhat_graph_tests_each_source_once_and_agrees_with_the_per_tagging_oracle(monkeypatch):
+    """One membership test per source, in !E, keeps exactly the taggings that lie in the web of !SE.
+
+    The sources are any multisets, not only a morphism's: some hold an
+    atom outside E, some a support that is no clique of a COH E, many a
+    repeated atom, whose taggings with that increment leave the COH web.
+    """
+    rng = random.Random(39)
+    tested = []
+    contains = differential.contains
+    monkeypatch.setattr(differential, "contains", lambda E, a: tested.append(a) or contains(E, a))
+    kept = dropped = 0
+    for kind in ("coh", "nucs", "rel"):
+        for degree in (2, 3):
+            for _ in range(40):
+                E = gen_space(rng, kind, 3)
+                pairs = [(p, Tag(rng.randint(0, 1), b)) for p in _sources(rng, E, degree, 8)]
+                tested.clear()
+                got = differential.dhat_graph(E, pairs, degree)
+                assert tested == [p for p, _ in pairs]
+                want = dhat_graph_per_tagging(E, pairs, degree)
+                assert got == want
+                kept += len(want)
+                dropped += sum(1 + len(p.support) for p, _ in pairs) - len(want)
+    assert kept > 1000 and dropped > 1000
 
 
 def test_d_of_first_order_corpus_functions_is_the_dhat_oracle():

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from cohdiff import web_core
+from cohdiff import spaces, web_core
 from cohdiff.lawcheck import gen_space
 from cohdiff.spaces import (
     KINDS,
@@ -31,10 +31,11 @@ from cohdiff.spaces import (
     parse_space_expr,
     top,
     web_of,
+    _norm_pairs as norm_pairs,
     _verdict,
 )
 from cohdiff.web_core import Base, Budget, BudgetExceeded, Multiset, Pair, Rel, Tag
-from relfun import matapp, web_by_walk
+from relfun import gen_space_one_orientation, matapp, web_by_walk
 
 a, b, c = Base("a"), Base("b"), Base("c")
 BUD = Budget(3)
@@ -341,6 +342,39 @@ def test_equal_spaces_are_one_object():
     assert Tensor(N, Bang(N)) is not Tensor(Bang(N), N)
     assert With(N, N) is not Tensor(N, N)
     assert nucs_space() is not nucs_space(scoh={(a, b)})
+
+
+def test_relations_in_one_orientation_or_as_sets_give_the_space_of_both():
+    """A frozenset hit needs both orientations; one orientation, or a ``set``, is symmetrized first."""
+    both = {(a, b), (b, a)}
+    N = BaseSpace("nucs", (a, b, c), frozenset(both), frozenset({(b, c), (c, b), (c, c)}))
+    for scoh in (frozenset({(a, b)}), frozenset({(b, a)}), {(a, b)}, both, frozenset(both)):
+        for sincoh in (frozenset({(b, c), (c, c)}), {(c, b), (c, c)}, frozenset({(c, b), (b, c), (c, c)})):
+            assert BaseSpace("nucs", (a, b, c), scoh, sincoh) is N
+    assert BaseSpace("nucs", (a, b, c), frozenset({(a, b)})) is not N
+    assert N.scoh == frozenset(both)
+    with pytest.raises(ValueError, match="overlap"):
+        BaseSpace("nucs", (a, b), frozenset(both), frozenset({(b, a)}))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gen_space_draws_the_space_and_rng_state_of_the_one_orientation_generator(kind, monkeypatch):
+    """2,000 draws, caps 1 to 4: one object per draw, and the generators leave one RNG state.
+
+    A space drawn again is found without symmetrizing its relations.
+    """
+    new, old = random.Random(3900), random.Random(3900)
+    drawn = []
+    for i in range(2000):
+        cap = 1 + i % 4
+        drawn.append(gen_space(new, kind, cap))
+        assert drawn[-1] is gen_space_one_orientation(old, kind, cap)
+        assert new.getstate() == old.getstate()
+    symmetrized = []
+    monkeypatch.setattr(spaces, "_norm_pairs", lambda pairs: symmetrized.append(pairs) or norm_pairs(pairs))
+    again = random.Random(3900)
+    assert [gen_space(again, kind, 1 + i % 4) for i in range(2000)] == drawn
+    assert symmetrized == []
 
 
 def test_spaces_are_immutable():

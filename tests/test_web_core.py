@@ -164,6 +164,26 @@ def test_building_an_existing_multiset_makes_no_atom_key_call(atom_key_calls):
     assert atom_key_calls
 
 
+def test_a_multiset_of_one_entry_or_none_is_interned_without_atom_key(atom_key_calls):
+    """Such a key is its own order: no sort, so nothing is keyed, and the entries are the sorted ones."""
+    x, y = Base("one-entry-x"), Pair(Base("one-entry-y"), a)
+    built = [
+        Multiset.of([x]),
+        Multiset.of([y, y, y]),
+        Multiset.from_counts([(x, 2), (y, 0)]),
+        Multiset.from_counts({y: 1, x: -1}),
+        Multiset(),
+    ]
+    assert atom_key_calls == []
+    for m in built:
+        assert m.entries == tuple(sorted(m.entries, key=lambda e: atom_key(e[0])))
+        assert m is Multiset.from_counts(dict(m.entries)) is Multiset(m.entries)
+    assert [m.entries for m in built] == [((x, 1),), ((y, 3),), ((x, 2),), ((y, 1),), ()]
+    assert [(m.support, len(m), m.deg) for m in built[:2]] == [((x,), 1, 1), ((y,), 3, 3)]
+    Multiset.of([x, y])  # two entries are sorted
+    assert atom_key_calls
+
+
 def test_subtraction_hands_on_no_zero_count(monkeypatch):
     """``-`` drops an entry that reaches 0, so only the miss path meets counts ≤ 0."""
     seen = []
